@@ -49,11 +49,8 @@ from .fgab import (
     smith_normal_form,
 )
 from .ktheory import (
-    DadicScalar,
     Delta1Class,
     TruncPoly,
-    dadic_eq,
-    dadic_normalize,
     delta1_class,
     tensor_endo_matrix,
 )
@@ -73,8 +70,7 @@ __all__ = [
     "smith_normal_form", "cokernel", "kernel", "group_order",
     "groups_isomorphic", "parse_matrix",
     # ktheory
-    "TruncPoly", "DadicScalar", "Delta1Class", "tensor_endo_matrix",
-    "dadic_normalize", "dadic_eq", "delta1_class",
+    "TruncPoly", "Delta1Class", "tensor_endo_matrix", "delta1_class",
     # bundles
     "SphereBundleSpec", "BundleSpecError", "NonpositiveDimension",
     "RankTooSmall", "OddSphereNonzeroClass", "validate", "k_class",

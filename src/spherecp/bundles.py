@@ -56,9 +56,14 @@ class SpecFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SphereBundleSpec:
+    """A bundle over S^sphere_dim; construction runs :func:`validate`."""
+
     sphere_dim: int
     rank: int
     euler_param: int = 0
+
+    def __post_init__(self):
+        validate(self)
 
 
 def validate(spec: SphereBundleSpec) -> SphereBundleSpec:
@@ -82,12 +87,11 @@ def validate(spec: SphereBundleSpec) -> SphereBundleSpec:
 
 
 def k_class(spec: SphereBundleSpec) -> TruncPoly:
-    """K-class ``rank + euler_param·λ`` of the bundle (validates first).
+    """K-class ``rank + euler_param·λ`` of the bundle.
 
     For odd spheres the λ coefficient is forced to 0 by validation, so the
     class degenerates to the bare rank.
     """
-    validate(spec)
     return TruncPoly(spec.rank, spec.euler_param)
 
 
@@ -95,8 +99,8 @@ def parse_spec(text: str) -> SphereBundleSpec:
     """Parse a JSON bundle spec: {"sphere_dim": n, "rank": d, "euler": c}.
 
     ``euler`` is optional and defaults to 0.  Unknown fields are rejected
-    to catch typos early.  The result is *parsed*, not validated -- run
-    :func:`validate` (or any operation, they all validate) afterwards.
+    to catch typos early.  Building the spec validates it, so a spec that
+    violates the domain restrictions raises here.
     """
     try:
         raw = json.loads(text)
@@ -110,9 +114,6 @@ def parse_spec(text: str) -> SphereBundleSpec:
     for field in ("sphere_dim", "rank"):
         if field not in raw:
             raise SpecFormatError(f"bundle spec is missing required field '{field}'")
-    for field in ("sphere_dim", "rank", "euler"):
-        if field in raw and (not isinstance(raw[field], int) or isinstance(raw[field], bool)):
-            raise SpecFormatError(f"bundle spec field '{field}' must be an integer")
     return SphereBundleSpec(raw["sphere_dim"], raw["rank"], raw.get("euler", 0))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import SphereBundleSpec, k_class, spec_to_dict, validate
+from .bundles import SphereBundleSpec, k_class, spec_to_dict
 from .fgab import groups_isomorphic
 from .ktheory import Delta1Class, TruncPoly, delta1_class
 from .pimsner import KGroupPair, k_groups, k_groups_trivial
@@ -55,8 +55,6 @@ class RankMismatch(ComparisonError):
 
 
 def _check_comparable(a: SphereBundleSpec, b: SphereBundleSpec) -> None:
-    validate(a)
-    validate(b)
     if a.sphere_dim != b.sphere_dim:
         raise DimensionMismatch(
             f"cannot compare bundles over different spheres: S^{a.sphere_dim} vs S^{b.sphere_dim}"
@@ -94,8 +92,6 @@ def k_distinguishable(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
     or not).  False is *inconclusive*: equal K-groups do not imply
     isomorphism -- the grade-one invariant is strictly finer.
     """
-    validate(a)
-    validate(b)
     return not groups_isomorphic(k_groups(a).k0, k_groups(b).k0)
 
 
@@ -135,17 +131,16 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
     """Full report for one spec, always comparing against the trivial bundle.
 
     Over an even sphere the trivial comparison uses the independent
-    closed-form route; over an odd sphere it is the (identical) spec with
-    euler 0 run through the presentation-matrix route.
+    closed-form route.  Over an odd sphere the euler parameter is always 0,
+    so the spec is its own trivial comparison and its K-groups are reused.
     """
-    validate(spec)
     kc = k_class(spec)
     kg = k_groups(spec)
     inv = delta1_class(spec)
     if spec.sphere_dim % 2 == 0:
         trivial = k_groups_trivial(spec.sphere_dim, spec.rank)
     else:
-        trivial = k_groups(SphereBundleSpec(spec.sphere_dim, spec.rank, 0))
+        trivial = kg
     distinguishable = not groups_isomorphic(kg.k0, trivial.k0)
     caveats: list[str] = [CAVEAT_DELTA0]
     if spec.sphere_dim % 2 == 1:

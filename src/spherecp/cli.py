@@ -19,13 +19,12 @@ error (never expected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from math import gcd
 
-from .bundles import SphereBundleSpec, k_class, load_spec, spec_to_dict, validate
+from .bundles import SphereBundleSpec, k_class, load_spec, spec_to_dict
 from .classify import (
     classify_report,
     delta1_equal,
@@ -34,10 +33,10 @@ from .classify import (
     report_to_dict,
 )
 from .cuntz_words import parse_expression
-from .fgab import groups_isomorphic, parse_matrix, smith_normal_form
+from .fgab import parse_matrix, smith_normal_form
 from .pimsner import k_groups
 
-__all__ = ["main", "build_parser", "CliConfig"]
+__all__ = ["main", "build_parser"]
 
 
 class CliError(Exception):
@@ -47,16 +46,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit 1
         raise CliError(message)
-
-
-@dataclass
-class CliConfig:
-    """Parsed invocation, independent of argparse plumbing."""
-
-    subcommand: str
-    format: str = "human"
-    jobs: int = 1
-    options: dict = field(default_factory=dict)
 
 
 def _add_spec_args(p: argparse.ArgumentParser, suffix: str = "", required: bool = True) -> None:
@@ -94,6 +83,7 @@ def _spec_from_args(args, suffix: str = "", fallback: SphereBundleSpec | None = 
     return SphereBundleSpec(sphere, rank, euler)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spherecp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -113,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb.add_argument("--sphere", type=int, default=4, metavar="N", help="even sphere dimension (default 4)")
     p_tb.add_argument("--d-max", type=int, default=6, metavar="D", help="largest rank (>= 2, default 6)")
     p_tb.add_argument("--c-max", type=int, default=6, metavar="C", help="largest euler parameter (>= 0, default 6)")
-    p_tb.add_argument("--jobs", type=int, default=1, metavar="K", help="worker threads (output is identical for any K)")
     p_tb.add_argument("--format", **common)
 
     p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
@@ -142,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kgroups(args) -> tuple[list[str], dict]:
-    spec = validate(_spec_from_args(args))
+    spec = _spec_from_args(args)
     pair = k_groups(spec)
     human = [
         f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
@@ -196,26 +185,25 @@ def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec) -> tuple[list[s
 
 
 def _cmd_classify(args) -> tuple[list[str], dict]:
-    spec_a = validate(_spec_from_args(args))
+    spec_a = _spec_from_args(args)
     second_given = any(
         getattr(args, name) is not None for name in ("sphere2", "rank2", "euler2", "spec2")
     )
     if not second_given:
         return _cmd_classify_single(spec_a)
-    spec_b = validate(_spec_from_args(args, suffix="2", fallback=spec_a))
+    spec_b = _spec_from_args(args, suffix="2", fallback=spec_a)
     return _cmd_classify_pair(spec_a, spec_b)
 
 
 def _table_row(spec: SphereBundleSpec) -> dict:
-    pair = k_groups(spec)
-    trivial = k_groups(SphereBundleSpec(spec.sphere_dim, spec.rank, 0))
+    rep = classify_report(spec)
     return {
         "rank": spec.rank,
         "euler": spec.euler_param,
-        "k_class": str(k_class(spec)),
-        "K0": str(pair.k0),
+        "k_class": str(rep.k_class),
+        "K0": str(rep.k_groups.k0),
         "gcd": gcd(spec.rank - 1, spec.euler_param),
-        "distinguishable_from_trivial": not groups_isomorphic(pair.k0, trivial.k0),
+        "distinguishable_from_trivial": rep.k_distinguishable_from_trivial,
     }
 
 
@@ -226,19 +214,11 @@ def _cmd_table(args) -> tuple[list[str], dict]:
         raise CliError("--d-max must be at least 2")
     if args.c_max < 0:
         raise CliError("--c-max must be nonnegative")
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1")
-    specs = [
-        SphereBundleSpec(args.sphere, d, c)
+    rows = [
+        _table_row(SphereBundleSpec(args.sphere, d, c))
         for d in range(2, args.d_max + 1)
         for c in range(0, args.c_max + 1)
     ]
-    if args.jobs == 1:
-        rows = [_table_row(s) for s in specs]
-    else:
-        # row computations are independent and pure; executor.map keeps order
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, specs))
     header = f"{'d':>3} {'c':>4} {'k_class':<12} {'K0':<18} {'gcd':>4}  distinguishable"
     human = [f"survey over S^{args.sphere}", header, "-" * len(header)]
     for r in rows:
@@ -294,20 +274,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = CliConfig(
-            subcommand=args.subcommand,
-            format=getattr(args, "format", "human"),
-            jobs=getattr(args, "jobs", 1),
-            options=vars(args),
-        )
-        human, structured = _COMMANDS[config.subcommand](args)
+        human, structured = _COMMANDS[args.subcommand](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - invariant violations only
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if config.format == "structured":
+    if args.format == "structured":
         print(render_structured(structured))
     else:
         print("\n".join(human))

@@ -283,10 +283,6 @@ class CuntzElement:
     def __repr__(self) -> str:
         return f"CuntzElement({self._base}, {self._coeffs!r})"
 
-    @classmethod
-    def parse(cls, base: int, text: str) -> "CuntzElement":
-        return parse_expression(base, text)
-
 
 def generator(base: int, index: int) -> CuntzElement:
     """The isometry s_index as an element."""

@@ -6,10 +6,12 @@ canonical invariant-factor form so that isomorphism testing is plain
 field equality.
 
 Everything runs on Python's arbitrary-precision integers; no floating
-point (and no numerical library) is involved anywhere.  For the matrix
-sizes this package meets in practice (tiny presentations of K-groups,
-plus randomized stress inputs up to a few hundred rows) the classical
-elimination below is more than fast enough.
+point (and no numerical library) is involved anywhere.  The classical
+elimination below builds both transforms, and their entries grow far
+past the diagonal.  On dense n x n matrices with entries in ±50 (2-core
+Intel Xeon at 2.0 GHz, Python 3.11.7) it took about 1 ms at n=10, about
+0.9 s at n=30 and 9.4 s at n=40; n=60 did not finish in 290 s.  The 2x2
+and 1x1 presentations of K-groups take tens of microseconds.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -159,10 +161,6 @@ class IntMatrix:
         """Render in the compact text format: rows joined by ';', entries by ','."""
         return ";".join(",".join(str(e) for e in row) for row in self.entries)
 
-    @classmethod
-    def from_text(cls, text: str) -> "IntMatrix":
-        return parse_matrix(text)
-
 
 _MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
 
@@ -245,6 +243,27 @@ class SnfDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x)
+
+    def cokernel(self) -> "FgAbGroup":
+        """Quotient of Z^cols by the subgroup generated by the rows of A.
+
+        Each row of A is one relation among the ``cols`` generators.  The
+        diagonal gives the invariant factors directly (unit factors drop
+        out); generators not hit by any relation contribute free rank.
+        """
+        nonzero = [x for x in self.diagonal if x]
+        return FgAbGroup(
+            free_rank=self.D.cols - len(nonzero),
+            torsion=tuple(x for x in nonzero if x != 1),
+        )
+
+    def kernel(self) -> "FgAbGroup":
+        """Kernel of A acting on column vectors Z^cols -> Z^rows.
+
+        A subgroup of a free group is free, so the result has no torsion;
+        its rank is cols - rank(A).
+        """
+        return FgAbGroup(free_rank=self.D.cols - self.rank)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -431,28 +450,13 @@ class FgAbGroup:
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
-    """Quotient of Z^cols by the subgroup generated by the rows of ``a``.
-
-    Each row of ``a`` is one relation among the ``cols`` generators.  The
-    SNF diagonal gives the invariant factors directly (unit factors drop
-    out); generators not hit by any relation contribute free rank.
-    """
-    snf = smith_normal_form(a)
-    nonzero = [x for x in snf.diagonal if x]
-    return FgAbGroup(
-        free_rank=a.cols - len(nonzero),
-        torsion=tuple(x for x in nonzero if x != 1),
-    )
+    """Quotient of Z^cols by the row span of ``a``; see :meth:`SnfDecomposition.cokernel`."""
+    return smith_normal_form(a).cokernel()
 
 
 def kernel(a: IntMatrix) -> FgAbGroup:
-    """Kernel of ``a`` acting on column vectors Z^cols -> Z^rows.
-
-    A subgroup of a free group is free, so the result has no torsion; its
-    rank is cols - rank(a).
-    """
-    snf = smith_normal_form(a)
-    return FgAbGroup(free_rank=a.cols - snf.rank)
+    """Kernel of ``a`` on column vectors; see :meth:`SnfDecomposition.kernel`."""
+    return smith_normal_form(a).kernel()
 
 
 def group_order(g: FgAbGroup) -> int | None:

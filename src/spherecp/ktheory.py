@@ -1,12 +1,9 @@
 """Coefficient objects for the K-theory of even spheres.
 
-Three small exact types live here:
+Two small exact types live here:
 
 * :class:`TruncPoly` -- the rank-2 ring of truncated polynomials
   ``z + z1*λ`` with ``λ² = 0``, which is the K-ring of an even sphere;
-* :class:`DadicScalar` -- rationals whose denominator is a power of a
-  fixed base ``d``, kept in a canonical form so equality is decidable by
-  comparing fields;
 * :class:`Delta1Class` -- the grade-one invariant of the algebra of a
   bundle, packaged as an explicit integer matrix.  The invariant really
   acts on (sphere K-group) ⊗ (base-d scalars), but the action on the
@@ -17,7 +14,6 @@ Three small exact types live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fgab import IntMatrix
@@ -27,11 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
 
 __all__ = [
     "TruncPoly",
-    "DadicScalar",
     "Delta1Class",
     "tensor_endo_matrix",
-    "dadic_normalize",
-    "dadic_eq",
     "delta1_class",
 ]
 
@@ -99,60 +92,6 @@ def tensor_endo_matrix(kclass: TruncPoly) -> IntMatrix:
 
 
 @dataclass(frozen=True)
-class DadicScalar:
-    """Rational ``numerator / base**exponent`` with a fixed base >= 2.
-
-    Canonical form: exponent 0, or a numerator the base does not divide.
-    Note the base may be composite, so canonical does NOT mean the
-    fraction is fully reduced -- 4/6 stays 4/6 in base 6.
-
-    >>> DadicScalar(3, 9, 1).normalized()
-    DadicScalar(base=3, numerator=3, exponent=0)
-    """
-
-    base: int
-    numerator: int
-    exponent: int = 0
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be at least 2, got {self.base}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be nonnegative, got {self.exponent}")
-
-    def normalized(self) -> "DadicScalar":
-        """Cancel factors of the base until the representation is canonical."""
-        num, k = self.numerator, self.exponent
-        while k > 0 and num % self.base == 0:
-            num //= self.base
-            k -= 1
-        return DadicScalar(self.base, num, k)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.exponent == 0 or self.numerator % self.base != 0
-
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.base**self.exponent)
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.base}^{self.exponent}"
-
-
-def dadic_normalize(x: DadicScalar) -> DadicScalar:
-    return x.normalized()
-
-
-def dadic_eq(x: DadicScalar, y: DadicScalar) -> bool:
-    """Equality of base-d scalars; mixing bases is a caller error."""
-    if x.base != y.base:
-        raise ValueError(f"mismatched scalar bases: {x.base} vs {y.base}")
-    return x.normalized() == y.normalized()
-
-
-@dataclass(frozen=True)
 class Delta1Class:
     """Grade-one invariant of a bundle algebra over a sphere.
 
@@ -196,11 +135,8 @@ def delta1_class(spec: "SphereBundleSpec") -> Delta1Class:
     Even sphere: multiplication by ``rank + euler·λ``; the trivial class
     gives ``rank`` times the identity.  Odd sphere: the 1x1 matrix [rank].
     """
-    from .bundles import k_class, validate  # local import: bundles depends on this module
-
-    validate(spec)
     if spec.sphere_dim % 2 == 0:
-        matrix = tensor_endo_matrix(k_class(spec))
+        matrix = tensor_endo_matrix(TruncPoly(spec.rank, spec.euler_param))
     else:
         matrix = IntMatrix.from_rows([[spec.rank]])
     return Delta1Class(sphere_dim=spec.sphere_dim, base=spec.rank, matrix=matrix)

@@ -16,16 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import (
-    BundleSpecError,
-    NonpositiveDimension,
-    RankTooSmall,
-    SphereBundleSpec,
-    k_class,
-    validate,
-)
-from .fgab import FgAbGroup, IntMatrix, cokernel, kernel
-from .ktheory import tensor_endo_matrix
+from .bundles import BundleSpecError, SphereBundleSpec
+from .fgab import FgAbGroup, IntMatrix, smith_normal_form
 
 __all__ = [
     "KGroupPair",
@@ -57,11 +49,10 @@ def pimsner_matrix(spec: SphereBundleSpec) -> IntMatrix:
     [[1-d, 0], [-c, 1-d]].  Odd sphere: the K-group is Z, the class acts as
     the rank, presentation [1-d].
     """
-    validate(spec)
-    d = spec.rank
+    e = 1 - spec.rank
     if spec.sphere_dim % 2 == 0:
-        return IntMatrix.identity(2) - tensor_endo_matrix(k_class(spec))
-    return IntMatrix.from_rows([[1 - d]])
+        return IntMatrix(2, 2, ((e, 0), (-spec.euler_param, e)))
+    return IntMatrix(1, 1, ((e,),))
 
 
 def k_groups(spec: SphereBundleSpec) -> KGroupPair:
@@ -77,7 +68,8 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
         f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
         f"presentation matrix [{mat.to_text()}] (identity minus tensor endomorphism)"
     )
-    return KGroupPair(k0=cokernel(mat), k1=kernel(mat), note=note)
+    snf = smith_normal_form(mat)
+    return KGroupPair(k0=snf.cokernel(), k1=snf.kernel(), note=note)
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
@@ -88,16 +80,11 @@ def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
     K0 = Z/(d-1) + Z/(d-1), K1 = 0 directly -- no normal form involved.
     This is the cross-check route for ``k_groups`` at euler 0.
     """
-    if not isinstance(sphere_dim, int) or isinstance(sphere_dim, bool):
-        raise BundleSpecError("sphere_dim must be an integer")
-    if sphere_dim < 1:
-        raise NonpositiveDimension(f"sphere dimension must be >= 1, got {sphere_dim}")
+    SphereBundleSpec(sphere_dim, rank)  # refuses what a spec would refuse
     if sphere_dim % 2 == 1:
         raise EvenSphereRequired(
             f"closed-form trivial-bundle K-groups need an even sphere, got S^{sphere_dim}"
         )
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 2:
-        raise RankTooSmall(f"fiber rank must be >= 2, got {rank}")
     t = rank - 1
     return KGroupPair(
         k0=FgAbGroup.from_factors([t, t]),

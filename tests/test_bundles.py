@@ -1,4 +1,4 @@
-"""Tests for bundle specs: validation, K-classes, and the JSON file format."""
+"""Tests for bundle specs: validation at construction, K-classes, and the JSON file format."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,33 +21,43 @@ from spherecp.ktheory import TruncPoly
 
 class TestValidate:
     def test_accepts_good_specs(self):
-        validate(SphereBundleSpec(4, 3, 1))
-        validate(SphereBundleSpec(2, 2, -7))
-        validate(SphereBundleSpec(5, 4, 0))
-        validate(SphereBundleSpec(1, 2, 0))
+        for spec in (
+            SphereBundleSpec(4, 3, 1),
+            SphereBundleSpec(2, 2, -7),
+            SphereBundleSpec(5, 4, 0),
+            SphereBundleSpec(1, 2, 0),
+        ):
+            assert validate(spec) is spec
+
+    # construction validates, so each bad spec is refused as it is built
 
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmall):
-            validate(SphereBundleSpec(4, 1, 0))
+            SphereBundleSpec(4, 1, 0)
         with pytest.raises(RankTooSmall):
-            validate(SphereBundleSpec(4, 0, 0))
+            SphereBundleSpec(4, 0, 0)
 
     def test_odd_sphere_nonzero_class(self):
         with pytest.raises(OddSphereNonzeroClass):
-            validate(SphereBundleSpec(3, 2, 1))
+            SphereBundleSpec(3, 2, 1)
         with pytest.raises(OddSphereNonzeroClass):
-            validate(SphereBundleSpec(7, 5, -2))
+            SphereBundleSpec(7, 5, -2)
 
     def test_nonpositive_dimension(self):
         with pytest.raises(NonpositiveDimension):
-            validate(SphereBundleSpec(0, 3, 0))
+            SphereBundleSpec(0, 3, 0)
         with pytest.raises(NonpositiveDimension):
-            validate(SphereBundleSpec(-4, 3, 0))
+            SphereBundleSpec(-4, 3, 0)
 
     def test_dimension_checked_before_parity(self):
         # a nonsensical sphere must report the dimension problem, not parity
         with pytest.raises(NonpositiveDimension):
-            validate(SphereBundleSpec(-3, 3, 5))
+            SphereBundleSpec(-3, 3, 5)
+
+    def test_float_or_bool_field_rejected(self):
+        for fields in ((4.0, 3, 0), (4, 3.0, 0), (4, 3, 1.5), (True, 3, 0), (4, True, 0), (4, 3, False)):
+            with pytest.raises(SpecFormatError):
+                SphereBundleSpec(*fields)
 
 
 class TestKClass:
@@ -109,10 +119,9 @@ class TestSpecFiles:
             parse_spec("{sphere_dim: 4")
 
     def test_parse_does_not_validate_domain(self):
-        # rank 1 parses fine; the domain complaint comes from validate()
-        spec = parse_spec('{"sphere_dim": 4, "rank": 1}')
+        # parsing builds the spec, and building validates: rank 1 is refused here
         with pytest.raises(RankTooSmall):
-            validate(spec)
+            parse_spec('{"sphere_dim": 4, "rank": 1}')
 
     def test_load_spec_round_trip(self, tmp_path):
         p = tmp_path / "bundle.json"

@@ -146,6 +146,8 @@ class TestClassifyReport:
         assert not rep.k_distinguishable_from_trivial
         assert rep.k_groups.k0 == rep.trivial_comparison.k0
         assert str(rep.k_groups.k0) == "Z/3"
+        for spec in (SphereBundleSpec(1, 2, 0), SphereBundleSpec(3, 7, 0), SphereBundleSpec(9, 12, 0)):
+            assert classify_report(spec).trivial_comparison.k0 == k_groups(spec).k0
 
     def test_distinguishable_flag_consistent_with_groups(self):
         for d in range(2, 8):

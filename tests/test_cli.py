@@ -2,7 +2,9 @@
 
 import json
 
-from spherecp.cli import main, render_structured
+from spherecp.bundles import SphereBundleSpec
+from spherecp.classify import classify_report
+from spherecp.cli import _table_row, main, render_structured
 from spherecp.fgab import parse_matrix
 
 
@@ -166,12 +168,22 @@ class TestTable:
         assert row["K0"] == "Z/4" and row["gcd"] == 1
         assert row["distinguishable_from_trivial"] is True
 
-    def test_output_independent_of_jobs(self, capsys):
-        base_args = ["table", "--d-max", "5", "--c-max", "5", "--format", "structured"]
-        code1, out1, _ = run_cli(capsys, *base_args, "--jobs", "1")
-        code2, out2, _ = run_cli(capsys, *base_args, "--jobs", "4")
-        assert code1 == code2 == 0
-        assert out1 == out2
+    def test_rows_match_classify_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--sphere", "6", "--d-max", "4", "--c-max", "3", "--format", "structured"
+        )
+        assert code == 0
+        rows = {(r["rank"], r["euler"]): r for r in json.loads(out)["rows"]}
+        assert len(rows) == 12
+        # the CLI grid only has c >= 0; negative c goes through the same row builder
+        for d in range(2, 5):
+            for c in range(-3, 4):
+                spec = SphereBundleSpec(6, d, c)
+                row = rows[(d, c)] if c >= 0 else _table_row(spec)
+                rep = classify_report(spec)
+                assert row["k_class"] == str(rep.k_class)
+                assert row["K0"] == str(rep.k_groups.k0)
+                assert row["distinguishable_from_trivial"] is rep.k_distinguishable_from_trivial
 
     def test_bad_bounds(self, capsys):
         assert run_cli(capsys, "table", "--d-max", "1")[0] == 1

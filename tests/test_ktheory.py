@@ -1,7 +1,6 @@
-"""Tests for sphere K-ring elements, base-d scalars, and the grade-one invariant."""
+"""Tests for sphere K-ring elements and the grade-one invariant."""
 
 import doctest
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +14,8 @@ from spherecp.bundles import (
 )
 from spherecp.fgab import IntMatrix
 from spherecp.ktheory import (
-    DadicScalar,
     Delta1Class,
     TruncPoly,
-    dadic_eq,
-    dadic_normalize,
     delta1_class,
     tensor_endo_matrix,
 )
@@ -100,61 +96,6 @@ class TestTensorEndoMatrix:
         for d in (1, 0, -3):
             with pytest.raises(ValueError):
                 tensor_endo_matrix(TruncPoly(d, 1))
-
-
-class TestDadicScalar:
-    def test_normalize_cancels_base(self):
-        assert dadic_normalize(DadicScalar(3, 9, 1)) == DadicScalar(3, 3, 0)
-
-    def test_composite_base_does_not_reduce_gcd(self):
-        # 4/6 has gcd 2 with the base but 6 does not divide 4: already canonical
-        x = DadicScalar(6, 4, 1)
-        assert dadic_normalize(x) == x
-        assert x.is_canonical
-
-    def test_eq_across_representations(self):
-        assert dadic_eq(DadicScalar(6, 2, 0), DadicScalar(6, 12, 1))
-        assert not dadic_eq(DadicScalar(6, 2, 0), DadicScalar(6, 13, 1))
-
-    def test_zero_normalizes_to_exponent_zero(self):
-        assert dadic_normalize(DadicScalar(5, 0, 4)) == DadicScalar(5, 0, 0)
-
-    def test_base_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            dadic_eq(DadicScalar(2, 1, 0), DadicScalar(3, 1, 0))
-
-    def test_bad_construction(self):
-        with pytest.raises(ValueError):
-            DadicScalar(1, 3, 0)
-        with pytest.raises(ValueError):
-            DadicScalar(3, 3, -1)
-
-    @given(st.integers(2, 9), st.integers(-200, 200), st.integers(0, 6))
-    @settings(max_examples=150, deadline=None)
-    def test_normalize_idempotent_and_value_preserving(self, base, num, k):
-        x = DadicScalar(base, num, k)
-        n = x.normalized()
-        assert n.is_canonical
-        assert n.normalized() == n
-        assert n.value() == x.value()
-
-    @given(
-        st.integers(2, 9),
-        st.integers(-60, 60),
-        st.integers(0, 5),
-        st.integers(-60, 60),
-        st.integers(0, 5),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_eq_agrees_with_exact_fractions(self, base, n1, k1, n2, k2):
-        x = DadicScalar(base, n1, k1)
-        y = DadicScalar(base, n2, k2)
-        assert dadic_eq(x, y) == (x.value() == y.value())
-
-    def test_rendering(self):
-        assert str(DadicScalar(6, 4, 1)) == "4/6^1"
-        assert str(DadicScalar(6, 4, 0)) == "4"
-        assert Fraction(4, 6) == DadicScalar(6, 4, 1).value()
 
 
 class TestDelta1Class:
