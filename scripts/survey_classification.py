@@ -15,9 +15,14 @@ Run:  python3 scripts/survey_classification.py --sphere 4 --d-max 8 --c-max 10
 """
 
 import argparse
+import sys
 from math import gcd
+from pathlib import Path
 
-from spherecp import (
+# Prefer the checkout's own package over any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spherecp import (  # noqa: E402
     FgAbGroup,
     SphereBundleSpec,
     graded_stably_isomorphic,

@@ -2,17 +2,25 @@
 """Decide a batch of identities in the isometry word calculus.
 
 Each identity is written as two expressions; the calculus reduces both to
-canonical form and, where monomial supports differ, compares them after
-expanding along the defining relation sum(s_i s_i*) = 1.  The point of the
-demo: equalities that hold only *because of* that relation (not term by
-term) are decided exactly, with rational coefficients.
+reduced words and, where they differ, compares their normal forms in the
+Leavitt basis: the monomials s_mu s_nu* whose mu and nu do not both end in
+the last generator sd (Alahmadi, Alsulami, Jain, Zelmanov, J. Algebra Appl.
+11 (2012)).  The defining relation sum(s_i s_i*) = 1 rewrites every other
+monomial into that basis.  The point of the demo: equalities that hold only
+*because of* that relation (not term by term) are decided exactly, with
+rational coefficients.
 
 Run:  python3 scripts/word_identities.py [--d 3]
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from spherecp import CuntzElement, parse_expression
+# Prefer the checkout's own package over any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spherecp import CuntzElement, parse_expression  # noqa: E402
 
 
 IDENTITIES = [

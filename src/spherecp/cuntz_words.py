@@ -10,14 +10,22 @@ form.
 
 Structural equality of reduced forms is NOT equality in the algebra:
 the unit relation identifies, say, ``1`` with ``s1 s1* + s2 s2*``.  The
-calculus still decides equality, because a monomial with adjoint part
-nu can be rewritten as the sum of its refinements
+calculus still decides equality through a basis of the algebra these
+monomials span, the Leavitt algebra L(1, d): the monomials ``S_mu S_nu*``
+whose ``mu`` and ``nu`` do not both end in the last letter d (Alahmadi,
+Alsulami, Jain, Zelmanov, J. Algebra Appl. 11 (2012); see also Cuntz,
+Comm. Math. Phys. 57 (1977)).
+A monomial outside the basis ends in k >= 1 shared letters d, and the
+unit relation rewrites it in one step:
 
-    S_mu S_nu*  =  sum over |w| = N - |nu| of  S_{mu w} S_{nu w}*
+    S_{mu d^k} S_{nu d^k}*  =  S_mu S_nu*  -  sum over j < k, i < d of
+                                              S_{mu d^j i} S_{nu d^j i}*
 
-and monomials whose adjoint parts all have one common length N are
-linearly independent.  :meth:`CuntzElement.equals` expands both sides to
-the maximal adjoint length in sight and compares coefficient maps.
+:meth:`CuntzElement.normal_form` applies this to every term, at most
+1 + k·(d-1) output terms per input term, and :meth:`CuntzElement.equals`
+compares normal forms.  :meth:`CuntzElement.expand`, which refines every
+term to one common adjoint length at a cost of d^depth terms, stays as
+an independent cross-check.
 
 Coefficients are exact rationals (``fractions.Fraction``); nothing here
 is approximate.
@@ -59,11 +67,19 @@ class ExpressionParseError(ValueError):
 
 
 def _check_word(word: Iterable[int], base: int) -> Word:
-    w = tuple(int(i) for i in word)
+    w = tuple(word)
     for i in w:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise TypeError(f"generator indices must be int, got {type(i).__name__}")
         if not 1 <= i <= base:
             raise ValueError(f"generator index {i} out of range 1..{base}")
     return w
+
+
+def _check_scalar(c: object) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+    return Fraction(c)
 
 
 def _mul_keys(mu: Word, nu: Word, alpha: Word, beta: Word) -> tuple[Word, Word] | None:
@@ -82,6 +98,18 @@ def _mul_keys(mu: Word, nu: Word, alpha: Word, beta: Word) -> tuple[Word, Word] 
     return None
 
 
+def _add_term(out: dict[tuple[Word, Word], Fraction], key: tuple[Word, Word], c: Fraction) -> None:
+    """Add ``c`` at ``key``, keeping ``out`` free of zero coefficients."""
+    if key in out:
+        total = out[key] + c
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    else:
+        out[key] = c
+
+
 class CuntzElement:
     """Finite rational combination of reduced monomials S_mu S_nu*.
 
@@ -97,13 +125,24 @@ class CuntzElement:
             raise ValueError(f"number of isometries must be an int >= 2, got {base!r}")
         clean: dict[tuple[Word, Word], Fraction] = {}
         for (mu, nu), c in (coeffs or {}).items():
-            frac = Fraction(c)
-            if frac == 0:
-                continue
+            frac = _check_scalar(c)
             key = (_check_word(mu, base), _check_word(nu, base))
-            clean[key] = clean.get(key, Fraction(0)) + frac
+            if frac:
+                _add_term(clean, key, frac)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_coeffs", {k: v for k, v in clean.items() if v})
+        object.__setattr__(self, "_coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, base: int, coeffs: dict[tuple[Word, Word], Fraction]) -> "CuntzElement":
+        """Wrap a coefficient map built from already checked words.
+
+        ``coeffs`` must map pairs of valid words to nonzero Fractions; the
+        new element takes ownership of the dict.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CuntzElement is immutable")
@@ -157,18 +196,20 @@ class CuntzElement:
         self._require_same_base(other)
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return CuntzElement(self._base, out)
+            _add_term(out, key, c)
+        return CuntzElement._trusted(self._base, out)
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
         return self + (-other)
 
     def __neg__(self) -> "CuntzElement":
-        return CuntzElement(self._base, {k: -c for k, c in self._coeffs.items()})
+        return CuntzElement._trusted(self._base, {k: -c for k, c in self._coeffs.items()})
 
     def __mul__(self, other: "CuntzElement | Scalar") -> "CuntzElement":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return CuntzElement(self._base, {k: c * other for k, c in self._coeffs.items()})
+            if not other:
+                return CuntzElement._trusted(self._base, {})
+            return CuntzElement._trusted(self._base, {k: c * other for k, c in self._coeffs.items()})
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
@@ -176,10 +217,9 @@ class CuntzElement:
         for (mu, nu), c1 in self._coeffs.items():
             for (alpha, beta), c2 in other._coeffs.items():
                 key = _mul_keys(mu, nu, alpha, beta)
-                if key is None:
-                    continue
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return CuntzElement(self._base, out)
+                if key is not None:
+                    _add_term(out, key, c1 * c2)
+        return CuntzElement._trusted(self._base, out)
 
     def __rmul__(self, other: Scalar) -> "CuntzElement":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -188,7 +228,7 @@ class CuntzElement:
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
-        return CuntzElement(self._base, {(nu, mu): c for (mu, nu), c in self._coeffs.items()})
+        return CuntzElement._trusted(self._base, {(nu, mu): c for (mu, nu), c in self._coeffs.items()})
 
     # -- grading -----------------------------------------------------------
 
@@ -207,20 +247,49 @@ class CuntzElement:
 
     def spectral_component(self, k: int) -> "CuntzElement":
         """Projection onto the degree-k part of the gauge grading."""
-        return CuntzElement(
+        return CuntzElement._trusted(
             self._base,
             {key: c for key, c in self._coeffs.items() if len(key[0]) - len(key[1]) == k},
         )
 
     # -- decidable equality -------------------------------------------------
 
+    def normal_form(self) -> "CuntzElement":
+        """The same element written in the Leavitt basis.
+
+        The basis is the monomials S_mu S_nu* whose mu and nu do not both
+        end in the letter d (the module docstring cites it).  A term that
+        shares k >= 1 trailing letters d, S_{mu d^k} S_{nu d^k}*, becomes
+        S_mu S_nu* minus the sum of S_{mu d^j i} S_{nu d^j i}* over j < k
+        and i < d: one pass, at most 1 + k·(d-1) terms per input term.
+        Two elements are equal in the algebra exactly when their normal
+        forms are structurally equal.
+        """
+        d = self._base
+        out: dict[tuple[Word, Word], Fraction] = {}
+        for (mu, nu), c in self._coeffs.items():
+            m, n = len(mu), len(nu)
+            k = 0
+            while k < m and k < n and mu[m - 1 - k] == d and nu[n - 1 - k] == d:
+                k += 1
+            if k:
+                mu, nu = mu[: m - k], nu[: n - k]
+                for j in range(k):
+                    a, b = mu + (d,) * j, nu + (d,) * j
+                    for i in range(1, d):
+                        _add_term(out, (a + (i,), b + (i,)), -c)
+            _add_term(out, (mu, nu), c)
+        return CuntzElement._trusted(d, out)
+
     def expand(self, depth: int) -> "CuntzElement":
         """Rewrite so every adjoint part has length exactly ``depth``.
 
         Uses S_mu S_nu* = sum of S_{mu w} S_{nu w}* over all |w| =
         depth - |nu|; requires depth >= every current |nu|.  The result
-        is equal to ``self`` in the algebra (a fact the test-suite checks
-        through :meth:`equals`).
+        has d^(depth - |nu|) terms per input term.  It is equal to
+        ``self`` in the algebra, and at a common depth the refined
+        monomials are linearly independent, so comparing expansions is a
+        slow, independent check of :meth:`equals`.
         """
         out: dict[tuple[Word, Word], Fraction] = {}
         for (mu, nu), c in self._coeffs.items():
@@ -235,17 +304,17 @@ class CuntzElement:
         return CuntzElement(self._base, out)
 
     def equals(self, other: "CuntzElement") -> bool:
-        """Equality in the algebra (decides the unit relation, not just form)."""
+        """Equality in the algebra (decides the unit relation, not just form).
+
+        Compares :meth:`normal_form` coefficient maps, which costs time
+        linear in the total word length rather than d^depth.
+        """
         if not isinstance(other, CuntzElement):
             raise TypeError(f"cannot compare CuntzElement with {type(other).__name__}")
         self._require_same_base(other)
         if self._coeffs == other._coeffs:
             return True
-        depth = 0
-        for element in (self, other):
-            for _, nu in element._coeffs:
-                depth = max(depth, len(nu))
-        return self.expand(depth)._coeffs == other.expand(depth)._coeffs
+        return self.normal_form()._coeffs == other.normal_form()._coeffs
 
     # -- structural equality / hashing --------------------------------------
 
@@ -288,6 +357,8 @@ def generator(base: int, index: int) -> CuntzElement:
     """The isometry s_index as an element."""
     return CuntzElement.monomial(base, (index,), ())
 
+
+_ONE = Fraction(1)
 
 _EXPR_TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>\d+(?:/(?P<den>\d+))?)|(?P<op>[+-])"
@@ -345,15 +416,11 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             sign = 1 if value == "+" else -1
             op_pos = p
             continue
-        atom = (
-            CuntzElement.unit(base) * value
-            if kind == "num"
-            else (
-                generator(base, value[0]).star()
-                if value[1]
-                else generator(base, value[0])
-            )
-        )
+        if kind == "num":
+            atom = CuntzElement._trusted(base, {((), ()): value} if value else {})
+        else:
+            idx, starred = value
+            atom = CuntzElement._trusted(base, {((), (idx,)) if starred else ((idx,), ()): _ONE})
         term = atom if term is None else term * atom
     if term is None:
         if tokens:

@@ -77,7 +77,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(e) for e in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         if cols is None:
             if not data:
                 raise ValueError("cannot infer column count of an empty matrix; pass cols=")
@@ -401,10 +401,15 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.free_rank, int) or isinstance(self.free_rank, bool):
+            raise TypeError(f"free rank must be int, got {type(self.free_rank).__name__}")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        if type(self.torsion) is not tuple:
+            object.__setattr__(self, "torsion", tuple(self.torsion))
         for t in self.torsion:
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise TypeError(f"invariant factors must be int, got {type(t).__name__}")
             if t < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {t}")
         for x, y in zip(self.torsion, self.torsion[1:]):
@@ -422,7 +427,9 @@ class FgAbGroup:
         free = 0
         chain: list[int] = []
         for f in factors:
-            f = abs(int(f))
+            if not isinstance(f, int) or isinstance(f, bool):
+                raise TypeError(f"cyclic orders must be int, got {type(f).__name__}")
+            f = abs(f)
             if f == 0:
                 free += 1
                 continue

@@ -246,6 +246,15 @@ class TestCuntz:
         assert code == 0
         assert json.loads(out) == {"equal": True}
 
+    def test_deep_equality_by_normal_form(self, capsys):
+        # expanding s2^200 s2*^200 to a common depth would need 2^200 terms
+        deep = " ".join(["s2"] * 200 + ["s2*"] * 200)
+        rhs = f"s1 s1* + s2 s2* + {deep}"
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", f"1 + {deep}", "--equal", rhs)
+        assert code == 0 and out.strip() == "equal: yes"
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", f"2 + {deep}", "--equal", rhs)
+        assert code == 0 and out.strip() == "equal: no"
+
     def test_parse_error_position(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "2", "s1 ? s2")
         assert code == 1 and "position 3" in err

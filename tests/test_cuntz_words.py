@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_cuntz_element, random_homogeneous_element
 from spherecp.cuntz_words import (
@@ -72,6 +74,24 @@ class TestMonomialReduction:
             CuntzElement.monomial(2, (3,), ())
         with pytest.raises(ValueError):
             CuntzElement.monomial(2, (0,), ())
+
+    def test_float_bool_and_str_coefficients_refused(self):
+        # refused, not stored as the binary approximation of 0.1
+        for bad in (0.1, 1.0, True, "1/2"):
+            with pytest.raises(TypeError):
+                CuntzElement(2, {((1,), ()): bad})
+        with pytest.raises(TypeError):
+            CuntzElement.monomial(2, (1,), (), 0.5)
+        assert CuntzElement(2, {((1,), ()): Fraction(1, 10)}).terms() == {((1,), ()): Fraction(1, 10)}
+
+    def test_float_and_bool_generator_indices_refused(self):
+        # refused, not stored as the key ((1, 1), ())
+        with pytest.raises(TypeError):
+            CuntzElement(2, {((1.0, True), ()): 1})
+        with pytest.raises(TypeError):
+            CuntzElement(2, {((1,), (True,)): 1})
+        with pytest.raises(TypeError):
+            CuntzElement.monomial(2, (2.0,), ())
 
 
 class TestAlgebraLaws:
@@ -174,6 +194,138 @@ class TestDecidableEquality:
                 for z in pool:
                     if x.equals(y) and y.equals(z):
                         assert x.equals(z)
+
+
+def _expand_equal(x, y):
+    """The reference route: refine both sides to one common adjoint depth."""
+    depth = max((len(nu) for z in (x, y) for _, nu in z.terms()), default=0)
+    return x.expand(depth) == y.expand(depth)
+
+
+def _in_basis(x):
+    d = x.base
+    return not any(mu and nu and mu[-1] == d and nu[-1] == d for mu, nu in x.terms())
+
+
+def _power(i, n):
+    return " ".join([f"s{i}"] * n)
+
+
+class TestNormalForm:
+    def test_unit_relation_by_hand(self):
+        # s2 s2* = 1 - s1 s1* at d=2, so both sides share one normal form
+        total = s(1) * s(1).star() + s(2) * s(2).star()
+        assert total.normal_form() == CuntzElement.unit(2)
+        assert (s(2) * s(2).star()).normal_form() == CuntzElement(2, {((), ()): 1, ((1,), (1,)): -1})
+
+    def test_trailing_letters_closed_form(self):
+        # S_{1 3 3} S_{2 3 3}* at d=3: strip k=2 shared trailing 3s, then
+        # subtract the j<2, i<3 refinements of S_1 S_2*
+        x = CuntzElement.monomial(3, (1, 3, 3), (2, 3, 3), Fraction(2, 3))
+        expected = {((1,), (2,)): Fraction(2, 3)}
+        for tail in ((1,), (2,), (3, 1), (3, 2)):
+            expected[((1,) + tail, (2,) + tail)] = Fraction(-2, 3)
+        assert x.normal_form().terms() == expected
+        assert _expand_equal(x, x.normal_form())
+
+    def test_only_shared_trailing_letters_are_stripped(self):
+        # mu ends in d, nu does not: already a basis element
+        x = CuntzElement.monomial(2, (1, 2), (2, 1))
+        assert x.normal_form() == x
+        # k stops at the shorter word
+        y = CuntzElement.monomial(2, (2, 2, 2), (2,))
+        assert y.normal_form().terms() == {((2, 2), ()): 1, ((2, 2, 1), (1,)): -1}
+
+    def test_expanded_unit_normalizes_to_unit(self):
+        x = CuntzElement.unit(3).expand(2)
+        assert len(x.terms()) == 9
+        assert x.normal_form() == CuntzElement.unit(3)
+
+    def test_deep_pair_the_expand_route_cannot_reach(self):
+        # 2^200 terms by expansion; at most 1 + 200·(d-1) per term here
+        depth = 200
+        deep = f"{_power(2, depth)} {_power(2, depth).replace('s2', 's2*')}"
+        x = parse_expression(2, f"1 + {deep}")
+        y = parse_expression(2, f"s1 s1* + s2 s2* + {deep}")
+        off = parse_expression(2, f"2 + {deep}")
+        assert x != y
+        assert x.equals(y) and y.equals(x)
+        assert not off.equals(y) and not y.equals(off)
+        for z in (x, y, off):
+            assert len(z.normal_form().terms()) <= len(z.terms()) * (1 + depth * (2 - 1))
+
+    def test_depth_twelve_at_four_isometries(self):
+        # words ending in s4: every term has shared trailing letters d
+        depth = 12
+        u = parse_expression(4, f"{_power(4, depth)} {_power(4, depth).replace('s4', 's4*')}")
+        resolved = CuntzElement.zero(4)
+        for i in range(1, 5):
+            resolved = resolved + parse_expression(
+                4, f"{_power(4, depth)} s{i} s{i}* {_power(4, depth).replace('s4', 's4*')}"
+            )
+        assert u.equals(resolved)
+        assert not u.equals(resolved * 2)
+        for z in (u, resolved):
+            assert len(z.normal_form().terms()) <= len(z.terms()) * (1 + (depth + 1) * (4 - 1))
+
+
+
+@st.composite
+def elements(draw, base=None, max_len=3):
+    """Small elements over 2 or 3 isometries with nonzero rational coefficients."""
+    d = base if base is not None else draw(st.sampled_from((2, 3)))
+    word = st.lists(st.integers(1, d), max_size=max_len).map(tuple)
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+    return CuntzElement(d, draw(st.dictionaries(st.tuples(word, word), coeff, max_size=4)))
+
+
+@st.composite
+def rewritten(draw, x):
+    """``x`` with one term refined along the unit relation, sometimes perturbed."""
+    d = x.base
+    out = x.terms()
+    if out:
+        key = draw(st.sampled_from(sorted(out)))
+        c = out.pop(key)
+        mu, nu = key
+        for i in range(1, d + 1):
+            k = (mu + (i,), nu + (i,))
+            out[k] = out.get(k, 0) + c
+    y = CuntzElement(d, out)
+    if draw(st.booleans()):
+        y = y + CuntzElement.monomial(d, draw(st.lists(st.integers(1, d), max_size=2)), ())
+    return y
+
+
+class TestNormalFormProperties:
+    @given(elements())
+    @settings(max_examples=100, deadline=None)
+    def test_idempotent(self, x):
+        nf = x.normal_form()
+        assert nf.normal_form() == nf
+
+    @given(elements())
+    @settings(max_examples=100, deadline=None)
+    def test_terms_lie_in_the_basis(self, x):
+        assert _in_basis(x.normal_form())
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_agrees_with_expand_route(self, data):
+        x = data.draw(elements())
+        y = data.draw(st.one_of(rewritten(x), elements(base=x.base)))
+        assert max((len(nu) for z in (x, y) for _, nu in z.terms()), default=0) <= 6
+        assert x.equals(y) == _expand_equal(x, y)
+        assert x.equals(x.normal_form())
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_products_respect_normal_forms(self, data):
+        x = data.draw(elements())
+        y = data.draw(elements(base=x.base))
+        assert (x * y).normal_form() == (x.normal_form() * y.normal_form()).normal_form()
+        assert (x + y).normal_form() == (x.normal_form() + y.normal_form()).normal_form()
+        assert x.star().equals(x.normal_form().star())
 
 
 class TestGrading:

@@ -222,6 +222,20 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             FgAbGroup(free_rank=-1)
 
+    def test_float_torsion_refused_not_truncated(self):
+        # refused, not truncated to Z/2
+        with pytest.raises(TypeError):
+            FgAbGroup(torsion=(2.9,))  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            FgAbGroup(torsion=(True,))  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            FgAbGroup(free_rank=1.0)  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            FgAbGroup.from_factors([4, 2.0])  # type: ignore[list-item]
+        with pytest.raises(TypeError):
+            FgAbGroup.from_factors([True])  # type: ignore[list-item]
+        assert FgAbGroup(torsion=[2, 4]) == FgAbGroup(torsion=(2, 4))  # type: ignore[arg-type]
+
     @given(st.lists(st.integers(0, 60), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_canonical_chain_matches_prime_oracle(self, factors):
@@ -306,3 +320,11 @@ class TestIntMatrix:
     def test_entries_must_be_int(self):
         with pytest.raises(TypeError):
             IntMatrix(1, 1, ((1.5,),))  # type: ignore[arg-type]
+
+    def test_from_rows_refuses_float_and_bool(self):
+        # refused, not stored as ((2, 1),)
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[2.7, 1]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[2, True]])
+        assert IntMatrix.from_rows([[2, 1]]).entries == ((2, 1),)
