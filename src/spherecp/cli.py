@@ -233,15 +233,15 @@ def _cmd_table(args) -> tuple[list[str], dict]:
 def _cmd_snf(args) -> tuple[list[str], dict]:
     a = parse_matrix(args.matrix)
     snf = smith_normal_form(a)
+    u, d, v = snf.U.to_text(), snf.D.to_text(), snf.V.to_text()
     human = [
         f"A = {a.to_text()}",
-        f"U = {snf.U.to_text()}",
-        f"D = {snf.D.to_text()}",
-        f"V = {snf.V.to_text()}",
+        f"U = {u}",
+        f"D = {d}",
+        f"V = {v}",
         f"diagonal: {', '.join(str(x) for x in snf.diagonal)}",
     ]
-    structured = {"U": snf.U.to_text(), "D": snf.D.to_text(), "V": snf.V.to_text()}
-    return human, structured
+    return human, {"U": u, "D": d, "V": v}
 
 
 def _cmd_cuntz(args) -> tuple[list[str], dict]:

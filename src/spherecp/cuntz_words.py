@@ -66,6 +66,11 @@ class ExpressionParseError(ValueError):
         self.position = position
 
 
+def _check_base(base: object) -> None:
+    if not isinstance(base, int) or isinstance(base, bool) or base < 2:
+        raise ValueError(f"number of isometries must be an int >= 2, got {base!r}")
+
+
 def _check_word(word: Iterable[int], base: int) -> Word:
     w = tuple(word)
     for i in w:
@@ -121,8 +126,7 @@ class CuntzElement:
     __slots__ = ("_base", "_coeffs")
 
     def __init__(self, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
-        if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-            raise ValueError(f"number of isometries must be an int >= 2, got {base!r}")
+        _check_base(base)
         clean: dict[tuple[Word, Word], Fraction] = {}
         for (mu, nu), c in (coeffs or {}).items():
             frac = _check_scalar(c)
@@ -358,10 +362,8 @@ def generator(base: int, index: int) -> CuntzElement:
     return CuntzElement.monomial(base, (index,), ())
 
 
-_ONE = Fraction(1)
-
 _EXPR_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>\d+(?:/(?P<den>\d+))?)|(?P<op>[+-])"
+    r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?)|(?P<op>[+-])"
 )
 
 
@@ -372,61 +374,50 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     adjoints ``sK*``, and rational scalars (``3``, ``1/2``); terms are
     joined by ``+`` or ``-``.  Products reduce immediately, so arbitrary
     words in generators and adjoints are accepted, not only normal forms.
+    The text is read in one pass; on bad text :class:`ExpressionParseError`
+    reports the leftmost error.
     """
-    tokens: list[tuple[str, object, int]] = []
+    _check_base(base)
+    out: dict[tuple[Word, Word], Fraction] = {}
+    coeff: Fraction | None = None  # the open term's coefficient; None between terms
+    key: tuple[Word, Word] | None = None  # its reduced monomial; None once the term is 0
+    sign = 1
+    op_pos: int | None = None  # position of the last operator
     pos = 0
     while pos < len(text):
         m = _EXPR_TOKEN.match(text, pos)
         if m is None:
             raise ExpressionParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("gen"):
-            idx = int(m.group("idx"))
-            if not 1 <= idx <= base:
-                raise ExpressionParseError(
-                    f"generator index {idx} out of range 1..{base}", pos
-                )
-            tokens.append(("gen", (idx, bool(m.group("star"))), pos))
-        elif m.group("num"):
-            den = m.group("den")
-            if den is not None and int(den) == 0:
-                raise ExpressionParseError("zero denominator", pos)
-            num_text = m.group("num").split("/")[0]
-            tokens.append(
-                ("num", Fraction(int(num_text), int(den) if den else 1), pos)
-            )
-        elif m.group("op"):
-            tokens.append(("op", m.group("op"), pos))
-        pos = m.end()
-
-    result = CuntzElement.zero(base)
-    sign = 1
-    term: CuntzElement | None = None
-    op_pos: int | None = None  # position of an operator still waiting for its term
-    seen_term = False
-
-    for kind, value, p in tokens:
+        kind = m.lastgroup
         if kind == "op":
-            if term is not None:
-                result = result + (term * sign)
-                seen_term = True
-                term = None
-            elif seen_term or op_pos is not None:
-                raise ExpressionParseError("empty term before operator", p)
+            if coeff is not None:
+                if key is not None and coeff:
+                    _add_term(out, key, coeff)
+                coeff = None
+            elif op_pos is not None:
+                raise ExpressionParseError("empty term before operator", pos)
             # else: unary sign opening the whole expression
-            sign = 1 if value == "+" else -1
-            op_pos = p
-            continue
-        if kind == "num":
-            atom = CuntzElement._trusted(base, {((), ()): value} if value else {})
-        else:
-            idx, starred = value
-            atom = CuntzElement._trusted(base, {((), (idx,)) if starred else ((idx,), ()): _ONE})
-        term = atom if term is None else term * atom
-    if term is None:
-        if tokens:
-            raise ExpressionParseError(
-                "expression ends with a dangling operator",
-                op_pos if op_pos is not None else len(text),
-            )
+            sign = 1 if m.group("op") == "+" else -1
+            op_pos = pos
+        elif kind != "ws":
+            if coeff is None:
+                coeff, key = Fraction(sign), ((), ())
+            if kind == "num":
+                den = int(m.group("den") or 1)
+                if not den:
+                    raise ExpressionParseError("zero denominator", pos)
+                coeff *= Fraction(int(m.group("numer")), den)
+            else:
+                idx = int(m.group("idx"))
+                if not 1 <= idx <= base:
+                    raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
+                if key is not None:
+                    key = _mul_keys(*key, (), (idx,)) if m.group("star") else _mul_keys(*key, (idx,), ())
+        pos = m.end()
+    if coeff is None:
+        if op_pos is not None:
+            raise ExpressionParseError("expression ends with a dangling operator", op_pos)
         raise ExpressionParseError("empty expression", 0)
-    return result + (term * sign)
+    if key is not None and coeff:
+        _add_term(out, key, coeff)
+    return CuntzElement._trusted(base, out)

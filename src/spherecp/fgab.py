@@ -126,9 +126,6 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) if cols else (0,) * other.cols
             for row in self.entries
         )
-        # rows with no entries (cols == 0 on the right) still need the right width
-        if other.cols == 0:
-            data = tuple(() for _ in range(self.rows))
         return IntMatrix(self.rows, other.cols, data)
 
     def det(self) -> int:
@@ -168,37 +165,32 @@ _MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
 def parse_matrix(text: str) -> IntMatrix:
     """Parse matrix text like ``-2,0;-1,-2`` (brackets and whitespace are ignored).
 
-    Raises :class:`MatrixParseError` with a character position on bad input.
+    The text is read in one pass; on bad text :class:`MatrixParseError`
+    reports the leftmost error with its character position.
     """
-    tokens: list[tuple[str, int | None, int]] = []
+    rows: list[list[int]] = []
+    current: list[int] = []
+    expect_entry = True
     pos = 0
     while pos < len(text):
         m = _MATRIX_TOKEN.match(text, pos)
         if m is None:
             raise MatrixParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "sep":
-            tokens.append((m.group("sep"), None, pos))
-        elif m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), pos))
-        pos = m.end()
-    rows: list[list[int]] = []
-    current: list[int] = []
-    expect_entry = True
-    for kind, value, p in tokens:
-        if expect_entry:
-            if kind != "int":
-                raise MatrixParseError("expected an integer entry", p)
-            current.append(value)  # type: ignore[arg-type]
+        if m.lastgroup == "int":
+            if not expect_entry:
+                raise MatrixParseError("expected ',' or ';' between entries", pos)
+            current.append(int(m.group("int")))
             expect_entry = False
-        else:
-            if kind == "int":
-                raise MatrixParseError("expected ',' or ';' between entries", p)
-            if kind == ";":
+        elif m.lastgroup == "sep":
+            if expect_entry:
+                raise MatrixParseError("expected an integer entry", pos)
+            if m.group("sep") == ";":
                 rows.append(current)
                 current = []
             expect_entry = True
+        pos = m.end()
     if expect_entry:
-        if not tokens:
+        if not rows and not current:
             raise MatrixParseError("matrix text contains no entries", 0)
         raise MatrixParseError("matrix text ends with a dangling separator", len(text))
     rows.append(current)

@@ -297,6 +297,34 @@ def rewritten(draw, x):
     return y
 
 
+@st.composite
+def expressions(draw):
+    """A random sum of products of atoms, as text and as the element it denotes.
+
+    The element is built through the algebra (``generator``, ``star``,
+    scalar ``*``, element ``+``/``-``), independently of the parser.
+    """
+    d = draw(st.sampled_from((2, 3)))
+    text, x = "", CuntzElement.zero(d)
+    for n in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(("+", "-") if n else ("", "-")))
+        atoms, term = [], CuntzElement.unit(d)
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(("gen", "adj", "num")))
+            if kind == "num":
+                num, den = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+                atoms.append(f"{num}/{den}" if den > 1 else str(num))
+                term = term * Fraction(num, den)
+            else:
+                k = draw(st.integers(1, d))
+                atoms.append(f"s{k}*" if kind == "adj" else f"s{k}")
+                term = term * (generator(d, k).star() if kind == "adj" else generator(d, k))
+        gap = draw(st.sampled_from(("", " ")))
+        text += f"{sign}{gap}{' '.join(atoms)}{gap}"
+        x = x - term if sign == "-" else x + term
+    return d, text, x
+
+
 class TestNormalFormProperties:
     @given(elements())
     @settings(max_examples=100, deadline=None)
@@ -424,6 +452,14 @@ class TestExpressionText:
             parse_expression(2, "")
         with pytest.raises(ExpressionParseError):
             parse_expression(2, "1/0 s1")
+        # with two errors, the leftmost one is reported
+        with pytest.raises(ExpressionParseError, match="empty term before operator") as err:
+            parse_expression(2, "+ - s3*")
+        assert err.value.position == 2
+        # the parser refuses a bad number of isometries, as the constructor does
+        for bad in (1, True, 2.0):
+            with pytest.raises(ValueError, match="number of isometries"):
+                parse_expression(bad, "s1")
 
     def test_rendering_is_canonical_and_round_trips(self):
         x = parse_expression(2, "s2 s1* + s1")
@@ -440,6 +476,12 @@ class TestExpressionText:
         assert str(-CuntzElement.unit(2)) == "-1"
         x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
         assert str(x) == "2 - 1/2 s1"
+
+    @given(expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_agrees_with_the_element_algebra(self, case):
+        d, text, x = case
+        assert parse_expression(d, text) == x
 
     def test_parse_is_inverse_of_str_on_expanded_forms(self):
         x = CuntzElement.unit(2).expand(2)

@@ -291,6 +291,10 @@ class TestMatrixText:
             parse_matrix("")
         with pytest.raises(MatrixParseError):
             parse_matrix("1,2;")
+        # with two errors, the leftmost one is reported
+        with pytest.raises(MatrixParseError, match="expected an integer entry") as err:
+            parse_matrix("1,,x")
+        assert err.value.position == 2
 
 
 class TestIntMatrix:
