@@ -44,6 +44,7 @@ from .fgab import (
     cokernel,
     group_order,
     groups_isomorphic,
+    invariant_factors,
     kernel,
     parse_matrix,
     smith_normal_form,
@@ -67,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     # fgab
     "IntMatrix", "SnfDecomposition", "FgAbGroup", "MatrixParseError",
-    "smith_normal_form", "cokernel", "kernel", "group_order",
+    "smith_normal_form", "invariant_factors", "cokernel", "kernel", "group_order",
     "groups_isomorphic", "parse_matrix",
     # ktheory
     "TruncPoly", "Delta1Class", "tensor_endo_matrix", "delta1_class",

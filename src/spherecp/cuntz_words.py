@@ -38,6 +38,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .fgab import _LONG_LITERAL, _check_literals
+
 __all__ = [
     "Word",
     "CuntzElement",
@@ -375,7 +377,9 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     joined by ``+`` or ``-``.  Products reduce immediately, so arbitrary
     words in generators and adjoints are accepted, not only normal forms.
     The text is read in one pass; on bad text :class:`ExpressionParseError`
-    reports the leftmost error.
+    reports the leftmost error.  A coefficient or generator index longer
+    than :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an
+    error.
     """
     _check_base(base)
     out: dict[tuple[Word, Word], Fraction] = {}
@@ -383,6 +387,7 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     key: tuple[Word, Word] | None = None  # its reduced monomial; None once the term is 0
     sign = 1
     op_pos: int | None = None  # position of the last operator
+    long_literal = _LONG_LITERAL.search(text) is not None
     pos = 0
     while pos < len(text):
         m = _EXPR_TOKEN.match(text, pos)
@@ -400,6 +405,8 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             sign = 1 if m.group("op") == "+" else -1
             op_pos = pos
         elif kind != "ws":
+            if long_literal:
+                _check_literals(m, ("numer", "den", "idx"), ExpressionParseError)
             if coeff is None:
                 coeff, key = Fraction(sign), ((), ())
             if kind == "num":

@@ -1,17 +1,23 @@
 """Exact linear algebra over the integers.
 
-Smith normal form with unimodular transforms, kernels and cokernels of
-integer matrices, and finitely generated abelian groups kept in a
-canonical invariant-factor form so that isomorphism testing is plain
-field equality.
+Smith normal form with unimodular transforms, invariant factors without
+them, kernels and cokernels of integer matrices, and finitely generated
+abelian groups kept in a canonical invariant-factor form so that
+isomorphism testing is plain field equality.
 
 Everything runs on Python's arbitrary-precision integers; no floating
-point (and no numerical library) is involved anywhere.  The classical
-elimination below builds both transforms, and their entries grow far
-past the diagonal.  On dense n x n matrices with entries in ±50 (2-core
-Intel Xeon at 2.0 GHz, Python 3.11.7) it took about 1 ms at n=10, about
-0.9 s at n=30 and 9.4 s at n=40; n=60 did not finish in 290 s.  The 2x2
-and 1x1 presentations of K-groups take tens of microseconds.
+point (and no numerical library) is involved anywhere.  One elimination
+loop serves two routes.  :func:`smith_normal_form` builds both
+transforms, and their entries grow far past the diagonal.  On dense
+n x n matrices with entries in ±50 (2-core Intel Xeon at 2.0 GHz,
+Python 3.11.7) it took about 1 ms at n=10, about 0.9 s at n=30 and
+9.4 s at n=40; n=60 did not finish in 290 s.  :func:`invariant_factors`,
+behind :func:`cokernel` and :func:`kernel`, builds no transforms and
+reduces every entry modulo a nonzero minor, so no entry outgrows that
+minor.  On the same matrices and machine it took 6-12 ms at n=25,
+30-51 ms at n=40 and 0.16-0.21 s at n=60 (the CPU's speed swung between
+runs).  The 2x2 and 1x1 presentations of K-groups take tens of
+microseconds.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -32,7 +38,9 @@ __all__ = [
     "SnfDecomposition",
     "FgAbGroup",
     "MatrixParseError",
+    "LITERAL_DIGITS_BUDGET",
     "smith_normal_form",
+    "invariant_factors",
     "cokernel",
     "kernel",
     "group_order",
@@ -100,9 +108,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-e for e in row) for row in self.entries))
 
@@ -132,31 +137,37 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, minor = _bareiss(self.entries, self.cols)
+        return minor if rank == self.rows else 0
 
     def to_text(self) -> str:
         """Render in the compact text format: rows joined by ';', entries by ','."""
         return ";".join(",".join(str(e) for e in row) for row in self.entries)
+
+
+#: The longest integer literal, in digits, that either text parser accepts.
+#: It is CPython's default limit on int <-> str conversion, so a literal
+#: within it converts; the interpreter's limit itself is process-global
+#: and is never changed here.
+LITERAL_DIGITS_BUDGET = 4300
+
+# Finds a digit run past the budget; only text that has one pays for
+# checking its literals one by one.  The lookbehind tries each run once,
+# from its first digit, so the search stays linear in the text.
+_LONG_LITERAL = re.compile(r"(?<!\d)\d{%d}" % (LITERAL_DIGITS_BUDGET + 1))
+
+
+def _check_literals(m: re.Match, groups: tuple[str, ...], error: type[ValueError]) -> None:
+    """Refuse, with ``error``, an integer literal in ``groups`` of ``m`` past the budget."""
+    for group in groups:
+        text = m.group(group)
+        digits = len(text.lstrip("+-")) if text else 0
+        if digits > LITERAL_DIGITS_BUDGET:
+            raise error(
+                f"integer literal of {digits} digits exceeds LITERAL_DIGITS_BUDGET "
+                f"({LITERAL_DIGITS_BUDGET} digits)",
+                m.start(group),
+            )
 
 
 _MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
@@ -166,11 +177,13 @@ def parse_matrix(text: str) -> IntMatrix:
     """Parse matrix text like ``-2,0;-1,-2`` (brackets and whitespace are ignored).
 
     The text is read in one pass; on bad text :class:`MatrixParseError`
-    reports the leftmost error with its character position.
+    reports the leftmost error with its character position.  An entry
+    longer than :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
     """
     rows: list[list[int]] = []
     current: list[int] = []
     expect_entry = True
+    long_literal = _LONG_LITERAL.search(text) is not None
     pos = 0
     while pos < len(text):
         m = _MATRIX_TOKEN.match(text, pos)
@@ -179,6 +192,8 @@ def parse_matrix(text: str) -> IntMatrix:
         if m.lastgroup == "int":
             if not expect_entry:
                 raise MatrixParseError("expected ',' or ';' between entries", pos)
+            if long_literal:
+                _check_literals(m, ("int",), MatrixParseError)
             current.append(int(m.group("int")))
             expect_entry = False
         elif m.lastgroup == "sep":
@@ -199,6 +214,44 @@ def parse_matrix(text: str) -> IntMatrix:
         if len(row) != width:
             raise MatrixParseError(f"row {idx + 1} has {len(row)} entries, expected {width}")
     return IntMatrix.from_rows(rows)
+
+
+def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
+    """Rank r and one nonzero r x r minor, by Bareiss elimination.
+
+    Fraction-free elimination with row and column swaps: after step k the
+    pivot is the leading (k+1) x (k+1) minor of the swapped matrix, so
+    every division is exact and no entry outgrows a minor.  The sign
+    follows the swaps, so for a nonsingular square matrix the minor is
+    the determinant.  Rank 0 gives the empty minor 1.
+    """
+    a = [list(row) for row in entries]
+    m = len(a)
+    sign = prev = 1
+    for k in range(min(m, cols)):
+        for j in range(k, cols):
+            i = next((i for i in range(k, m) if a[i][j]), None)
+            if i is not None:
+                break
+        else:
+            return k, sign * prev
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(k + 1, m):
+            row = a[i]
+            x = row[k]
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * p - x * pivot_row[j]) // prev
+            row[k] = 0
+        prev = p
+    return min(m, cols), sign * prev
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -232,82 +285,82 @@ class SnfDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x)
 
-    def cokernel(self) -> "FgAbGroup":
-        """Quotient of Z^cols by the subgroup generated by the rows of A.
-
-        Each row of A is one relation among the ``cols`` generators.  The
-        diagonal gives the invariant factors directly (unit factors drop
-        out); generators not hit by any relation contribute free rank.
-        """
-        nonzero = [x for x in self.diagonal if x]
-        return FgAbGroup(
-            free_rank=self.D.cols - len(nonzero),
-            torsion=tuple(x for x in nonzero if x != 1),
-        )
-
-    def kernel(self) -> "FgAbGroup":
-        """Kernel of A acting on column vectors Z^cols -> Z^rows.
-
-        A subgroup of a free group is free, so the result has no torsion;
-        its rank is cols - rank(A).
-        """
-        return FgAbGroup(free_rank=self.D.cols - self.rank)
-
-
-def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
-    """Diagonalize ``a`` over the integers: find unimodular U, V with U A V = D.
+def _diagonalize(
+    mat: list[list[int]],
+    cols: int,
+    modulus: int = 0,
+    u: list[list[int]] | None = None,
+    v: list[list[int]] | None = None,
+) -> None:
+    """The one elimination loop: bring ``mat`` to Smith form in place.
 
     Pivot choice is deterministic: the first entry of minimal absolute
     value in the working submatrix (row-major scan).  Entries that the
     pivot does not divide are folded in with Bezout row/column transforms,
     which is what forces the divisor-chain property of the diagonal.
+
+    Every row operation is also applied to ``u`` and every column
+    operation to ``v`` when they are given, so U A V = D at the end.  With
+    a nonzero ``modulus`` every entry of ``mat`` is kept in [0, modulus)
+    instead: the rows then span the lattice of ``mat`` plus modulus*Z^cols,
+    no entry outgrows the modulus, and no transforms can be kept.
     """
-    m, n = a.rows, a.cols
-    mat = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, n = len(mat), cols
+    t = 0  # the pivot position; rows above t are zero from column t on
 
     def swap_rows(i: int, j: int) -> None:
         mat[i], mat[j] = mat[j], mat[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for dat in (mat, v):
+        for dat in (mat, v) if v is not None else (mat,):
             for row in dat:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
-        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        if modulus:
+            mat[dst] = [(x + q * y) % modulus for x, y in zip(mat[dst], mat[src])]
+        else:
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+        if u is not None:
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst: int, src: int, q: int) -> None:
-        for dat in (mat, v):
-            for row in dat:
+        if modulus:
+            for row in mat[t:]:
+                row[dst] = (row[dst] + q * row[src]) % modulus
+        else:
+            for row in mat[t:]:
+                row[dst] += q * row[src]
+        if v is not None:
+            for row in v:
                 row[dst] += q * row[src]
 
-    def negate_row(i: int) -> None:
-        mat[i] = [-x for x in mat[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_pair(t: int, i: int, s0: int, s1: int, r0: int, r1: int) -> None:
+    def row_pair(i: int, s0: int, s1: int, r0: int, r1: int) -> None:
         # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
-        for dat in (mat, u):
+        for dat in (mat, u) if u is not None else (mat,):
             rt, ri = dat[t], dat[i]
             dat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
             dat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
+        if modulus:
+            mat[t] = [x % modulus for x in mat[t]]
+            mat[i] = [x % modulus for x in mat[i]]
 
-    def col_pair(t: int, j: int, s0: int, s1: int, r0: int, r1: int) -> None:
-        for dat in (mat, v):
-            for row in dat:
+    def col_pair(j: int, s0: int, s1: int, r0: int, r1: int) -> None:
+        for row in mat[t:]:
+            ct, cj = row[t], row[j]
+            if modulus:
+                row[t], row[j] = (s0 * ct + s1 * cj) % modulus, (r0 * ct + r1 * cj) % modulus
+            else:
+                row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
+        if v is not None:
+            for row in v:
                 ct, cj = row[t], row[j]
-                row[t] = s0 * ct + s1 * cj
-                row[j] = r0 * ct + r1 * cj
+                row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
 
-    def min_pos(t: int) -> tuple[int, int] | None:
+    def min_pos() -> tuple[int, int] | None:
         best: tuple[int, int, int] | None = None
         for i in range(t, m):
             row = mat[i]
@@ -319,9 +372,8 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                         return i, j
         return None if best is None else (best[1], best[2])
 
-    t = 0
     while t < min(m, n):
-        pos = min_pos(t)
+        pos = min_pos()
         if pos is None:
             break
         i0, j0 = pos
@@ -335,11 +387,13 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 if not b:
                     continue
                 p = mat[t][t]
+                # a pivot that divides b takes the plain branch: _egcd(1, 1) is
+                # (1, 0, 1), a swap, and modulo a modulus swaps can cycle forever
                 if b % p == 0:
                     add_row(i, t, -(b // p))
                 else:
                     g, s0, s1 = _egcd(p, b)
-                    row_pair(t, i, s0, s1, -(b // g), p // g)
+                    row_pair(i, s0, s1, -(b // g), p // g)
             for j in range(t + 1, n):
                 b = mat[t][j]
                 if not b:
@@ -349,7 +403,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                     add_col(j, t, -(b // p))
                 else:
                     g, s0, s1 = _egcd(p, b)
-                    col_pair(t, j, s0, s1, -(b // g), p // g)
+                    col_pair(j, s0, s1, -(b // g), p // g)
             if any(mat[i][t] for i in range(t + 1, m)):
                 # a Bezout column transform re-dirtied the pivot column;
                 # each such transform shrinks |pivot|, so this terminates
@@ -365,14 +419,56 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
             # chain; pull the offending row up so the next pass gcds it in
             add_row(t, bad[0], 1)
         if mat[t][t] < 0:
-            negate_row(t)
+            mat[t] = [-x for x in mat[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
 
+
+def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+    """Diagonalize ``a`` over the integers: find unimodular U, V with U A V = D.
+
+    This is the route that keeps the transforms; their entries grow far
+    past the diagonal.  :func:`invariant_factors` finds the same diagonal
+    without them.
+    """
+    m, n = a.rows, a.cols
+    mat = [list(row) for row in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    _diagonalize(mat, n, u=u, v=v)
     return SnfDecomposition(
         U=IntMatrix.from_rows(u, cols=m),
         D=IntMatrix.from_rows(mat, cols=n),
         V=IntMatrix.from_rows(v, cols=n),
     )
+
+
+def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
+    """The invariant factors other than 1 and the rank of ``a``, without transforms.
+
+    Bareiss elimination finds the rank r and a nonzero r x r minor M.
+    Every invariant factor d_i (i <= r) divides M, so the rows of ``a``
+    plus M*Z^cols span a lattice with invariant factors d_1..d_r followed
+    by cols - r copies of M.  The elimination runs modulo M, so no entry
+    outgrows M (Domich, Kannan, Trotter, Math. Oper. Res. 12 (1987));
+    the copies of M are then dropped.
+
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    ((2, 4), 2)
+    """
+    n = a.cols
+    rank, minor = _bareiss(a.entries, n)
+    minor = abs(minor)
+    if minor == 1:  # rank 0 included: the empty minor is 1
+        return (), rank
+    mat = [[x % minor for x in row] for row in a.entries]
+    _diagonalize(mat, n, modulus=minor)
+    square = min(a.rows, n)
+    chain = FgAbGroup.from_factors(
+        [gcd(mat[i][i], minor) for i in range(square)] + [minor] * (n - square)
+    ).torsion
+    return chain[: len(chain) - (n - rank)], rank
 
 
 @dataclass(frozen=True)
@@ -449,13 +545,24 @@ class FgAbGroup:
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
-    """Quotient of Z^cols by the row span of ``a``; see :meth:`SnfDecomposition.cokernel`."""
-    return smith_normal_form(a).cokernel()
+    """Quotient of Z^cols by the subgroup generated by the rows of ``a``.
+
+    Each row is one relation among the ``cols`` generators.  The
+    invariant factors give the torsion; generators not hit by any
+    relation contribute free rank cols - rank.
+    """
+    torsion, rank = invariant_factors(a)
+    return FgAbGroup(a.cols - rank, torsion)
 
 
 def kernel(a: IntMatrix) -> FgAbGroup:
-    """Kernel of ``a`` on column vectors; see :meth:`SnfDecomposition.kernel`."""
-    return smith_normal_form(a).kernel()
+    """Kernel of ``a`` acting on column vectors Z^cols -> Z^rows.
+
+    A subgroup of a free group is free, so the result has no torsion;
+    its rank is cols - rank(a), and the rank alone needs no elimination
+    past Bareiss.
+    """
+    return FgAbGroup(a.cols - _bareiss(a.entries, a.cols)[0])
 
 
 def group_order(g: FgAbGroup) -> int | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import BundleSpecError, SphereBundleSpec
-from .fgab import FgAbGroup, IntMatrix, smith_normal_form
+from .fgab import FgAbGroup, IntMatrix, invariant_factors
 
 __all__ = [
     "KGroupPair",
@@ -58,9 +58,12 @@ def pimsner_matrix(spec: SphereBundleSpec) -> IntMatrix:
 def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     """Both K-groups of the bundle algebra, from the presentation matrix.
 
-    K0 = cokernel, K1 = kernel.  Since the rank is at least 2 the matrix
-    is injective and K1 comes out trivial, but that is an output of the
-    computation, not an input.
+    K0 = cokernel, K1 = kernel, both read from one call to
+    :func:`~spherecp.fgab.invariant_factors`: the invariant factors come
+    from elimination modulo a nonzero minor, with no Smith transforms, and
+    the rank gives the free parts.  Since the rank is at least 2 the
+    matrix is injective and K1 comes out trivial, but that is an output
+    of the computation, not an input.
     """
     mat = pimsner_matrix(spec)
     parity = "even" if spec.sphere_dim % 2 == 0 else "odd"
@@ -68,8 +71,9 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
         f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
         f"presentation matrix [{mat.to_text()}] (identity minus tensor endomorphism)"
     )
-    snf = smith_normal_form(mat)
-    return KGroupPair(k0=snf.cokernel(), k1=snf.kernel(), note=note)
+    torsion, rank = invariant_factors(mat)
+    free = mat.cols - rank
+    return KGroupPair(k0=FgAbGroup(free, torsion), k1=FgAbGroup(free), note=note)
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:

@@ -461,6 +461,17 @@ class TestExpressionText:
             with pytest.raises(ValueError, match="number of isometries"):
                 parse_expression(bad, "s1")
 
+    def test_literal_budget(self):
+        # coefficients and generator indices past the budget are parse errors
+        # at the literal, not int()'s bare ValueError
+        for text, position in [("1" * 5000 + " s1", 0), ("s" + "1" * 5000, 1),
+                               ("s1 + 1/" + "2" * 5000, 7)]:
+            with pytest.raises(ExpressionParseError, match="LITERAL_DIGITS_BUDGET") as err:
+                parse_expression(2, text)
+            assert err.value.position == position
+        x = parse_expression(2, "9" * 4300 + " s1")
+        assert x.terms() == {((1,), ()): Fraction(int("9" * 4300))}
+
     def test_rendering_is_canonical_and_round_trips(self):
         x = parse_expression(2, "s2 s1* + s1")
         assert str(x) == "s1 + s2 s1*"

@@ -7,6 +7,7 @@ enumeration, solution enumeration) -- see the comments next to each.
 
 import doctest
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +24,14 @@ from oracles import (
     snf_2x2_oracle,
 )
 from spherecp.fgab import (
+    LITERAL_DIGITS_BUDGET,
     FgAbGroup,
     IntMatrix,
     MatrixParseError,
     cokernel,
     group_order,
     groups_isomorphic,
+    invariant_factors,
     kernel,
     parse_matrix,
     smith_normal_form,
@@ -193,6 +196,77 @@ class TestCokernelKernel:
             assert cokernel(a @ right) == cokernel(a)
 
 
+@st.composite
+def int_matrices(draw, max_dim=7):
+    """Random m x n matrices, 0 <= m, n <= max_dim, rank-deficient ones included.
+
+    Dense draws are mostly of full rank; repeated or scaled rows and
+    products of a thin m x k and k x n pair are not.
+    """
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    entry = st.integers(-30, 30)
+    kind = draw(st.sampled_from(["dense", "scaled rows", "low rank"]))
+    if kind == "dense" or not (m and n):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    elif kind == "scaled rows":
+        base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=m))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(-4, 4)),
+                              min_size=m, max_size=m))
+        rows = [[c * x for x in base[i]] for i, c in picks]
+    else:
+        k = draw(st.integers(1, min(m, n)))
+        small = st.integers(-6, 6)
+        b = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=m, max_size=m))
+        c = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [[sum(b[i][l] * c[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+class TestInvariantFactors:
+    """The transform-free route, modulo a nonzero minor, against the SNF route."""
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_smith_normal_form(self, a):
+        diagonal = smith_normal_form(a).diagonal
+        rank = sum(1 for x in diagonal if x)
+        expected = (tuple(x for x in diagonal if x > 1), rank)
+        assert invariant_factors(a) == expected
+        free = a.cols - rank
+        assert cokernel(a) == FgAbGroup(free, expected[0])
+        assert kernel(a) == FgAbGroup(free)
+
+    def test_short_circuits(self):
+        # rank 0 and empty shapes: the empty minor is 1, nothing to reduce
+        assert invariant_factors(IntMatrix.zero(3, 2)) == ((), 0)
+        for rows, cols in [(0, 3), (3, 0), (0, 0)]:
+            assert invariant_factors(IntMatrix.zero(rows, cols)) == ((), 0)
+        # a unit minor: all invariant factors are 1
+        assert invariant_factors(IntMatrix.from_rows([[2, 3], [1, 2]])) == ((), 2)
+        assert invariant_factors(IntMatrix.from_rows([[1, 5, 7]])) == ((), 1)
+
+    def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
+        # rank 2 with minor 2; the Bezout branch on a pivot that divides the
+        # entry cycles forever modulo 2
+        a = IntMatrix.from_rows([[-2, 0, -8, 5, -4], [-4, -1, 5, -9, -1], [-4, 0, -16, 10, -8]])
+        assert abs(spherecp.fgab._bareiss(a.entries, a.cols)[1]) == 2
+        assert invariant_factors(a) == ((), 2)
+        assert cokernel(a) == FgAbGroup(free_rank=3)
+
+    def test_dense_60x60_cokernel_order_is_det(self):
+        # the transform route did not finish this size in 290 s
+        rng = random.Random(60)
+        a = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(60)] for _ in range(60)])
+        started = time.perf_counter()
+        g = cokernel(a)
+        elapsed = time.perf_counter() - started
+        det = a.det()
+        assert det != 0 and g.free_rank == 0
+        assert group_order(g) == abs(det)
+        assert elapsed < 10.0
+
+
 class TestFgAbGroup:
     def test_canonicalization_merges_coprime_factors(self):
         assert FgAbGroup.from_factors([2, 3]) == FgAbGroup(torsion=(6,))
@@ -295,6 +369,23 @@ class TestMatrixText:
         with pytest.raises(MatrixParseError, match="expected an integer entry") as err:
             parse_matrix("1,,x")
         assert err.value.position == 2
+
+    def test_literal_budget(self):
+        # refused as a parse error, not int()'s bare ValueError
+        with pytest.raises(MatrixParseError, match="LITERAL_DIGITS_BUDGET") as err:
+            parse_matrix("1" * 5000)
+        assert err.value.position == 0
+        with pytest.raises(MatrixParseError, match="LITERAL_DIGITS_BUDGET") as err:
+            parse_matrix("2, -" + "1" * (LITERAL_DIGITS_BUDGET + 1))
+        assert err.value.position == 3
+        # the budget counts digits, not the sign
+        big = "-" + "7" * LITERAL_DIGITS_BUDGET
+        assert parse_matrix(big).entries == ((int(big),),)
+        # long literals within the budget are found in linear time: a search
+        # retried at every digit took about 4 s here
+        started = time.perf_counter()
+        assert parse_matrix(",".join(["7" * 4000] * 50)).cols == 50
+        assert time.perf_counter() - started < 2.0
 
 
 class TestIntMatrix:
