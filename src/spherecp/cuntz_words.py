@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .fgab import _LONG_LITERAL, _check_literals
+from .fgab import _literal_int
 
 __all__ = [
     "Word",
@@ -387,7 +387,6 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     key: tuple[Word, Word] | None = None  # its reduced monomial; None once the term is 0
     sign = 1
     op_pos: int | None = None  # position of the last operator
-    long_literal = _LONG_LITERAL.search(text) is not None
     pos = 0
     while pos < len(text):
         m = _EXPR_TOKEN.match(text, pos)
@@ -405,17 +404,16 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             sign = 1 if m.group("op") == "+" else -1
             op_pos = pos
         elif kind != "ws":
-            if long_literal:
-                _check_literals(m, ("numer", "den", "idx"), ExpressionParseError)
             if coeff is None:
                 coeff, key = Fraction(sign), ((), ())
             if kind == "num":
-                den = int(m.group("den") or 1)
+                numer = _literal_int(m, "numer", ExpressionParseError)
+                den = _literal_int(m, "den", ExpressionParseError) if m.group("den") else 1
                 if not den:
                     raise ExpressionParseError("zero denominator", pos)
-                coeff *= Fraction(int(m.group("numer")), den)
+                coeff *= Fraction(numer, den)
             else:
-                idx = int(m.group("idx"))
+                idx = _literal_int(m, "idx", ExpressionParseError)
                 if not 1 <= idx <= base:
                     raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
                 if key is not None:

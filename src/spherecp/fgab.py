@@ -151,23 +151,18 @@ class IntMatrix:
 #: and is never changed here.
 LITERAL_DIGITS_BUDGET = 4300
 
-# Finds a digit run past the budget; only text that has one pays for
-# checking its literals one by one.  The lookbehind tries each run once,
-# from its first digit, so the search stays linear in the text.
-_LONG_LITERAL = re.compile(r"(?<!\d)\d{%d}" % (LITERAL_DIGITS_BUDGET + 1))
 
-
-def _check_literals(m: re.Match, groups: tuple[str, ...], error: type[ValueError]) -> None:
-    """Refuse, with ``error``, an integer literal in ``groups`` of ``m`` past the budget."""
-    for group in groups:
-        text = m.group(group)
-        digits = len(text.lstrip("+-")) if text else 0
-        if digits > LITERAL_DIGITS_BUDGET:
-            raise error(
-                f"integer literal of {digits} digits exceeds LITERAL_DIGITS_BUDGET "
-                f"({LITERAL_DIGITS_BUDGET} digits)",
-                m.start(group),
-            )
+def _literal_int(m: re.Match, group: str, error: type[ValueError]) -> int:
+    """``int`` of the literal in ``group`` of ``m``; ``error`` if it is past the budget."""
+    text = m.group(group)
+    digits = len(text.lstrip("+-"))
+    if digits > LITERAL_DIGITS_BUDGET:
+        raise error(
+            f"integer literal of {digits} digits exceeds LITERAL_DIGITS_BUDGET "
+            f"({LITERAL_DIGITS_BUDGET} digits)",
+            m.start(group),
+        )
+    return int(text)
 
 
 _MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
@@ -183,7 +178,6 @@ def parse_matrix(text: str) -> IntMatrix:
     rows: list[list[int]] = []
     current: list[int] = []
     expect_entry = True
-    long_literal = _LONG_LITERAL.search(text) is not None
     pos = 0
     while pos < len(text):
         m = _MATRIX_TOKEN.match(text, pos)
@@ -192,9 +186,7 @@ def parse_matrix(text: str) -> IntMatrix:
         if m.lastgroup == "int":
             if not expect_entry:
                 raise MatrixParseError("expected ',' or ';' between entries", pos)
-            if long_literal:
-                _check_literals(m, ("int",), MatrixParseError)
-            current.append(int(m.group("int")))
+            current.append(_literal_int(m, "int", MatrixParseError))
             expect_entry = False
         elif m.lastgroup == "sep":
             if expect_entry:
@@ -287,12 +279,8 @@ class SnfDecomposition:
 
 
 def _diagonalize(
-    mat: list[list[int]],
-    cols: int,
-    modulus: int = 0,
-    u: list[list[int]] | None = None,
-    v: list[list[int]] | None = None,
-) -> None:
+    mat: list[list[int]], cols: int, modulus: int = 0
+) -> tuple[list[list[int]], list[list[int]]] | None:
     """The one elimination loop: bring ``mat`` to Smith form in place.
 
     Pivot choice is deterministic: the first entry of minimal absolute
@@ -300,13 +288,19 @@ def _diagonalize(
     pivot does not divide are folded in with Bezout row/column transforms,
     which is what forces the divisor-chain property of the diagonal.
 
-    Every row operation is also applied to ``u`` and every column
-    operation to ``v`` when they are given, so U A V = D at the end.  With
-    a nonzero ``modulus`` every entry of ``mat`` is kept in [0, modulus)
+    It runs in one of two modes.  With no ``modulus`` every row operation
+    is also applied to U and every column operation to V, both starting
+    as identities, and (U, V) is returned: U A V = D at the end.  With a
+    nonzero ``modulus`` every entry of ``mat`` is kept in [0, modulus)
     instead: the rows then span the lattice of ``mat`` plus modulus*Z^cols,
-    no entry outgrows the modulus, and no transforms can be kept.
+    no entry outgrows the modulus, no transforms can be kept, and None is
+    returned.
     """
     m, n = len(mat), cols
+    u = v = None
+    if not modulus:
+        u = [[int(i == j) for j in range(m)] for i in range(m)]
+        v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0  # the pivot position; rows above t are zero from column t on
 
     def swap_rows(i: int, j: int) -> None:
@@ -423,6 +417,7 @@ def _diagonalize(
             if u is not None:
                 u[t] = [-x for x in u[t]]
         t += 1
+    return None if modulus else (u, v)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -434,9 +429,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """
     m, n = a.rows, a.cols
     mat = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    _diagonalize(mat, n, u=u, v=v)
+    u, v = _diagonalize(mat, n)
     return SnfDecomposition(
         U=IntMatrix.from_rows(u, cols=m),
         D=IntMatrix.from_rows(mat, cols=n),
