@@ -4,7 +4,8 @@
 For each rank d and euler parameter c on a fixed even sphere the script
 computes the K-groups of the bundle algebra two ways:
 
-* from the presentation matrix (Smith normal form route), and
+* from the presentation matrix (its invariant factors, found modulo a
+  nonzero minor), and
 * from the closed form Z/g + Z/((d-1)^2 / g) with g = gcd(d-1, c),
 
 and confirms they agree.  It then counts, for each rank, how many

@@ -6,7 +6,7 @@ Subcommands::
     classify   report for one spec, or pairwise verdicts for two
     table      survey over a (rank, euler) grid
     snf        Smith normal form of an integer matrix
-    cuntz      canonical forms / equality in the isometry word calculus
+    cuntz      Leavitt normal form / equality in the isometry word calculus
 
 Every subcommand takes ``--format human`` (default) or ``--format
 structured``; structured output is a single JSON object rendered with
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snf.add_argument("matrix", help="matrix text, e.g. '-2,0;-1,-2'")
     p_snf.add_argument("--format", **common)
 
-    p_cz = sub.add_parser("cuntz", help="canonical form or equality of word expressions")
+    p_cz = sub.add_parser("cuntz", help="Leavitt normal form or equality of word expressions")
     p_cz.add_argument("--d", type=int, required=True, metavar="D", help="number of isometries (>= 2)")
     p_cz.add_argument("expression", help="expression, e.g. 's1 s2* + 2 s1 s1 s2* s1*'")
     p_cz.add_argument("--equal", metavar="EXPR", help="second expression; print whether the two are equal")
@@ -249,8 +249,9 @@ def _cmd_cuntz(args) -> tuple[list[str], dict]:
         raise CliError("--d must be at least 2")
     x = parse_expression(args.d, args.expression)
     if args.equal is None:
-        canonical = str(x)
-        return [canonical], {"canonical": canonical, "degree": x.degree()}
+        nf = x.normal_form()
+        canonical = str(nf)
+        return [canonical], {"canonical": canonical, "degree": nf.degree()}
     y = parse_expression(args.d, args.equal)
     verdict = x.equals(y)
     return [f"equal: {'yes' if verdict else 'no'}"], {"equal": verdict}

@@ -179,6 +179,8 @@ class CuntzElement:
 
     @property
     def is_zero(self) -> bool:
+        """Structural: no reduced terms.  ``s1 s1* + s2 s2* - 1`` is zero in
+        the algebra but not here; ask ``normal_form().is_zero`` for that."""
         return not self._coeffs
 
     def sorted_terms(self) -> list[tuple[tuple[Word, Word], Fraction]]:
@@ -241,7 +243,11 @@ class CuntzElement:
     def degree(self) -> int | None:
         """Gauge degree |mu| - |nu| when all terms share it; None if mixed.
 
-        The zero element is homogeneous of every degree; by convention it
+        Structural: it reads the reduced terms as stored, so an element
+        that is homogeneous in the algebra can still report None
+        (``s1 + s1 s1* + s2 s2* - 1`` at d = 2, which is s1); take the
+        degree of :meth:`normal_form` for the degree in the algebra.  The
+        zero element is homogeneous of every degree; by convention it
         reports 0.
         """
         degrees = {len(mu) - len(nu) for mu, nu in self._coeffs}
@@ -325,6 +331,8 @@ class CuntzElement:
     # -- structural equality / hashing --------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        """Structural: the same reduced coefficient map.  :meth:`equals`
+        decides equality in the algebra."""
         if not isinstance(other, CuntzElement):
             return NotImplemented
         return self._base == other._base and self._coeffs == other._coeffs

@@ -7,17 +7,19 @@ isomorphism testing is plain field equality.
 
 Everything runs on Python's arbitrary-precision integers; no floating
 point (and no numerical library) is involved anywhere.  One elimination
-loop serves two routes.  :func:`smith_normal_form` builds both
-transforms, and their entries grow far past the diagonal.  On dense
-n x n matrices with entries in ±50 (2-core Intel Xeon at 2.0 GHz,
-Python 3.11.7) it took about 1 ms at n=10, about 0.9 s at n=30 and
-9.4 s at n=40; n=60 did not finish in 290 s.  :func:`invariant_factors`,
-behind :func:`cokernel` and :func:`kernel`, builds no transforms and
-reduces every entry modulo a nonzero minor, so no entry outgrows that
-minor.  On the same matrices and machine it took 6-12 ms at n=25,
-30-51 ms at n=40 and 0.16-0.21 s at n=60 (the CPU's speed swung between
-runs).  The 2x2 and 1x1 presentations of K-groups take tens of
-microseconds.
+loop reduces the leading block of a work matrix, and whatever is stored
+beside or below that block rides along with its row and column
+operations.  :func:`smith_normal_form` stores identities there, which
+the loop turns into the transforms; their entries grow far past the
+diagonal.  On dense n x n matrices with entries in ±50 (2-core Intel
+Xeon at 2.0 GHz, Python 3.11.7) it took about 1 ms at n=10, about 0.9 s
+at n=30 and 9.4 s at n=40; n=60 did not finish in 290 s.
+:func:`invariant_factors`, behind :func:`cokernel`, stores nothing
+beside the block and reduces every entry modulo a nonzero minor, so no
+entry outgrows that minor.  On the same matrices and machine it took
+6-12 ms at n=25, 30-51 ms at n=40 and 0.16-0.21 s at n=60 (the CPU's
+speed swung between runs).  The 2x2 and 1x1 presentations of K-groups
+take tens of microseconds.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -29,6 +31,7 @@ microseconds.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Sequence
@@ -153,16 +156,20 @@ LITERAL_DIGITS_BUDGET = 4300
 
 
 def _literal_int(m: re.Match, group: str, error: type[ValueError]) -> int:
-    """``int`` of the literal in ``group`` of ``m``; ``error`` if it is past the budget."""
+    """``int`` of the literal in ``group`` of ``m``.
+
+    A literal past the budget, or past a lower int <-> str limit that the
+    process has set, raises ``error`` at the literal's position.
+    """
     text = m.group(group)
     digits = len(text.lstrip("+-"))
-    if digits > LITERAL_DIGITS_BUDGET:
-        raise error(
-            f"integer literal of {digits} digits exceeds LITERAL_DIGITS_BUDGET "
-            f"({LITERAL_DIGITS_BUDGET} digits)",
-            m.start(group),
-        )
-    return int(text)
+    try:
+        if digits <= LITERAL_DIGITS_BUDGET:
+            return int(text)
+        limit = f"LITERAL_DIGITS_BUDGET ({LITERAL_DIGITS_BUDGET} digits)"
+    except ValueError:  # the token is all digits, so only the limit refuses it
+        limit = f"the interpreter's int <-> str limit ({sys.get_int_max_str_digits()} digits)"
+    raise error(f"integer literal of {digits} digits exceeds {limit}", m.start(group))
 
 
 _MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
@@ -278,48 +285,29 @@ class SnfDecomposition:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
 
-def _diagonalize(
-    mat: list[list[int]], cols: int, modulus: int = 0
-) -> tuple[list[list[int]], list[list[int]]] | None:
-    """The one elimination loop: bring ``mat`` to Smith form in place.
+def _diagonalize(mat: list[list[int]], m: int, n: int, modulus: int = 0) -> None:
+    """The one elimination loop: diagonalize the leading m x n block of ``mat``.
 
     Pivot choice is deterministic: the first entry of minimal absolute
     value in the working submatrix (row-major scan).  Entries that the
     pivot does not divide are folded in with Bezout row/column transforms,
     which is what forces the divisor-chain property of the diagonal.
 
-    It runs in one of two modes.  With no ``modulus`` every row operation
-    is also applied to U and every column operation to V, both starting
-    as identities, and (U, V) is returned: U A V = D at the end.  With a
-    nonzero ``modulus`` every entry of ``mat`` is kept in [0, modulus)
-    instead: the rows then span the lattice of ``mat`` plus modulus*Z^cols,
-    no entry outgrows the modulus, no transforms can be kept, and None is
-    returned.
+    Row operations act on whole rows and column operations on every row
+    from the pivot down, so whatever ``mat`` holds past column n of the
+    first m rows, or in rows past m, rides along with the elimination;
+    :func:`smith_normal_form` keeps U and V there.  With a nonzero
+    ``modulus`` every entry is kept in [0, modulus): the rows then span
+    the lattice of the block plus modulus*Z^n and no entry outgrows the
+    modulus.
     """
-    m, n = len(mat), cols
-    u = v = None
-    if not modulus:
-        u = [[int(i == j) for j in range(m)] for i in range(m)]
-        v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0  # the pivot position; rows above t are zero from column t on
-
-    def swap_rows(i: int, j: int) -> None:
-        mat[i], mat[j] = mat[j], mat[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for dat in (mat, v) if v is not None else (mat,):
-            for row in dat:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         if modulus:
             mat[dst] = [(x + q * y) % modulus for x, y in zip(mat[dst], mat[src])]
         else:
             mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        if u is not None:
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst: int, src: int, q: int) -> None:
         if modulus:
@@ -328,16 +316,12 @@ def _diagonalize(
         else:
             for row in mat[t:]:
                 row[dst] += q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += q * row[src]
 
     def row_pair(i: int, s0: int, s1: int, r0: int, r1: int) -> None:
         # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
-        for dat in (mat, u) if u is not None else (mat,):
-            rt, ri = dat[t], dat[i]
-            dat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
-            dat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
+        rt, ri = mat[t], mat[i]
+        mat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
+        mat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
         if modulus:
             mat[t] = [x % modulus for x in mat[t]]
             mat[i] = [x % modulus for x in mat[i]]
@@ -348,10 +332,6 @@ def _diagonalize(
             if modulus:
                 row[t], row[j] = (s0 * ct + s1 * cj) % modulus, (r0 * ct + r1 * cj) % modulus
             else:
-                row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
-        if v is not None:
-            for row in v:
-                ct, cj = row[t], row[j]
                 row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
 
     def min_pos() -> tuple[int, int] | None:
@@ -371,10 +351,10 @@ def _diagonalize(
         if pos is None:
             break
         i0, j0 = pos
-        if i0 != t:
-            swap_rows(t, i0)
+        mat[t], mat[i0] = mat[i0], mat[t]
         if j0 != t:
-            swap_cols(t, j0)
+            for row in mat[t:]:
+                row[t], row[j0] = row[j0], row[t]
         while True:
             for i in range(t + 1, m):
                 b = mat[i][t]
@@ -414,26 +394,26 @@ def _diagonalize(
             add_row(t, bad[0], 1)
         if mat[t][t] < 0:
             mat[t] = [-x for x in mat[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         t += 1
-    return None if modulus else (u, v)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Diagonalize ``a`` over the integers: find unimodular U, V with U A V = D.
 
-    This is the route that keeps the transforms; their entries grow far
-    past the diagonal.  :func:`invariant_factors` finds the same diagonal
-    without them.
+    The elimination runs on A with the m x m identity appended to its
+    rows and the n x n identity stacked below it; the row operations
+    turn the first into U and the column operations turn the second
+    into V.  Their entries grow far past the diagonal;
+    :func:`invariant_factors` finds the same diagonal without them.
     """
     m, n = a.rows, a.cols
-    mat = [list(row) for row in a.entries]
-    u, v = _diagonalize(mat, n)
+    mat = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
+    mat += [[int(i == j) for j in range(n)] for i in range(n)]
+    _diagonalize(mat, m, n)
     return SnfDecomposition(
-        U=IntMatrix.from_rows(u, cols=m),
-        D=IntMatrix.from_rows(mat, cols=n),
-        V=IntMatrix.from_rows(v, cols=n),
+        U=IntMatrix.from_rows([row[n:] for row in mat[:m]], cols=m),
+        D=IntMatrix.from_rows([row[:n] for row in mat[:m]], cols=n),
+        V=IntMatrix.from_rows(mat[m:], cols=n),
     )
 
 
@@ -456,7 +436,7 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     if minor == 1:  # rank 0 included: the empty minor is 1
         return (), rank
     mat = [[x % minor for x in row] for row in a.entries]
-    _diagonalize(mat, n, modulus=minor)
+    _diagonalize(mat, a.rows, n, modulus=minor)
     square = min(a.rows, n)
     chain = FgAbGroup.from_factors(
         [gcd(mat[i][i], minor) for i in range(square)] + [minor] * (n - square)

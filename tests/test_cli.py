@@ -1,6 +1,12 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import random_cuntz_element
 
 from spherecp.bundles import SphereBundleSpec
 from spherecp.classify import classify_report
@@ -12,6 +18,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _word_text(mu, nu):
+    return " ".join([f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)])
+
+
+@st.composite
+def zero_sum_rewrites(draw):
+    """An element x over d isometries and the text of x plus a sum that is
+    zero by the unit relation: c S_mu S_nu* - sum over i of c S_mu.i S_nu.i*."""
+    d = draw(st.integers(2, 3))
+    x = random_cuntz_element(draw(st.randoms(use_true_random=False)), d)
+    word = st.lists(st.integers(1, d), max_size=3).map(tuple)
+    mu, nu, c = draw(word), draw(word), draw(st.integers(1, 5))
+    zero = " - ".join([f"{c} {_word_text(mu, nu)}"]
+                      + [f"{c} {_word_text(mu + (i,), nu + (i,))}" for i in range(1, d + 1)])
+    return d, str(x), f"{x} + {zero}"
 
 
 class TestKGroups:
@@ -266,6 +289,28 @@ class TestCuntz:
     def test_d_too_small(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "1", "s1")
         assert code == 1
+
+    def test_prints_the_leavitt_normal_form(self, capsys):
+        # structurally mixed, but the element is s1
+        text = "s1 + s1 s1* + s2 s2* - 1"
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", text)
+        assert code == 0 and out.strip() == "s1"
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", text, "--format", "structured")
+        assert code == 0 and json.loads(out) == {"canonical": "s1", "degree": 1}
+
+    @given(zero_sum_rewrites())
+    @settings(max_examples=100, deadline=None)
+    def test_output_ignores_zero_sum_rewrites(self, case):
+        # capsys is one fixture per test, not per example, so capture here
+        d, text, rewritten = case
+        for fmt in ("human", "structured"):
+            outputs = []
+            for expr in (text, rewritten):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert main(["cuntz", "--d", str(d), "--format", fmt, "--", expr]) == 0
+                outputs.append(buf.getvalue())
+            assert outputs[0] == outputs[1]
 
 
 class TestHarness:

@@ -5,8 +5,11 @@ independent oracles in oracles.py (gcd/determinant identities, coset
 enumeration, solution enumeration) -- see the comments next to each.
 """
 
+import contextlib
 import doctest
 import random
+import signal
+import sys
 import time
 
 import pytest
@@ -49,6 +52,22 @@ def snf_is_valid(a, snf):
         for j in range(snf.D.cols):
             if i != j:
                 assert snf.D[i, j] == 0
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_doctests():
@@ -130,6 +149,27 @@ class TestSmithNormalForm:
         snf = smith_normal_form(a)
         snf_is_valid(a, snf)
         assert snf.diagonal == (big, 6 * big)
+
+    @pytest.mark.parametrize(
+        "text, u, d, v",
+        [
+            # the README example
+            ("-2,0;-1,-2", "0,-1;1,-2", "1,0;0,4", "1,-2;0,1"),
+            ("2,4,4;-6,6,12", "1,0;3,1", "2,0,0;0,6,0", "1,0,2;0,-1,-4;0,1,3"),
+            ("2,3;4,5;6,7", "1,0,0;1,-1,0;1,-2,1", "1,0;0,2;0,0", "-1,-3;1,2"),
+            # rank 2
+            ("1,2,3;4,5,6;7,8,9", "1,0,0;4,-1,0;1,-2,1", "1,0,0;0,3,0;0,0,0",
+             "1,-2,1;0,1,-2;0,0,1"),
+            # the divides-pivot matrix of TestInvariantFactors
+            ("-2,0,-8,5,-4;-4,-1,5,-9,-1;-4,0,-16,10,-8", "0,-1,0;1,0,0;-2,0,1",
+             "1,0,0,0,0;0,1,0,0,0;0,0,0,0,0",
+             "0,2,-4,-5,8;1,-17,21,38,-69;0,0,1,0,0;0,1,0,-2,4;0,0,0,0,1"),
+        ],
+    )
+    def test_exact_transforms(self, text, u, d, v):
+        # the pivot order and every operation are pinned, not only U A V = D
+        snf = smith_normal_form(parse_matrix(text))
+        assert (snf.U.to_text(), snf.D.to_text(), snf.V.to_text()) == (u, d, v)
 
 
 class TestCokernelKernel:
@@ -248,11 +288,12 @@ class TestInvariantFactors:
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
         # rank 2 with minor 2; the Bezout branch on a pivot that divides the
-        # entry cycles forever modulo 2
+        # entry cycles forever modulo 2, so a regression fails on the alarm
         a = IntMatrix.from_rows([[-2, 0, -8, 5, -4], [-4, -1, 5, -9, -1], [-4, 0, -16, 10, -8]])
         assert abs(spherecp.fgab._bareiss(a.entries, a.cols)[1]) == 2
-        assert invariant_factors(a) == ((), 2)
-        assert cokernel(a) == FgAbGroup(free_rank=3)
+        with time_limit(5):
+            assert invariant_factors(a) == ((), 2)
+            assert cokernel(a) == FgAbGroup(free_rank=3)
 
     def test_dense_60x60_cokernel_order_is_det(self):
         # the transform route did not finish this size in 290 s
@@ -383,6 +424,21 @@ class TestMatrixText:
         assert parse_matrix(big).entries == ((int(big),),)
         # many long literals within the budget all convert
         assert parse_matrix(",".join(["7" * 4000] * 50)).cols == 50
+
+    def test_literal_past_a_lowered_interpreter_limit(self):
+        # a process may lower the int <-> str limit below the budget
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            with pytest.raises(MatrixParseError, match=r"int <-> str limit \(1000 digits\)") as err:
+                parse_matrix("1" * 2000)
+            assert err.value.position == 0
+            with pytest.raises(MatrixParseError, match="1000 digits") as err:
+                parse_matrix("2, -" + "1" * 1001)
+            assert err.value.position == 3
+            assert parse_matrix("9" * 1000).entries == ((int("9" * 1000),),)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestIntMatrix:
