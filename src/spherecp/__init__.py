@@ -53,7 +53,6 @@ from .ktheory import (
     Delta1Class,
     TruncPoly,
     delta1_class,
-    tensor_endo_matrix,
 )
 from .pimsner import (
     EvenSphereRequired,
@@ -71,7 +70,7 @@ __all__ = [
     "smith_normal_form", "invariant_factors", "cokernel", "kernel", "group_order",
     "groups_isomorphic", "parse_matrix",
     # ktheory
-    "TruncPoly", "Delta1Class", "tensor_endo_matrix", "delta1_class",
+    "TruncPoly", "Delta1Class", "delta1_class",
     # bundles
     "SphereBundleSpec", "BundleSpecError", "NonpositiveDimension",
     "RankTooSmall", "OddSphereNonzeroClass", "validate", "k_class",

@@ -34,7 +34,7 @@ from .classify import (
 )
 from .cuntz_words import parse_expression
 from .fgab import parse_matrix, smith_normal_form
-from .pimsner import k_groups
+from .pimsner import k_groups, pimsner_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -116,13 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cz.add_argument("--format", **common)
 
     # Matrix text and word expressions may begin with a minus sign
-    # (e.g. "-2,0;-1,-2"); widen the pattern argparse uses to decide
-    # that a dash-digit token is a value rather than an option.
+    # ("-2,0;-1,-2", "-s1"); widen the pattern argparse uses to decide
+    # that a dash-digit (or, for cuntz, dash-s) token is a value.
     import re as _re
 
-    loose = _re.compile(r"^-\d")
-    p_snf._negative_number_matcher = loose
-    p_cz._negative_number_matcher = loose
+    p_snf._negative_number_matcher = _re.compile(r"^-\d")
+    p_cz._negative_number_matcher = _re.compile(r"^-[\ds]")
 
     return parser
 
@@ -133,14 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_kgroups(args) -> tuple[list[str], dict]:
     spec = _spec_from_args(args)
     pair = k_groups(spec)
+    parity = "even" if spec.sphere_dim % 2 == 0 else "odd"
+    note = (
+        f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
+        f"presentation matrix [{pimsner_matrix(spec).to_text()}] (identity minus tensor endomorphism)"
+    )
     human = [
         f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
         f"k_class: {k_class(spec)}",
         f"K0 = {pair.k0}",
         f"K1 = {pair.k1}",
-        f"note: {pair.note}",
+        f"note: {note}",
     ]
-    structured = {"K0": str(pair.k0), "K1": str(pair.k1), "note": pair.note}
+    structured = {"K0": str(pair.k0), "K1": str(pair.k1), "note": note}
     return human, structured
 
 

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .fgab import _literal_int
+from .fgab import _PositionedParseError, _literal_int
 
 __all__ = [
     "Word",
@@ -46,6 +46,7 @@ __all__ = [
     "BaseMismatchError",
     "ExpressionParseError",
     "generator",
+    "parse_expression",
 ]
 
 #: A path: finite sequence of generator indices, each in 1..d.
@@ -58,14 +59,8 @@ class BaseMismatchError(ValueError):
     """Two elements from algebras with different numbers of isometries."""
 
 
-class ExpressionParseError(ValueError):
-    """Bad expression text; ``position`` is a 0-based character offset."""
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
+class ExpressionParseError(_PositionedParseError):
+    """Bad expression text."""
 
 
 def _check_base(base: object) -> None:

@@ -52,14 +52,18 @@ __all__ = [
 ]
 
 
-class MatrixParseError(ValueError):
-    """Malformed matrix text; ``position`` is a 0-based character offset."""
+class _PositionedParseError(ValueError):
+    """Bad input text; ``position`` is a 0-based character offset."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class MatrixParseError(_PositionedParseError):
+    """Malformed matrix text."""
 
 
 @dataclass(frozen=True)

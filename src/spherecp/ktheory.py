@@ -5,10 +5,11 @@ Two small exact types live here:
 * :class:`TruncPoly` -- the rank-2 ring of truncated polynomials
   ``z + z1*λ`` with ``λ² = 0``, which is the K-ring of an even sphere;
 * :class:`Delta1Class` -- the grade-one invariant of the algebra of a
-  bundle, packaged as an explicit integer matrix.  The invariant really
-  acts on (sphere K-group) ⊗ (base-d scalars), but the action on the
-  scalar tensor factor is the identity, so only the integer matrix and
-  the base are stored.
+  bundle E: the integer matrix of multiplication by [E] on the sphere
+  K-group.  :func:`_class_matrix` builds it, and also the K-group
+  presentation of :mod:`spherecp.pimsner`, multiplication by 1 - [E].
+  The invariant acts on the base-d scalar tensor factor as the identity,
+  so only the integer matrix and the base are stored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
 __all__ = [
     "TruncPoly",
     "Delta1Class",
-    "tensor_endo_matrix",
     "delta1_class",
 ]
 
@@ -78,17 +78,19 @@ class TruncPoly:
         return " ".join(parts)
 
 
-def tensor_endo_matrix(kclass: TruncPoly) -> IntMatrix:
-    """Matrix, in the ordered basis (1, λ), of multiplication by ``kclass``.
+def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
+    """Matrix of multiplication by the K-class ``z + z1·λ`` on K^0(S^n).
 
-    Multiplication by ``d + cλ`` sends ``z + z1λ`` to ``dz + (cz + dz1)λ``,
-    i.e. the matrix [[d, 0], [c, d]].  Constant term below 2 is rejected:
-    line bundles and rank-0 classes are outside the supported calculus.
+    The basis is (1, λ) on an even sphere; on an odd sphere λ is absent.
+
+    >>> _class_matrix(4, 3, 1).to_text()
+    '3,0;1,3'
+    >>> _class_matrix(5, -2, 0).to_text()
+    '-2'
     """
-    d, c = kclass.z, kclass.z1
-    if d < 2:
-        raise ValueError(f"class rank must be at least 2, got {d}")
-    return IntMatrix.from_rows([[d, 0], [c, d]])
+    if sphere_dim % 2 == 0:
+        return IntMatrix(2, 2, ((z, 0), (z1, z)))
+    return IntMatrix(1, 1, ((z,),))
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,8 @@ class Delta1Class:
 def delta1_class(spec: "SphereBundleSpec") -> Delta1Class:
     """Grade-one invariant of the algebra attached to a validated bundle spec.
 
-    Even sphere: multiplication by ``rank + euler·λ``; the trivial class
-    gives ``rank`` times the identity.  Odd sphere: the 1x1 matrix [rank].
+    Multiplication by [E] = ``rank + euler·λ``; the trivial class gives
+    ``rank`` times the identity.  Odd sphere: the 1x1 matrix [rank].
     """
-    if spec.sphere_dim % 2 == 0:
-        matrix = tensor_endo_matrix(TruncPoly(spec.rank, spec.euler_param))
-    else:
-        matrix = IntMatrix.from_rows([[spec.rank]])
+    matrix = _class_matrix(spec.sphere_dim, spec.rank, spec.euler_param)
     return Delta1Class(sphere_dim=spec.sphere_dim, base=spec.rank, matrix=matrix)

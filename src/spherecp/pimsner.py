@@ -1,11 +1,11 @@
 """K-groups of the bundle algebra, computed two independent ways.
 
 The main route presents both K-groups of the algebra of sections from a
-single integer matrix: the identity minus the endomorphism "tensor with
-the bundle" acting on the K-group of the base sphere.  K0 is the
-cokernel of that matrix and K1 its kernel -- the kernel is *computed*,
-never assumed trivial, even though injectivity makes it vanish for every
-admissible rank.
+single integer matrix: multiplication by 1 - [E] on the K-group of the
+base sphere, built by :func:`spherecp.ktheory._class_matrix`.  By
+Pimsner's exact sequence K0 is its cokernel and K1 its kernel -- the
+kernel is *computed*, never assumed trivial, though injectivity makes it
+vanish for every admissible rank.
 
 For the trivial bundle over an even sphere there is a second, closed-form
 route (a Künneth-style product formula) exposed as
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .bundles import BundleSpecError, SphereBundleSpec
 from .fgab import FgAbGroup, IntMatrix, invariant_factors
+from .ktheory import _class_matrix
 
 __all__ = [
     "KGroupPair",
@@ -34,25 +35,19 @@ class EvenSphereRequired(BundleSpecError):
 
 @dataclass(frozen=True)
 class KGroupPair:
-    """K0 and K1 of a bundle algebra plus a note naming the computation path."""
+    """K0 and K1 of a bundle algebra."""
 
     k0: FgAbGroup
     k1: FgAbGroup
-    note: str = ""
 
 
 def pimsner_matrix(spec: SphereBundleSpec) -> IntMatrix:
-    """Presentation matrix of the K-groups: identity minus tensor-by-the-bundle.
+    """Presentation matrix of the K-groups: multiplication by 1 - [E].
 
-    Even sphere S^2n: the sphere K-group is Z², multiplication by the class
-    d + c·λ is [[d, 0], [c, d]], so the presentation is
-    [[1-d, 0], [-c, 1-d]].  Odd sphere: the K-group is Z, the class acts as
-    the rank, presentation [1-d].
+    Even sphere S^2n: [E] = d + c·λ, so the presentation is
+    [[1-d, 0], [-c, 1-d]].  Odd sphere: [E] is the rank, presentation [1-d].
     """
-    e = 1 - spec.rank
-    if spec.sphere_dim % 2 == 0:
-        return IntMatrix(2, 2, ((e, 0), (-spec.euler_param, e)))
-    return IntMatrix(1, 1, ((e,),))
+    return _class_matrix(spec.sphere_dim, 1 - spec.rank, -spec.euler_param)
 
 
 def k_groups(spec: SphereBundleSpec) -> KGroupPair:
@@ -66,14 +61,9 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     of the computation, not an input.
     """
     mat = pimsner_matrix(spec)
-    parity = "even" if spec.sphere_dim % 2 == 0 else "odd"
-    note = (
-        f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
-        f"presentation matrix [{mat.to_text()}] (identity minus tensor endomorphism)"
-    )
     torsion, rank = invariant_factors(mat)
     free = mat.cols - rank
-    return KGroupPair(k0=FgAbGroup(free, torsion), k1=FgAbGroup(free), note=note)
+    return KGroupPair(k0=FgAbGroup(free, torsion), k1=FgAbGroup(free))
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
@@ -90,11 +80,4 @@ def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
             f"closed-form trivial-bundle K-groups need an even sphere, got S^{sphere_dim}"
         )
     t = rank - 1
-    return KGroupPair(
-        k0=FgAbGroup.from_factors([t, t]),
-        k1=FgAbGroup(),
-        note=(
-            f"trivial rank-{rank} bundle over S^{sphere_dim}: product formula "
-            f"K0 = Z/{t} + Z/{t}, K1 = 0"
-        ),
-    )
+    return KGroupPair(k0=FgAbGroup.from_factors([t, t]), k1=FgAbGroup())

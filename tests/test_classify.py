@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import spherecp.classify
 from spherecp.bundles import RankTooSmall, SphereBundleSpec
 from spherecp.classify import (
     CAVEAT_DELTA0,
@@ -157,9 +158,20 @@ class TestClassifyReport:
                     not groups_isomorphic(rep.k_groups.k0, rep.trivial_comparison.k0)
                 )
 
-    def test_report_uses_closed_form_for_even_trivial_comparison(self):
+    def test_report_uses_closed_form_for_even_trivial_comparison(self, monkeypatch):
+        calls = []
+        closed_form = spherecp.classify.k_groups_trivial
+
+        def counting(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(spherecp.classify, "k_groups_trivial", counting)
         rep = classify_report(SphereBundleSpec(6, 5, 2))
-        assert "product formula" in rep.trivial_comparison.note
+        assert calls == [(6, 5)]
+        assert rep.trivial_comparison == closed_form(6, 5)
+        classify_report(SphereBundleSpec(5, 4, 0))
+        assert calls == [(6, 5)]
 
     def test_structured_fields(self):
         d = report_to_dict(classify_report(SphereBundleSpec(4, 3, 1)))

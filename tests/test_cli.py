@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import random_cuntz_element
@@ -37,7 +38,48 @@ def zero_sum_rewrites(draw):
     return d, str(x), f"{x} + {zero}"
 
 
+# Exact kgroups output, human and structured.  The note is formatted by the
+# CLI from the spec and its presentation matrix; these pin its text.
+KGROUPS_PINNED = [
+    (
+        ["--sphere", "4", "--rank", "3", "--euler", "1"],
+        "spec: sphere_dim=4 rank=3 euler=1\n"
+        "k_class: 3 + λ\n"
+        "K0 = Z/4\n"
+        "K1 = 0\n"
+        "note: even sphere S^4: K0 = coker, K1 = ker of the presentation matrix "
+        "[-2,0;-1,-2] (identity minus tensor endomorphism)\n",
+        '{\n'
+        '  "K0": "Z/4",\n'
+        '  "K1": "0",\n'
+        '  "note": "even sphere S^4: K0 = coker, K1 = ker of the presentation matrix '
+        '[-2,0;-1,-2] (identity minus tensor endomorphism)"\n'
+        '}\n',
+    ),
+    (
+        ["--sphere", "5", "--rank", "4"],
+        "spec: sphere_dim=5 rank=4 euler=0\n"
+        "k_class: 4\n"
+        "K0 = Z/3\n"
+        "K1 = 0\n"
+        "note: odd sphere S^5: K0 = coker, K1 = ker of the presentation matrix "
+        "[-3] (identity minus tensor endomorphism)\n",
+        '{\n'
+        '  "K0": "Z/3",\n'
+        '  "K1": "0",\n'
+        '  "note": "odd sphere S^5: K0 = coker, K1 = ker of the presentation matrix '
+        '[-3] (identity minus tensor endomorphism)"\n'
+        '}\n',
+    ),
+]
+
+
 class TestKGroups:
+    @pytest.mark.parametrize("flags, human, structured", KGROUPS_PINNED, ids=["S4-even", "S5-odd"])
+    def test_pinned_output(self, capsys, flags, human, structured):
+        assert run_cli(capsys, "kgroups", *flags) == (0, human, "")
+        assert run_cli(capsys, "kgroups", *flags, "--format", "structured") == (0, structured, "")
+
     def test_human(self, capsys):
         code, out, err = run_cli(
             capsys, "kgroups", "--sphere", "4", "--rank", "3", "--euler", "1"
@@ -236,6 +278,11 @@ class TestSnf:
         code, _, err = run_cli(capsys, "snf", "1,2;x")
         assert code == 1 and "position" in err
 
+    def test_dash_letter_is_still_an_option(self, capsys):
+        # only cuntz widens the negative-number pattern to "-s"
+        code, _, err = run_cli(capsys, "snf", "-s1")
+        assert code == 1 and "required: matrix" in err
+
 
 class TestCuntz:
     def test_canonical_form(self, capsys):
@@ -289,6 +336,21 @@ class TestCuntz:
     def test_d_too_small(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "1", "s1")
         assert code == 1
+
+    def test_expression_may_start_with_minus_s(self, capsys):
+        assert run_cli(capsys, "cuntz", "--d", "2", "-s1") == (0, "-s1\n", "")
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", "-s1", "--format", "structured")
+        assert code == 0 and json.loads(out) == {"canonical": "-s1", "degree": 1}
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", "s1", "--equal", "-s1*")
+        assert code == 0 and out.strip() == "equal: no"
+        code, out, _ = run_cli(capsys, "cuntz", "--d", "2", "-s1 s1*", "--equal", "-1 + s2 s2*")
+        assert code == 0 and out.strip() == "equal: yes"
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cuntz", "-h"])
+        assert exc.value.code == 0
+        assert "--equal" in capsys.readouterr().out
 
     def test_prints_the_leavitt_normal_form(self, capsys):
         # structurally mixed, but the element is s1

@@ -11,14 +11,15 @@ from spherecp.bundles import (
     OddSphereNonzeroClass,
     RankTooSmall,
     SphereBundleSpec,
+    k_class,
 )
 from spherecp.fgab import IntMatrix
 from spherecp.ktheory import (
     Delta1Class,
     TruncPoly,
     delta1_class,
-    tensor_endo_matrix,
 )
+from spherecp.pimsner import pimsner_matrix
 
 ints = st.integers(-50, 50)
 polys = st.builds(TruncPoly, ints, ints)
@@ -73,31 +74,6 @@ class TestTruncPoly:
             TruncPoly(1.5, 0)  # type: ignore[arg-type]
 
 
-class TestTensorEndoMatrix:
-    def test_matrix_shape(self):
-        assert tensor_endo_matrix(TruncPoly(3, 1)) == IntMatrix.from_rows([[3, 0], [1, 3]])
-        assert tensor_endo_matrix(TruncPoly(2, 0)) == IntMatrix.from_rows([[2, 0], [0, 2]])
-
-    def test_matrix_realizes_multiplication(self):
-        # multiplication by d + cλ sends z + z1·λ to dz + (cz + dz1)·λ
-        for d, c in [(2, 0), (3, 1), (5, -2), (7, 4)]:
-            m = tensor_endo_matrix(TruncPoly(d, c))
-            for z, z1 in [(1, 0), (0, 1), (3, -2), (-1, 5)]:
-                prod = TruncPoly(d, c) * TruncPoly(z, z1)
-                image = m @ IntMatrix.from_rows([[z], [z1]])
-                assert (image[0, 0], image[1, 0]) == (prod.z, prod.z1)
-
-    def test_action_on_unit(self):
-        m = tensor_endo_matrix(TruncPoly(3, 1))
-        e0 = IntMatrix.from_rows([[1], [0]])
-        assert (m @ e0)[0, 0] == 3 and (m @ e0)[1, 0] == 1
-
-    def test_small_rank_rejected(self):
-        for d in (1, 0, -3):
-            with pytest.raises(ValueError):
-                tensor_endo_matrix(TruncPoly(d, 1))
-
-
 class TestDelta1Class:
     def test_even_sphere(self):
         inv = delta1_class(SphereBundleSpec(4, 3, 1))
@@ -113,6 +89,29 @@ class TestDelta1Class:
         inv = delta1_class(SphereBundleSpec(5, 4, 0))
         assert inv.matrix == IntMatrix.from_rows([[4]])
         assert str(inv) == "4 base=4"
+
+    @given(st.integers(1, 6), st.integers(2, 50), ints, ints, ints)
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_realizes_multiplication(self, half, d, c, z, z1):
+        # on an even sphere the matrix multiplies z + z1·λ by the K-class
+        spec = SphereBundleSpec(2 * half, d, c)
+        image = delta1_class(spec).matrix @ IntMatrix.from_rows([[z], [z1]])
+        prod = k_class(spec) * TruncPoly(z, z1)
+        assert (image[0, 0], image[1, 0]) == (prod.z, prod.z1)
+
+    def test_action_on_unit(self):
+        m = delta1_class(SphereBundleSpec(4, 3, 1)).matrix
+        e0 = IntMatrix.from_rows([[1], [0]])
+        assert (m @ e0)[0, 0] == 3 and (m @ e0)[1, 0] == 1
+
+    def test_presentation_is_identity_minus_invariant(self):
+        # multiplication by 1 - [E] is the identity minus multiplication by [E]
+        for n in range(1, 9):
+            size = 2 if n % 2 == 0 else 1
+            for d in range(2, 9):
+                for c in (range(-6, 7) if n % 2 == 0 else [0]):
+                    spec = SphereBundleSpec(n, d, c)
+                    assert pimsner_matrix(spec) == IntMatrix.identity(size) - delta1_class(spec).matrix
 
     def test_matrix_independent_of_even_dimension(self):
         mats = {

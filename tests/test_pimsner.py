@@ -73,10 +73,6 @@ class TestKGroups:
         assert pair.k0 == FgAbGroup(torsion=(3,))
         assert pair.k1.is_trivial
 
-    def test_note_names_the_path(self):
-        assert "even" in k_groups(SphereBundleSpec(4, 3, 1)).note
-        assert "odd" in k_groups(SphereBundleSpec(5, 3, 0)).note
-
     def test_k0_order_is_rank_minus_one_squared(self):
         for n in (2, 4, 6):
             for d in range(2, 10):
