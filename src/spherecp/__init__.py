@@ -5,84 +5,21 @@ computes the K-groups of the associated isometry-bundle algebra in exact
 integer arithmetic, decides graded stable isomorphism within a fixed
 (sphere, rank) family, and provides a decidable word calculus for the
 algebra on d isometries.  See the README for the CLI.
+
+The package re-exports the ``__all__`` of each library module, so every
+public name is declared once, in the module that defines it.
 """
 
-from .bundles import (
-    BundleSpecError,
-    NonpositiveDimension,
-    OddSphereNonzeroClass,
-    RankTooSmall,
-    SphereBundleSpec,
-    k_class,
-    load_spec,
-    parse_spec,
-    validate,
-)
-from .classify import (
-    ClassificationReport,
-    ComparisonError,
-    DimensionMismatch,
-    RankMismatch,
-    classify_report,
-    delta1_equal,
-    graded_stably_isomorphic,
-    k_distinguishable,
-    report_to_dict,
-)
-from .cuntz_words import (
-    BaseMismatchError,
-    CuntzElement,
-    ExpressionParseError,
-    generator,
-    parse_expression,
-)
-from .fgab import (
-    FgAbGroup,
-    IntMatrix,
-    MatrixParseError,
-    SnfDecomposition,
-    cokernel,
-    group_order,
-    groups_isomorphic,
-    invariant_factors,
-    kernel,
-    parse_matrix,
-    smith_normal_form,
-)
-from .ktheory import (
-    Delta1Class,
-    TruncPoly,
-    delta1_class,
-)
-from .pimsner import (
-    EvenSphereRequired,
-    KGroupPair,
-    k_groups,
-    k_groups_trivial,
-    pimsner_matrix,
-)
+from .bundles import *
+from .classify import *
+from .cuntz_words import *
+from .fgab import *
+from .ktheory import *
+from .pimsner import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # fgab
-    "IntMatrix", "SnfDecomposition", "FgAbGroup", "MatrixParseError",
-    "smith_normal_form", "invariant_factors", "cokernel", "kernel", "group_order",
-    "groups_isomorphic", "parse_matrix",
-    # ktheory
-    "TruncPoly", "Delta1Class", "delta1_class",
-    # bundles
-    "SphereBundleSpec", "BundleSpecError", "NonpositiveDimension",
-    "RankTooSmall", "OddSphereNonzeroClass", "validate", "k_class",
-    "parse_spec", "load_spec",
-    # pimsner
-    "KGroupPair", "EvenSphereRequired", "pimsner_matrix", "k_groups",
-    "k_groups_trivial",
-    # classify
-    "ComparisonError", "DimensionMismatch", "RankMismatch",
-    "ClassificationReport", "delta1_equal", "graded_stably_isomorphic",
-    "k_distinguishable", "classify_report", "report_to_dict",
-    # cuntz_words
-    "CuntzElement", "BaseMismatchError", "ExpressionParseError",
-    "generator", "parse_expression",
-]
+__all__ = (
+    bundles.__all__ + classify.__all__ + cuntz_words.__all__
+    + fgab.__all__ + ktheory.__all__ + pimsner.__all__
+)

@@ -38,6 +38,9 @@ from .pimsner import k_groups, pimsner_matrix
 
 __all__ = ["main", "build_parser"]
 
+#: The most rows ``table`` builds; a larger (rank, euler) grid is refused.
+TABLE_ROWS_BUDGET = 10_000
+
 
 class CliError(Exception):
     """User-facing input problem; maps to exit code 1."""
@@ -48,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_spec_args(p: argparse.ArgumentParser, suffix: str = "", required: bool = True) -> None:
+def _add_spec_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
     tag = " (second bundle)" if suffix else ""
     p.add_argument(f"--sphere{suffix}", type=int, metavar="N", help=f"sphere dimension{tag}")
     p.add_argument(f"--rank{suffix}", type=int, metavar="D", help=f"fiber rank{tag}")
@@ -218,6 +221,9 @@ def _cmd_table(args) -> tuple[list[str], dict]:
         raise CliError("--d-max must be at least 2")
     if args.c_max < 0:
         raise CliError("--c-max must be nonnegative")
+    size = (args.d_max - 1) * (args.c_max + 1)
+    if size > TABLE_ROWS_BUDGET:
+        raise CliError(f"the grid has {size} rows, over TABLE_ROWS_BUDGET ({TABLE_ROWS_BUDGET} rows)")
     rows = [
         _table_row(SphereBundleSpec(args.sphere, d, c))
         for d in range(2, args.d_max + 1)

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .fgab import _PositionedParseError, _literal_int
+from .fgab import _PositionedParseError, _literal_int, _require_int
 
 __all__ = [
     "Word",
@@ -70,9 +70,8 @@ def _check_base(base: object) -> None:
 
 def _check_word(word: Iterable[int], base: int) -> Word:
     w = tuple(word)
+    _require_int("generator indices", *w)
     for i in w:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise TypeError(f"generator indices must be int, got {type(i).__name__}")
         if not 1 <= i <= base:
             raise ValueError(f"generator index {i} out of range 1..{base}")
     return w
@@ -254,6 +253,7 @@ class CuntzElement:
 
     def spectral_component(self, k: int) -> "CuntzElement":
         """Projection onto the degree-k part of the gauge grading."""
+        _require_int("degree", k)
         return CuntzElement._trusted(
             self._base,
             {key: c for key, c in self._coeffs.items() if len(key[0]) - len(key[1]) == k},
@@ -298,6 +298,7 @@ class CuntzElement:
         monomials are linearly independent, so comparing expansions is a
         slow, independent check of :meth:`equals`.
         """
+        _require_int("depth", depth)
         out: dict[tuple[Word, Word], Fraction] = {}
         for (mu, nu), c in self._coeffs.items():
             gap = depth - len(nu)

@@ -30,6 +30,7 @@ take tens of microseconds.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ class MatrixParseError(_PositionedParseError):
     """Malformed matrix text."""
 
 
+def _require_int(what: str, *values: object) -> None:
+    """Refuse with TypeError any value that is not an int, or is a bool."""
+    for v in values:  # an exact int, the common case, skips both isinstance calls
+        if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            raise TypeError(f"{what} must be int, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, entries stored row-major as nested tuples.
@@ -79,6 +87,8 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        entries = itertools.chain.from_iterable(self.entries)
+        _require_int("matrix dimensions and entries", self.rows, self.cols, *entries)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
@@ -86,9 +96,6 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix")
-            for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"matrix entries must be int, got {type(e).__name__}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -426,26 +433,25 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
 
     Bareiss elimination finds the rank r and a nonzero r x r minor M.
     Every invariant factor d_i (i <= r) divides M, so the rows of ``a``
-    plus M*Z^cols span a lattice with invariant factors d_1..d_r followed
-    by cols - r copies of M.  The elimination runs modulo M, so no entry
-    outgrows M (Domich, Kannan, Trotter, Math. Oper. Res. 12 (1987));
-    the copies of M are then dropped.
+    plus M*Z^cols span a lattice with invariant factors d_1..d_r and then
+    copies of M (Domich, Kannan, Trotter, Math. Oper. Res. 12 (1987)).
+    The elimination runs modulo M, so no entry outgrows M, and its
+    diagonal is already that chain: after step t every later residue is
+    a multiple of g_t = gcd(pivot_t, M), so g_1 | g_2 | ... and the first
+    r of them are d_1..d_r.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), 2)
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4, 6]]))
+    ((2,), 1)
     """
-    n = a.cols
-    rank, minor = _bareiss(a.entries, n)
+    rank, minor = _bareiss(a.entries, a.cols)
     minor = abs(minor)
     if minor == 1:  # rank 0 included: the empty minor is 1
         return (), rank
     mat = [[x % minor for x in row] for row in a.entries]
-    _diagonalize(mat, a.rows, n, modulus=minor)
-    square = min(a.rows, n)
-    chain = FgAbGroup.from_factors(
-        [gcd(mat[i][i], minor) for i in range(square)] + [minor] * (n - square)
-    ).torsion
-    return chain[: len(chain) - (n - rank)], rank
+    _diagonalize(mat, a.rows, a.cols, modulus=minor)
+    return tuple(g for g in (gcd(mat[i][i], minor) for i in range(rank)) if g > 1), rank
 
 
 @dataclass(frozen=True)
@@ -466,15 +472,12 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or isinstance(self.free_rank, bool):
-            raise TypeError(f"free rank must be int, got {type(self.free_rank).__name__}")
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
         if type(self.torsion) is not tuple:
             object.__setattr__(self, "torsion", tuple(self.torsion))
+        _require_int("free rank and invariant factors", self.free_rank, *self.torsion)
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
         for t in self.torsion:
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise TypeError(f"invariant factors must be int, got {type(t).__name__}")
             if t < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {t}")
         for x, y in zip(self.torsion, self.torsion[1:]):
@@ -492,8 +495,7 @@ class FgAbGroup:
         free = 0
         chain: list[int] = []
         for f in factors:
-            if not isinstance(f, int) or isinstance(f, bool):
-                raise TypeError(f"cyclic orders must be int, got {type(f).__name__}")
+            _require_int("cyclic orders", f)
             f = abs(f)
             if f == 0:
                 free += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fgab import IntMatrix
+from .fgab import IntMatrix, _require_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .bundles import SphereBundleSpec
@@ -44,10 +44,7 @@ class TruncPoly:
     z1: int = 0
 
     def __post_init__(self):
-        for name in ("z", "z1"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"{name} must be int, got {type(v).__name__}")
+        _require_int("z and z1", self.z, self.z1)
 
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
         return TruncPoly(self.z + other.z, self.z1 + other.z1)
@@ -109,6 +106,7 @@ class Delta1Class:
     matrix: IntMatrix
 
     def __post_init__(self):
+        _require_int("sphere dimension and base", self.sphere_dim, self.base)
         if self.sphere_dim < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.sphere_dim}")
         if self.base < 2:

@@ -11,7 +11,7 @@ from oracles import random_cuntz_element
 
 from spherecp.bundles import SphereBundleSpec
 from spherecp.classify import classify_report
-from spherecp.cli import _table_row, main, render_structured
+from spherecp.cli import TABLE_ROWS_BUDGET, _table_row, main, render_structured
 from spherecp.fgab import parse_matrix
 
 
@@ -255,6 +255,13 @@ class TestTable:
         assert run_cli(capsys, "table", "--c-max", "-1")[0] == 1
         assert run_cli(capsys, "table", "--sphere", "3")[0] == 1
         assert run_cli(capsys, "table", "--jobs", "0")[0] == 1
+
+    def test_grid_over_budget_is_refused(self, capsys):
+        # budget + 1 rows; without the check this would print them all and exit 0
+        code, out, err = run_cli(capsys, "table", "--d-max", "2", "--c-max", str(TABLE_ROWS_BUDGET))
+        assert code == 1 and out == ""
+        assert f"{TABLE_ROWS_BUDGET + 1} rows" in err and "TABLE_ROWS_BUDGET" in err
+        assert run_cli(capsys, "table", "--d-max", "100000", "--c-max", "100000")[0] == 1
 
 
 class TestSnf:

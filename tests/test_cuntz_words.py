@@ -92,6 +92,13 @@ class TestMonomialReduction:
             CuntzElement(2, {((1,), (True,)): 1})
         with pytest.raises(TypeError):
             CuntzElement.monomial(2, (2.0,), ())
+        # a degree or depth is refused too, not read as 1
+        x = parse_expression(2, "s1 + s1 s2*")
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError):
+                x.spectral_component(bad)
+            with pytest.raises(TypeError):
+                x.expand(bad)
 
 
 class TestAlgebraLaws:

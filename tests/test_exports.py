@@ -26,3 +26,17 @@ def test_public_definitions_are_exported(name):
         and v.__module__ == name
     ]
     assert [n for n in public if n not in module.__all__] == []
+
+
+def test_package_all_is_the_modules_all():
+    import spherecp
+
+    modules = [importlib.import_module(f"spherecp.{m}") for m in LIBRARY]
+    assert spherecp.__all__ == [n for module in modules for n in module.__all__]
+
+
+def test_spec_error_and_literal_budget_are_exported():
+    from spherecp import LITERAL_DIGITS_BUDGET, SpecFormatError
+
+    assert issubclass(SpecFormatError, ValueError)
+    assert LITERAL_DIGITS_BUDGET == 4300

@@ -475,4 +475,10 @@ class TestIntMatrix:
             IntMatrix.from_rows([[2.7, 1]])
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[2, True]])
+        with pytest.raises(TypeError):
+            IntMatrix(2.0, 2, ((1, 2), (3, 4)))
+        with pytest.raises(TypeError):
+            IntMatrix(True, 1, ((1,),))
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([], cols=2.5)
         assert IntMatrix.from_rows([[2, 1]]).entries == ((2, 1),)

@@ -132,3 +132,7 @@ class TestDelta1Class:
             Delta1Class(5, 3, IntMatrix.from_rows([[4]]))
         with pytest.raises(ValueError):
             Delta1Class(4, 3, IntMatrix.from_rows([[3]]))
+        with pytest.raises(TypeError):
+            Delta1Class(4.0, 3.0, IntMatrix.from_rows([[3, 0], [1, 3]]))
+        with pytest.raises(TypeError):
+            Delta1Class(True, 2, IntMatrix.from_rows([[2]]))

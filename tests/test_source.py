@@ -1,0 +1,45 @@
+"""Static checks on the library source, read with ``ast``."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "spherecp").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "fgab.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_only(path):
+    # the runtime depends on nothing outside the standard library
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    assert [n for n in imported if n.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_int_str_limit_is_never_set(path):
+    # sys.set_int_max_str_digits is process-global; the library only reads it
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):  # from sys import ...
+            names.add(node.name)
+        elif isinstance(node, ast.Constant):  # getattr(sys, "...")
+            names.add(node.value)
+    assert "set_int_max_str_digits" not in names
