@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .fgab import _PositionedParseError, _literal_int
 from .ktheory import TruncPoly
 
 __all__ = [
@@ -50,7 +51,7 @@ class OddSphereNonzeroClass(BundleSpecError):
     pass
 
 
-class SpecFormatError(ValueError):
+class SpecFormatError(_PositionedParseError):
     """Bundle spec text is not well-formed (distinct from domain errors)."""
 
 
@@ -99,11 +100,13 @@ def parse_spec(text: str) -> SphereBundleSpec:
     """Parse a JSON bundle spec: {"sphere_dim": n, "rank": d, "euler": c}.
 
     ``euler`` is optional and defaults to 0.  Unknown fields are rejected
-    to catch typos early.  Building the spec validates it, so a spec that
-    violates the domain restrictions raises here.
+    to catch typos early.  An integer longer than
+    :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is refused.
+    Building the spec validates it, so a spec that violates the domain
+    restrictions raises here.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=lambda lit: _literal_int(lit, None, SpecFormatError))
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"bundle spec is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -80,8 +80,6 @@ def graded_stably_isomorphic(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
     since the K-class degenerates to the rank.
     """
     _check_comparable(a, b)
-    if a.sphere_dim % 2 == 1:
-        return True
     return k_class(a) == k_class(b)
 
 

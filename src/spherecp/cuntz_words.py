@@ -223,10 +223,7 @@ class CuntzElement:
                     _add_term(out, key, c1 * c2)
         return CuntzElement._trusted(self._base, out)
 
-    def __rmul__(self, other: Scalar) -> "CuntzElement":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute with every element
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
@@ -320,8 +317,6 @@ class CuntzElement:
         if not isinstance(other, CuntzElement):
             raise TypeError(f"cannot compare CuntzElement with {type(other).__name__}")
         self._require_same_base(other)
-        if self._coeffs == other._coeffs:
-            return True
         return self.normal_form()._coeffs == other.normal_form()._coeffs
 
     # -- structural equality / hashing --------------------------------------
@@ -368,8 +363,9 @@ def generator(base: int, index: int) -> CuntzElement:
     return CuntzElement.monomial(base, (index,), ())
 
 
-_EXPR_TOKEN = re.compile(
+_EXPR_TOKEN = re.compile(  # "bad" matches where nothing else does, so finditer visits every character
     r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?)|(?P<op>[+-])"
+    r"|(?P<bad>.)", re.DOTALL
 )
 
 
@@ -391,12 +387,10 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     key: tuple[Word, Word] | None = None  # its reduced monomial; None once the term is 0
     sign = 1
     op_pos: int | None = None  # position of the last operator
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if m is None:
-            raise ExpressionParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
+    for m in _EXPR_TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "bad":
+            raise ExpressionParseError(f"unexpected character {m.group()!r}", pos)
         if kind == "op":
             if coeff is not None:
                 if key is not None and coeff:
@@ -411,18 +405,17 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             if coeff is None:
                 coeff, key = Fraction(sign), ((), ())
             if kind == "num":
-                numer = _literal_int(m, "numer", ExpressionParseError)
-                den = _literal_int(m, "den", ExpressionParseError) if m.group("den") else 1
+                numer = _literal_int(m.group("numer"), pos, ExpressionParseError)
+                den = _literal_int(m.group("den"), m.start("den"), ExpressionParseError) if m.group("den") else 1
                 if not den:
                     raise ExpressionParseError("zero denominator", pos)
                 coeff *= Fraction(numer, den)
             else:
-                idx = _literal_int(m, "idx", ExpressionParseError)
+                idx = _literal_int(m.group("idx"), m.start("idx"), ExpressionParseError)
                 if not 1 <= idx <= base:
                     raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
                 if key is not None:
                     key = _mul_keys(*key, (), (idx,)) if m.group("star") else _mul_keys(*key, (idx,), ())
-        pos = m.end()
     if coeff is None:
         if op_pos is not None:
             raise ExpressionParseError("expression ends with a dangling operator", op_pos)

@@ -166,13 +166,12 @@ class IntMatrix:
 LITERAL_DIGITS_BUDGET = 4300
 
 
-def _literal_int(m: re.Match, group: str, error: type[ValueError]) -> int:
-    """``int`` of the literal in ``group`` of ``m``.
+def _literal_int(text: str, position: int | None, error: type[ValueError]) -> int:
+    """``int`` of the integer literal ``text``, found at ``position``.
 
     A literal past the budget, or past a lower int <-> str limit that the
-    process has set, raises ``error`` at the literal's position.
+    process has set, raises ``error`` at that position.
     """
-    text = m.group(group)
     digits = len(text.lstrip("+-"))
     try:
         if digits <= LITERAL_DIGITS_BUDGET:
@@ -180,40 +179,42 @@ def _literal_int(m: re.Match, group: str, error: type[ValueError]) -> int:
         limit = f"LITERAL_DIGITS_BUDGET ({LITERAL_DIGITS_BUDGET} digits)"
     except ValueError:  # the token is all digits, so only the limit refuses it
         limit = f"the interpreter's int <-> str limit ({sys.get_int_max_str_digits()} digits)"
-    raise error(f"integer literal of {digits} digits exceeds {limit}", m.start(group))
+    raise error(f"integer literal of {digits} digits exceeds {limit}", position)
 
 
-_MATRIX_TOKEN = re.compile(r"[ \t\r\n]+|\[|\]|(?P<sep>[,;])|(?P<int>[+-]?\d+)")
+_MATRIX_TOKEN = re.compile(  # "],[" ends a row like ";"; "bad" matches where nothing else does
+    r"[ \t\r\n]+|(?P<sep>[,;]|\][ \t\r\n]*,[ \t\r\n]*\[)|\[|\]|(?P<int>[+-]?\d+)|(?P<bad>.)", re.DOTALL
+)
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Parse matrix text like ``-2,0;-1,-2`` (brackets and whitespace are ignored).
+    """Parse matrix text like ``-2,0;-1,-2`` or ``[[-2,0],[-1,-2]]``.
 
-    The text is read in one pass; on bad text :class:`MatrixParseError`
-    reports the leftmost error with its character position.  An entry
-    longer than :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
+    Rows are separated by ``;`` or ``],[``; other brackets and whitespace
+    are ignored.  The text is read in one pass; on bad text
+    :class:`MatrixParseError` reports the leftmost error with its
+    character position.  An entry longer than
+    :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
     """
     rows: list[list[int]] = []
     current: list[int] = []
     expect_entry = True
-    pos = 0
-    while pos < len(text):
-        m = _MATRIX_TOKEN.match(text, pos)
-        if m is None:
-            raise MatrixParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "int":
+    for m in _MATRIX_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "int":
             if not expect_entry:
-                raise MatrixParseError("expected ',' or ';' between entries", pos)
-            current.append(_literal_int(m, "int", MatrixParseError))
+                raise MatrixParseError("expected ',' or ';' between entries", m.start())
+            current.append(_literal_int(m.group(), m.start(), MatrixParseError))
             expect_entry = False
-        elif m.lastgroup == "sep":
+        elif kind == "sep":
             if expect_entry:
-                raise MatrixParseError("expected an integer entry", pos)
-            if m.group("sep") == ";":
+                raise MatrixParseError("expected an integer entry", m.start())
+            if m.group() != ",":
                 rows.append(current)
                 current = []
             expect_entry = True
-        pos = m.end()
+        elif kind == "bad":
+            raise MatrixParseError(f"unexpected character {m.group()!r}", m.start())
     if expect_entry:
         if not rows and not current:
             raise MatrixParseError("matrix text contains no entries", 0)

@@ -106,6 +106,8 @@ class Delta1Class:
     matrix: IntMatrix
 
     def __post_init__(self):
+        if not isinstance(self.matrix, IntMatrix):
+            raise TypeError(f"matrix must be an IntMatrix, got {type(self.matrix).__name__}")
         _require_int("sphere dimension and base", self.sphere_dim, self.base)
         if self.sphere_dim < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.sphere_dim}")

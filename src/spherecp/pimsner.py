@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import BundleSpecError, SphereBundleSpec
-from .fgab import FgAbGroup, IntMatrix, invariant_factors
+from .fgab import FgAbGroup, IntMatrix, cokernel
 from .ktheory import _class_matrix
 
 __all__ = [
@@ -54,16 +54,13 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     """Both K-groups of the bundle algebra, from the presentation matrix.
 
     K0 = cokernel, K1 = kernel, both read from one call to
-    :func:`~spherecp.fgab.invariant_factors`: the invariant factors come
-    from elimination modulo a nonzero minor, with no Smith transforms, and
-    the rank gives the free parts.  Since the rank is at least 2 the
-    matrix is injective and K1 comes out trivial, but that is an output
-    of the computation, not an input.
+    :func:`~spherecp.fgab.cokernel` (elimination modulo a nonzero minor,
+    no Smith transforms): K1 is free of rank cols - rank, K0's free rank.
+    Since the rank is at least 2 the matrix is injective and K1 comes out
+    trivial, but that is an output of the computation, not an input.
     """
-    mat = pimsner_matrix(spec)
-    torsion, rank = invariant_factors(mat)
-    free = mat.cols - rank
-    return KGroupPair(k0=FgAbGroup(free, torsion), k1=FgAbGroup(free))
+    k0 = cokernel(pimsner_matrix(spec))
+    return KGroupPair(k0=k0, k1=FgAbGroup(k0.free_rank))
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:

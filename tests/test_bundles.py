@@ -16,6 +16,7 @@ from spherecp.bundles import (
     spec_to_dict,
     validate,
 )
+from spherecp.fgab import LITERAL_DIGITS_BUDGET
 from spherecp.ktheory import TruncPoly
 
 
@@ -109,6 +110,17 @@ class TestSpecFiles:
             parse_spec('{"sphere_dim": 4, "rank": 3, "euler": 1.5}')
         with pytest.raises(SpecFormatError):
             parse_spec('{"sphere_dim": 4, "rank": true}')
+
+    def test_literal_budget(self):
+        # a JSON integer past the budget is a spec error, not int()'s bare ValueError
+        over = "1" * (LITERAL_DIGITS_BUDGET + 1)
+        for text in ('{"sphere_dim": 4, "rank": %s}' % over,
+                     '{"sphere_dim": 4, "rank": 3, "euler": -%s}' % over):
+            with pytest.raises(SpecFormatError, match="LITERAL_DIGITS_BUDGET"):
+                parse_spec(text)
+        within = "1" * LITERAL_DIGITS_BUDGET
+        spec = parse_spec('{"sphere_dim": 4, "rank": %s, "euler": -%s}' % (within, within))
+        assert spec == SphereBundleSpec(4, int(within), -int(within))
 
     def test_non_object_rejected(self):
         with pytest.raises(SpecFormatError):

@@ -107,6 +107,13 @@ class TestKGroups:
         assert code == 0
         assert "K0 = Z/3" in out
 
+    def test_spec_literal_over_budget(self, capsys, tmp_path):
+        p = tmp_path / "b.json"
+        p.write_text('{"sphere_dim": 4, "rank": %s}' % ("1" * 5000))
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert code == 1 and out == ""
+        assert "LITERAL_DIGITS_BUDGET" in err and "set_int_max_str_digits" not in err
+
     def test_spec_file_conflicts_with_flags(self, capsys, tmp_path):
         p = tmp_path / "b.json"
         p.write_text('{"sphere_dim": 4, "rank": 3}')
@@ -266,9 +273,11 @@ class TestTable:
 
 class TestSnf:
     def test_worked_example(self, capsys):
-        code, out, _ = run_cli(capsys, "snf", "-2,0;-1,-2")
-        assert code == 0
-        assert "diagonal: 1, 4" in out
+        # "],[" separates rows, so the bracketed text is the same 2x2 matrix
+        for text in ("-2,0;-1,-2", "[[-2,0],[-1,-2]]"):
+            code, out, _ = run_cli(capsys, "snf", text)
+            assert code == 0
+            assert "diagonal: 1, 4" in out
 
     def test_structured_is_consistent_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "snf", "-2,0;-1,-2", "--format", "structured")

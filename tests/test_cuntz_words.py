@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spherecp.cuntz_words
 from oracles import random_cuntz_element, random_homogeneous_element
 from spherecp.cuntz_words import (
     BaseMismatchError,
@@ -127,6 +128,16 @@ class TestAlgebraLaws:
         assert 2 * x == x + x
         assert Fraction(1, 2) * (x + x) == x
         assert (x * 0).is_zero
+
+    def test_scalar_side_and_refusal(self):
+        x = CuntzElement.monomial(2, (1,), (2,)) + CuntzElement.unit(2)
+        assert 3 * x == x * 3
+        assert Fraction(2, 3) * x == x * Fraction(2, 3)
+        for bad in (0.5, True, "2"):
+            with pytest.raises(TypeError):
+                bad * x
+            with pytest.raises(TypeError):
+                x * bad
 
 
 class TestDecidableEquality:
@@ -500,6 +511,14 @@ class TestExpressionText:
     def test_parse_agrees_with_the_element_algebra(self, case):
         d, text, x = case
         assert parse_expression(d, text) == x
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_token_spans_tile_the_text(self, text):
+        # the catch-all alternative matches wherever no token does, so
+        # finditer skips no character and parse_expression sees all of them
+        spans = [m.span() for m in spherecp.cuntz_words._EXPR_TOKEN.finditer(text)]
+        assert "".join(text[a:b] for a, b in spans) == text
 
     def test_parse_is_inverse_of_str_on_expanded_forms(self):
         x = CuntzElement.unit(2).expand(2)

@@ -385,6 +385,17 @@ class TestMatrixText:
 
     def test_parse_tolerates_brackets_and_space(self):
         assert parse_matrix("[ 1, 2 ; 3, 4 ]") == IntMatrix.from_rows([[1, 2], [3, 4]])
+        # "],[" separates rows, so nested brackets are read as rows
+        assert parse_matrix("[[-2,0],[-1,-2]]") == IntMatrix.from_rows([[-2, 0], [-1, -2]])
+        assert parse_matrix("[[1, 2] , [3, 4]]") == IntMatrix.from_rows([[1, 2], [3, 4]])
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_token_spans_tile_the_text(self, text):
+        # the catch-all alternative matches wherever no token does, so
+        # finditer skips no character and parse_matrix sees all of them
+        spans = [m.span() for m in spherecp.fgab._MATRIX_TOKEN.finditer(text)]
+        assert "".join(text[a:b] for a, b in spans) == text
 
     def test_round_trip(self):
         rng = random.Random(5)

@@ -136,3 +136,5 @@ class TestDelta1Class:
             Delta1Class(4.0, 3.0, IntMatrix.from_rows([[3, 0], [1, 3]]))
         with pytest.raises(TypeError):
             Delta1Class(True, 2, IntMatrix.from_rows([[2]]))
+        with pytest.raises(TypeError, match="IntMatrix"):
+            Delta1Class(4, 3, [[3, 0], [1, 3]])
