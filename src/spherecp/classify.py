@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import SphereBundleSpec, k_class, spec_to_dict
-from .fgab import groups_isomorphic
 from .ktheory import Delta1Class, TruncPoly, delta1_class
 from .pimsner import KGroupPair, k_groups, k_groups_trivial
 
@@ -90,7 +89,7 @@ def k_distinguishable(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
     or not).  False is *inconclusive*: equal K-groups do not imply
     isomorphism -- the grade-one invariant is strictly finer.
     """
-    return not groups_isomorphic(k_groups(a).k0, k_groups(b).k0)
+    return k_groups(a).k0 != k_groups(b).k0
 
 
 CAVEAT_DELTA0 = (
@@ -139,7 +138,7 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
         trivial = k_groups_trivial(spec.sphere_dim, spec.rank)
     else:
         trivial = kg
-    distinguishable = not groups_isomorphic(kg.k0, trivial.k0)
+    distinguishable = kg.k0 != trivial.k0
     caveats: list[str] = [CAVEAT_DELTA0]
     if spec.sphere_dim % 2 == 1:
         caveats.append(CAVEAT_ODD_COLLAPSE)

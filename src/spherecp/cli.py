@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from math import gcd
 
@@ -121,10 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Matrix text and word expressions may begin with a minus sign
     # ("-2,0;-1,-2", "-s1"); widen the pattern argparse uses to decide
     # that a dash-digit (or, for cuntz, dash-s) token is a value.
-    import re as _re
-
-    p_snf._negative_number_matcher = _re.compile(r"^-\d")
-    p_cz._negative_number_matcher = _re.compile(r"^-[\ds]")
+    p_snf._negative_number_matcher = re.compile(r"^-\d")
+    p_cz._negative_number_matcher = re.compile(r"^-[\ds]")
 
     return parser
 

@@ -48,7 +48,6 @@ __all__ = [
     "cokernel",
     "kernel",
     "group_order",
-    "groups_isomorphic",
     "parse_matrix",
 ]
 
@@ -118,24 +117,14 @@ class IntMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-e for e in row) for row in self.entries))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
         return IntMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -149,7 +138,7 @@ class IntMatrix:
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
-        if not self.is_square:
+        if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         rank, minor = _bareiss(self.entries, self.cols)
         return minor if rank == self.rows else 0
@@ -460,8 +449,8 @@ class FgAbGroup:
     """Finitely generated abelian group Z^free_rank + Z/t1 + ... + Z/tk.
 
     Canonical form is enforced at construction: every invariant factor is
-    at least 2 and t1 | t2 | ... | tk, so two groups are isomorphic exactly
-    when the dataclasses are equal.
+    at least 2 and t1 | t2 | ... | tk, so ``==`` is the isomorphism test:
+    two groups are isomorphic exactly when they compare equal.
 
     >>> FgAbGroup.from_factors([2, 3])
     FgAbGroup(free_rank=0, torsion=(6,))
@@ -550,8 +539,3 @@ def group_order(g: FgAbGroup) -> int | None:
     if g.free_rank:
         return None
     return prod(g.torsion)
-
-
-def groups_isomorphic(g: FgAbGroup, h: FgAbGroup) -> bool:
-    """Isomorphism test; canonical form makes this plain equality."""
-    return g == h

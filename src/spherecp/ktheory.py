@@ -2,8 +2,8 @@
 
 Two small exact types live here:
 
-* :class:`TruncPoly` -- the rank-2 ring of truncated polynomials
-  ``z + z1*λ`` with ``λ² = 0``, which is the K-ring of an even sphere;
+* :class:`TruncPoly` -- a K-class ``z + z1*λ`` in Z[λ]/(λ²), the K-ring
+  of an even sphere: two integer coordinates, compared with ``==``;
 * :class:`Delta1Class` -- the grade-one invariant of the algebra of a
   bundle E: the integer matrix of multiplication by [E] on the sphere
   K-group.  :func:`_class_matrix` builds it, and also the K-group
@@ -31,13 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncPoly:
-    """Element ``z + z1*λ`` of Z[λ]/(λ²), the K-ring of an even sphere.
+    """K-class ``z + z1*λ`` in Z[λ]/(λ²), the K-ring of an even sphere.
 
     ``z`` is the rank part (the image in K-theory of a point) and ``z1``
-    the reduced part supported on the top cell.
+    the reduced part supported on the top cell; ``str`` writes it in λ.
 
-    >>> TruncPoly(2, 1) * TruncPoly(3, 1)
-    TruncPoly(z=6, z1=5)
+    >>> str(TruncPoly(3, -1))
+    '3 - λ'
     """
 
     z: int = 0
@@ -45,19 +45,6 @@ class TruncPoly:
 
     def __post_init__(self):
         _require_int("z and z1", self.z, self.z1)
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        return TruncPoly(self.z + other.z, self.z1 + other.z1)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return TruncPoly(self.z - other.z, self.z1 - other.z1)
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(-self.z, -self.z1)
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        # (a + bλ)(c + eλ) = ac + (ae + bc)λ since λ² = 0
-        return TruncPoly(self.z * other.z, self.z * other.z1 + self.z1 * other.z)
 
     def __str__(self) -> str:
         if self.z == 0 and self.z1 == 0:

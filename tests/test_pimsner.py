@@ -17,7 +17,7 @@ from spherecp.bundles import (
     RankTooSmall,
     SphereBundleSpec,
 )
-from spherecp.fgab import FgAbGroup, IntMatrix, group_order, groups_isomorphic
+from spherecp.fgab import FgAbGroup, IntMatrix, group_order
 from spherecp.pimsner import (
     EvenSphereRequired,
     k_groups,
@@ -142,9 +142,3 @@ class TestTrivialBundleFormula:
     def test_dimension_enforced(self):
         with pytest.raises(NonpositiveDimension):
             k_groups_trivial(0, 3)
-
-
-def test_groups_isomorphic_used_for_comparisons():
-    a = k_groups(SphereBundleSpec(4, 3, 1)).k0
-    b = k_groups_trivial(4, 3).k0
-    assert not groups_isomorphic(a, b)

@@ -1,14 +1,22 @@
-"""The README's command examples, run in-process against the output it shows.
+"""The README's examples, run in-process against the output it shows.
 
 Every ``$ spherecp ...`` line in README.md is run through ``cli.main``.
 The lines shown under it, up to the next command or the end of its
 block, must be its output; a shown line ending in `` ...`` matches as a
 prefix, and a ``# → X`` comment on the command stands for the single
 output line X.  A command shown with no output must still exit 0.
+
+The Python block of the "Library quick tour" is run one statement at a
+time: a statement's ``# value`` comment must be exactly what it prints,
+and a statement with no comment must print nothing.
 """
 
+import ast
+import contextlib
+import io
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,3 +60,28 @@ def test_readme_example(capsys, argv, shown):
     # a shown line "text ..." stands for any output line that starts with "text"
     out = [s if s.endswith(" ...") and o.startswith(s[:-4]) else o for s, o in zip(shown, out)] + out[len(shown):]
     assert out == shown
+
+
+def quick_tour() -> str:
+    """The source of the Python block under the README's "Library quick tour"."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick tour"):]
+    return re.search(r"^```python\n(.*?)^```", section, re.DOTALL | re.MULTILINE).group(1)
+
+
+def test_library_quick_tour():
+    source = quick_tour()
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    assert comments, "the quick tour shows no values"
+    namespace: dict = {}
+    for stmt in ast.parse(source).body:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+        shown = comments.pop(stmt.end_lineno, None)
+        assert out.getvalue() == ("" if shown is None else shown + "\n"), ast.unparse(stmt)
+    assert comments == {}, "comments on no statement's last line"
