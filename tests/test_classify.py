@@ -1,6 +1,7 @@
 """Tests for the classification decision procedures and reports."""
 
 import itertools
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from spherecp.classify import (
     k_distinguishable,
     report_to_dict,
 )
+from spherecp.fgab import FgAbGroup
 from spherecp.pimsner import k_groups
 
 
@@ -150,12 +152,15 @@ class TestClassifyReport:
             assert classify_report(spec).trivial_comparison.k0 == k_groups(spec).k0
 
     def test_distinguishable_flag_consistent_with_groups(self):
+        # closed form: K0 = Z/g + Z/((d-1)^2/g) with g = gcd(d-1, c), so the
+        # trivial bundle (c = 0) has g = d-1 and the flag is g != d-1
         for d in range(2, 8):
             for c in range(-6, 7):
+                g = math.gcd(d - 1, c)
                 rep = classify_report(SphereBundleSpec(4, d, c))
-                assert rep.k_distinguishable_from_trivial == (
-                    rep.k_groups.k0 != rep.trivial_comparison.k0
-                )
+                assert rep.k_groups.k0 == FgAbGroup.from_factors([g, (d - 1) ** 2 // g])
+                assert rep.trivial_comparison.k0 == FgAbGroup.from_factors([d - 1, d - 1])
+                assert rep.k_distinguishable_from_trivial == (g != d - 1)
 
     def test_report_uses_closed_form_for_even_trivial_comparison(self, monkeypatch):
         calls = []

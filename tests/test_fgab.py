@@ -7,16 +7,19 @@ enumeration, solution enumeration) -- see the comments next to each.
 
 import contextlib
 import doctest
+import json
 import random
 import signal
 import sys
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherecp.fgab
+from spherecp import cli
 from oracles import (
     coset_count_2x2,
     invariant_factors_by_primes,
@@ -236,7 +239,7 @@ class TestCokernelKernel:
 
 
 @st.composite
-def int_matrices(draw, max_dim=7):
+def int_matrices(draw, max_dim=7, max_entry=30):
     """Random m x n matrices, 0 <= m, n <= max_dim, rank-deficient ones included.
 
     Dense draws are mostly of full rank; repeated or scaled rows and
@@ -244,7 +247,7 @@ def int_matrices(draw, max_dim=7):
     """
     m = draw(st.integers(0, max_dim))
     n = draw(st.integers(0, max_dim))
-    entry = st.integers(-30, 30)
+    entry = st.integers(-max_entry, max_entry)
     kind = draw(st.sampled_from(["dense", "scaled rows", "low rank"]))
     if kind == "dense" or not (m and n):
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
@@ -305,6 +308,105 @@ class TestInvariantFactors:
         assert det != 0 and g.free_rank == 0
         assert group_order(g) == abs(det)
         assert elapsed < 10.0
+
+
+def dense(rng, n):
+    """An n x n matrix with entries drawn row by row from [-50, 50]."""
+    return IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
+
+
+def transform_bits(snf):
+    return max(abs(x).bit_length() for m in (snf.U, snf.V) for row in m.entries for x in row)
+
+
+def twice_det_bits(a):
+    """2 bits(|det A|) + bits(n): the U/V size the fgab docstring states for these inputs."""
+    return 2 * abs(a.det()).bit_length() + a.rows.bit_length()
+
+
+@st.composite
+def snf_inputs(draw):
+    """Square nonsingular, rank-deficient and rectangular matrices, entries up to 10^6."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        entry = st.integers(-(10**6), 10**6)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        return IntMatrix.from_rows(rows)
+    return draw(int_matrices(max_entry=10**6))
+
+
+class TestBoundedTransforms:
+    """Square nonsingular input: Hermite form modulo |det A|, then one exact solve."""
+
+    @given(snf_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_property_against_invariant_factors(self, a):
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        factors, rank = invariant_factors(a)
+        assert tuple(x for x in snf.diagonal if x > 1) == factors
+        assert sum(1 for x in snf.diagonal if x) == rank
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.sampled_from([1, 1, 2, 3, 4, 6]), min_size=n, max_size=n),
+    ])))
+    @settings(max_examples=200, deadline=None)
+    def test_hermite_form(self, drawn):
+        # B diag(t) B^T with small t plants invariant factors, so pivots are
+        # often not units modulo |det| and the Bezout steps run
+        b, t = drawn
+        n = len(b)
+        rows = [[sum(b[i][k] * t[k] * b[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+        a = IntMatrix.from_rows(rows)
+        det = a.det()
+        if det == 0:
+            return
+        h = spherecp.fgab._hermite_mod(a.entries, abs(det))
+        assert prod(h[i][i] for i in range(n)) == abs(det)
+        for i in range(n):
+            assert all(x == 0 for x in h[i][:i])
+            assert all(0 <= h[k][i] < h[i][i] for k in range(i))
+        # H = W A with W unimodular: both span the same row lattice
+        hw = spherecp.fgab._hermite_and_transform(a)
+        w = IntMatrix.from_rows([row[n:] for row in hw])
+        assert w @ a == IntMatrix.from_rows(h)
+        assert abs(w.det()) == 1
+
+    def test_hermite_form_with_bezout_pivot(self):
+        # modulo 12 neither 4 nor 6 is a unit, so column 0 takes a Bezout step
+        assert spherecp.fgab._hermite_mod([[4, 0], [6, 3]], 12) == [[2, 3], [0, 6]]
+        a = IntMatrix.from_rows([[4, 0], [6, 3]])
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert snf.diagonal == (1, 12)
+
+    def test_unimodular_and_singular_squares(self):
+        a = IntMatrix.from_rows([[2, 3], [1, 2]])
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert snf.D == IntMatrix.identity(2)
+        assert spherecp.fgab._hermite_and_transform(IntMatrix.from_rows([[1, 2], [2, 4]])) is None
+
+    def test_dense_fixed_matrices_print_as_valid_input(self, capsys):
+        # the benchmark's fixed dense set, drawn in the same order; the
+        # transforms of the 23x23 and 25x25 used to print past the digit limit
+        rng = random.Random(20071123)
+        for n in range(16, 26):
+            a = dense(rng, n)
+            assert cli.main(["snf", a.to_text(), "--format", "structured"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            u, d, v = (parse_matrix(out[k]) for k in ("U", "D", "V"))  # within the literal budget
+            assert u @ a @ v == d
+            assert max(abs(x).bit_length() for m in (u, v) for row in m.entries for x in row) <= twice_det_bits(a)
+
+    def test_dense_40x40_within_twice_det_bits(self):
+        # the transforms used to reach 1.46 M bits at 35x35; 40x40 did not finish
+        a = dense(random.Random(1), 40)
+        with time_limit(10):
+            snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert transform_bits(snf) <= twice_det_bits(a)
 
 
 class TestFgAbGroup:
