@@ -6,31 +6,32 @@ abelian groups kept in a canonical invariant-factor form so that
 isomorphism testing is plain field equality.
 
 Everything runs on Python's arbitrary-precision integers; no floating
-point (and no numerical library) is involved anywhere.  One elimination
-loop reduces the leading block of a work matrix, and whatever is stored
-beside or below that block rides along with its row and column
-operations.  :func:`smith_normal_form` keeps the transforms there.  For
-a square nonsingular A the block is the Hermite form H = W A, found
-modulo M = |det A| so that no entry of H reaches M, and W comes from one
-exact solve.  The size of U and V is measured, not proven: the
-benchmark's fixed dense matrices (n = 16..25, entries in ±50) and the
-40 x 40 one drawn from ``random.Random(1)`` stay within
-2 bits(M) + bits(n) bits, and over about 13 000 random nonsingular
-inputs (n <= 40; entries in ±2, ±50 and ±10^6, and products with
-planted torsion) the largest had 3.9 bits(M) + bits(n) bits.  The excess
-comes from diagonalizing the few columns where H's diagonal is not 1.
-On dense n x n matrices with entries in ±50 (2-core Intel Xeon, Python
-3.11.7) it took about 1 ms at n=10, 7-10 ms at n=25, 33-36 ms at n=40
-(270-bit U and V) and 0.19-0.20 s at n=60.  Every other shape,
+point (and no numerical library) is involved anywhere.  Two eliminations
+do the work.  A Hermite sweep, modulo a nonzero minor M, puts a lattice
+in triangular form with no entry reaching M.  An exact loop diagonalizes
+the leading block of a work matrix, and whatever is stored beside or
+below that block rides along with its row and column operations;
+:func:`smith_normal_form` keeps the transforms there.  For a square
+nonsingular A the block is the Hermite form H = W A, swept modulo
+M = |det A|, and W comes from one exact solve.  The size of U and V is
+measured, not proven: the benchmark's fixed dense matrices (n = 16..25,
+entries in ±50) and the 40 x 40 one drawn from ``random.Random(1)`` stay
+within 2 bits(M) + bits(n) bits, and over about 13 000 random
+nonsingular inputs (n <= 40; entries in ±2, ±50 and ±10^6, and products
+with planted torsion) the largest had 3.9 bits(M) + bits(n) bits.  The
+excess comes from diagonalizing the few columns where H's diagonal is
+not 1.  On dense n x n matrices with entries in ±50 (2-core Intel Xeon,
+Python 3.11.7) it took about 1 ms at n=10, 7-10 ms at n=25, 33-36 ms at
+n=40 (270-bit U and V) and 0.19-0.20 s at n=60.  Every other shape,
 rectangular or square and singular, runs on A itself beside identities,
 and there the transforms grow far past the diagonal: a 21 x 20 matrix
 with entries in ±50 took 46-50 ms and reached 61 k-bit entries.
-:func:`invariant_factors`, behind :func:`cokernel`, stores nothing
-beside the block and reduces every entry modulo a nonzero minor, so no
-entry outgrows that minor.  On the same matrices and machine it took
-6-12 ms at n=25, 30-51 ms at n=40 and 0.16-0.21 s at n=60 (the CPU's
-speed swung between runs).  The 2x2 and 1x1 presentations of K-groups
-take tens of microseconds.
+:func:`invariant_factors`, behind :func:`cokernel`, needs no transforms
+and runs only the sweep, on A modulo a nonzero minor M and then on
+transposes.  On the same matrices and machine it took 3-5 ms at n=25,
+14-24 ms at n=40 and 86-106 ms at n=60 (the CPU's speed swung between
+runs).  The 2x2 and 1x1 presentations of K-groups take tens of
+microseconds.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -286,55 +287,70 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
-    """Hermite form of the row lattice of a square matrix with |det| = ``modulus``.
+def _echelon_mod(entries: Sequence[Sequence[int]], cols: int, modulus: int) -> list[list[int]]:
+    """An upper triangular basis of the rows of ``entries`` plus modulus*Z^cols.
 
-    H is upper triangular with positive diagonal, each entry above the
-    diagonal reduced into [0, diagonal of its column), and its rows span
-    the same lattice as the rows of the input.  That lattice contains
-    modulus*Z^n, so the elimination runs modulo the modulus (Domich,
-    Kannan, Trotter, Math. Oper. Res. 12 (1987); Hafner, McCurley, SIAM
-    J. Comput. 20 (1991); Cohen, GTM 138, Alg. 2.4.8) and no entry
-    reaches it.  Column k takes one sweep: a pivot that is a unit modulo
-    r is scaled to 1 and clears the column by plain subtraction, any
-    other pivot folds each entry in by a Bezout step.  The diagonal
-    entry is then d = gcd(pivot, r); the lattice on the later columns has
-    determinant r/d, so it contains (r/d)*Z^(n-k-1) and r drops to r/d.
+    Any shape is accepted; zero rows pad the input up to ``cols`` rows.
+    The elimination runs modulo the modulus (Domich, Kannan, Trotter,
+    Math. Oper. Res. 12 (1987); Hafner, McCurley, SIAM J. Comput. 20
+    (1991); Cohen, GTM 138, Alg. 2.4.8), so no entry reaches it.  Column
+    k takes one sweep: a pivot that is a unit is scaled to 1 and clears
+    the column by plain subtraction, any other pivot folds each entry in
+    by a Bezout step.  Row k of the result has d = gcd(pivot, modulus) in
+    column k, and (modulus/d) times the pivot row, zero in column k
+    modulo the modulus, joins the rows still to sweep; dividing the
+    modulus by d instead would hold only if it were the determinant.
     """
-    n = len(entries)
-    rows = [list(reversed(row)) for row in entries]  # column k last, so pop() drops it
+    padding = [(0,) * cols] * (cols - len(entries))
+    rows = [list(reversed(row)) for row in [*entries, *padding]]  # column k last, so pop() drops it
     h: list[list[int]] = []
-    r = modulus
-    for k in range(n):
-        unit = next((i for i in range(k, n) if gcd(rows[i][-1], r) == 1), k)
-        rows[k], rows[unit] = rows[unit], rows[k]
+    for k in range(cols):
+        for i in range(k, len(rows)):
+            if gcd(rows[i][-1], modulus) == 1:
+                rows[k], rows[i] = rows[i], rows[k]
+                break
         top = rows[k]
-        a = top.pop() % r
-        s = pow(a, -1, r) if gcd(a, r) == 1 else 1
-        top = [s * x % r for x in top]
-        a = a * s % r
-        for i in range(k + 1, n):
+        a = top.pop() % modulus
+        s = pow(a, -1, modulus) if gcd(a, modulus) == 1 else 1
+        top = [s * x % modulus for x in top]
+        a = a * s % modulus
+        for i in range(k + 1, len(rows)):
             row = rows[i]
-            b = row.pop() % r
+            b = row.pop() % modulus
             if not b:
                 continue
             if a and b % a == 0:
-                # left unreduced: q and top are below r, so a step adds less than r^2
+                # left unreduced: q and top are below the modulus m, so a step adds less than m^2
                 q = b // a
                 rows[i] = [y - q * x for x, y in zip(top, row)]
             else:
                 g, s, t = _egcd(a, b)
                 u, v = -(b // g), a // g
                 top, rows[i] = (
-                    [(s * x + t * y) % r for x, y in zip(top, row)],
-                    [(u * x + v * y) % r for x, y in zip(top, row)],
+                    [(s * x + t * y) % modulus for x, y in zip(top, row)],
+                    [(u * x + v * y) % modulus for x, y in zip(top, row)],
                 )
                 a = g
-        d, s, _ = _egcd(a, r)
+        d = gcd(a, modulus)
+        if d > 1:
+            rows.append([modulus // d * x % modulus for x in top])
+        s = pow(a // d, -1, modulus // d)  # s * pivot = d modulo the modulus
         if s != 1:
-            top = [s * x % r for x in top]
+            top = [s * x % modulus for x in top]
         h.append([0] * k + [d] + top[::-1])
-        r //= d
+    return h
+
+
+def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """Hermite form of the row lattice of a square matrix with |det| = ``modulus``.
+
+    H is upper triangular with positive diagonal and each entry above the
+    diagonal in [0, diagonal of its column).  The lattice contains
+    modulus*Z^n, so :func:`_echelon_mod` gives a triangular basis of it,
+    and a bottom-up pass reduces above the diagonal.
+    """
+    n = len(entries)
+    h = _echelon_mod(entries, n, modulus)
     # reduce above the diagonal from the bottom up; a reduced row is sparse
     # past its diagonal, so each reduction touches only its nonzero entries
     support: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -366,8 +382,8 @@ class SnfDecomposition:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
 
-def _diagonalize(mat: list[list[int]], m: int, n: int, modulus: int = 0) -> None:
-    """The one elimination loop: diagonalize the leading m x n block of ``mat``.
+def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
+    """Diagonalize the leading m x n block of ``mat`` exactly, in place.
 
     Pivot choice is deterministic: the first entry of minimal absolute
     value in the working submatrix (row-major scan).  Entries that the
@@ -377,43 +393,23 @@ def _diagonalize(mat: list[list[int]], m: int, n: int, modulus: int = 0) -> None
     Row operations act on whole rows and column operations on every row
     from the pivot down, so whatever ``mat`` holds past column n of the
     first m rows, or in rows past m, rides along with the elimination;
-    :func:`smith_normal_form` keeps U and V there.  With a nonzero
-    ``modulus`` every entry is kept in [0, modulus): the rows then span
-    the lattice of the block plus modulus*Z^n and no entry outgrows the
-    modulus.
+    :func:`smith_normal_form` keeps U and V there.
     """
     t = 0  # the pivot position; rows above t are zero from column t on
 
     def add_row(dst: int, src: int, q: int) -> None:
-        if modulus:
-            mat[dst] = [(x + q * y) % modulus for x, y in zip(mat[dst], mat[src])]
-        else:
-            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        if modulus:
-            for row in mat[t:]:
-                row[dst] = (row[dst] + q * row[src]) % modulus
-        else:
-            for row in mat[t:]:
-                row[dst] += q * row[src]
+        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
 
     def row_pair(i: int, s0: int, s1: int, r0: int, r1: int) -> None:
         # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
         rt, ri = mat[t], mat[i]
         mat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
         mat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
-        if modulus:
-            mat[t] = [x % modulus for x in mat[t]]
-            mat[i] = [x % modulus for x in mat[i]]
 
     def col_pair(j: int, s0: int, s1: int, r0: int, r1: int) -> None:
         for row in mat[t:]:
             ct, cj = row[t], row[j]
-            if modulus:
-                row[t], row[j] = (s0 * ct + s1 * cj) % modulus, (r0 * ct + r1 * cj) % modulus
-            else:
-                row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
+            row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
 
     def min_pos() -> tuple[int, int] | None:
         best: tuple[int, int, int] | None = None
@@ -442,8 +438,8 @@ def _diagonalize(mat: list[list[int]], m: int, n: int, modulus: int = 0) -> None
                 if not b:
                     continue
                 p = mat[t][t]
-                # a pivot that divides b takes the plain branch: _egcd(1, 1) is
-                # (1, 0, 1), a swap, and modulo a modulus swaps can cycle forever
+                # a pivot that divides b takes the plain branch: one row
+                # operation instead of the Bezout pair's two
                 if b % p == 0:
                     add_row(i, t, -(b // p))
                 else:
@@ -455,7 +451,9 @@ def _diagonalize(mat: list[list[int]], m: int, n: int, modulus: int = 0) -> None
                     continue
                 p = mat[t][t]
                 if b % p == 0:
-                    add_col(j, t, -(b // p))
+                    q = b // p
+                    for row in mat[t:]:
+                        row[j] -= q * row[t]
                 else:
                     g, s0, s1 = _egcd(p, b)
                     col_pair(j, s0, s1, -(b // g), p // g)
@@ -548,17 +546,35 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     )
 
 
+def _divisor_chain(orders: Iterable[int]) -> list[int]:
+    """Invariant factors t1 | t2 | ..., units dropped, of cyclic groups of positive ``orders``.
+
+    gcd/lcm folding finds them without factoring anything.
+    """
+    chain: list[int] = []
+    for f in orders:
+        for i, c in enumerate(chain):
+            if f == 1:
+                break
+            g = gcd(c, f)
+            chain[i], f = g, c * f // g
+        if f > 1:
+            chain.append(f)
+    return [c for c in chain if c > 1]
+
+
 def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     """The invariant factors other than 1 and the rank of ``a``, without transforms.
 
     Bareiss elimination finds the rank r and a nonzero r x r minor M.
     Every invariant factor d_i (i <= r) divides M, so the rows of ``a``
-    plus M*Z^cols span a lattice with invariant factors d_1..d_r and then
-    copies of M (Domich, Kannan, Trotter, Math. Oper. Res. 12 (1987)).
-    The elimination runs modulo M, so no entry outgrows M, and its
-    diagonal is already that chain: after step t every later residue is
-    a multiple of g_t = gcd(pivot_t, M), so g_1 | g_2 | ... and the first
-    r of them are d_1..d_r.
+    plus M*Z^cols span a lattice with invariant factors d_1..d_r and
+    cols - r copies of M (Domich, Kannan, Trotter, Math. Oper. Res. 12
+    (1987)), which :func:`_echelon_mod` makes triangular modulo M.  The
+    sweep runs again on the transpose until each diagonal entry divides
+    its row; column operations from the top row down would then clear
+    the rows without touching the diagonal, whose divisor chain, less
+    the copies of M, is the answer.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), 2)
@@ -569,9 +585,12 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     minor = abs(minor)
     if minor == 1:  # rank 0 included: the empty minor is 1
         return (), rank
-    mat = [[x % minor for x in row] for row in a.entries]
-    _diagonalize(mat, a.rows, a.cols, modulus=minor)
-    return tuple(g for g in (gcd(mat[i][i], minor) for i in range(rank)) if g > 1), rank
+    h = _echelon_mod(a.entries, a.cols, minor)
+    # the gcd of a row is its diagonal entry exactly when that entry divides the row
+    while (diagonal := [row[k] for k, row in enumerate(h)]) != [gcd(*row) for row in h]:
+        h = _echelon_mod(list(zip(*h)), a.cols, minor)
+    chain = _divisor_chain(diagonal)
+    return tuple(chain[: len(chain) - (a.cols - rank)]), rank
 
 
 @dataclass(frozen=True)
@@ -609,25 +628,11 @@ class FgAbGroup:
         """Canonicalize an arbitrary direct sum of cyclic groups.
 
         Each factor is a cyclic order; 0 stands for an infinite cyclic
-        summand and unit factors are dropped.  gcd/lcm folding computes
-        the invariant factors without factoring anything.
+        summand and unit factors are dropped.
         """
-        free = 0
-        chain: list[int] = []
-        for f in factors:
-            _require_int("cyclic orders", f)
-            f = abs(f)
-            if f == 0:
-                free += 1
-                continue
-            for i, c in enumerate(chain):
-                if f == 1:
-                    break
-                g = gcd(c, f)
-                chain[i], f = g, c * f // g
-            if f > 1:
-                chain.append(f)
-        return cls(free, tuple(c for c in chain if c > 1))
+        factors = tuple(factors)
+        _require_int("cyclic orders", *factors)
+        return cls(factors.count(0), tuple(_divisor_chain([abs(f) for f in factors if f])))
 
     @property
     def is_trivial(self) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import random_cuntz_element
 
+from spherecp import cli
 from spherecp.bundles import SphereBundleSpec
 from spherecp.classify import classify_report
 from spherecp.cli import TABLE_ROWS_BUDGET, _table_row, main, render_structured
@@ -397,6 +398,17 @@ class TestHarness:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run_cli(capsys, "kgroups", "--sphere", "4", "--rank", "3", "--zap")[0] == 1
+
+    def test_internal_error_exits_two(self, capsys, monkeypatch):
+        # anything but bad input or a domain refusal is exit code 2
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "snf", broken)
+        code, out, err = run_cli(capsys, "snf", "1,2;3,4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: boom")
 
     def test_structured_round_trip_byte_identical(self, capsys):
         cases = [

@@ -154,6 +154,18 @@ class TestDecidableEquality:
                 total = total + gi * gi.star()
             assert total.equals(CuntzElement.unit(base))
 
+    def test_foreign_operands_immutability_and_hash(self):
+        x = parse_expression(2, "s1 s2*")
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError, match="cannot compare"):
+            x.equals(1)
+        assert (x == 1) is False
+        with pytest.raises(AttributeError, match="immutable"):
+            x._base = 3
+        y = s(1) * s(2).star()
+        assert x == y and hash(x) == hash(y)
+
     def test_one_is_not_zero(self):
         assert not CuntzElement.unit(2).equals(CuntzElement.zero(2))
 

@@ -289,13 +289,36 @@ class TestInvariantFactors:
         assert invariant_factors(IntMatrix.from_rows([[1, 5, 7]])) == ((), 1)
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
-        # rank 2 with minor 2; the Bezout branch on a pivot that divides the
-        # entry cycles forever modulo 2, so a regression fails on the alarm
+        # rank 2 with minor 2: modulo 2 every nonzero pivot divides the entries
+        # below it, so the sweep clears each column by plain subtraction; the
+        # alarm turns a regression that loops into a failure
         a = IntMatrix.from_rows([[-2, 0, -8, 5, -4], [-4, -1, 5, -9, -1], [-4, 0, -16, 10, -8]])
         assert abs(spherecp.fgab._bareiss(a.entries, a.cols)[1]) == 2
         with time_limit(5):
             assert invariant_factors(a) == ((), 2)
             assert cokernel(a) == FgAbGroup(free_rank=3)
+
+    def test_cofactor_times_the_pivot_row_is_kept(self):
+        # modulo the minor M, a diagonal entry d > 1 leaves (M/d) times the
+        # pivot row in the lattice; a sweep that drops it reads (4,) and (18,)
+        assert invariant_factors(IntMatrix.from_rows([[4, 6]])) == ((2,), 1)
+        assert invariant_factors(IntMatrix.from_rows([[-18, 18, 12, -6, -12, -18]])) == ((6,), 1)
+
+    @pytest.mark.parametrize("m, n, planted, rank", [
+        (30, 40, (2, 6, 12), 30),
+        (40, 30, (2, 6, 12), 30),
+        (40, 40, (3, 3, 6), 20),
+    ])
+    def test_planted_factors_at_size(self, m, n, planted, rank):
+        # A = U D V with U, V unimodular and D holding the planted chain
+        rng = random.Random(m * n + rank)
+        d = [[0] * n for _ in range(m)]
+        for i, x in enumerate([1] * (rank - len(planted)) + list(planted)):
+            d[i][i] = x
+        u, v = random_unimodular(rng, m, steps=4 * m), random_unimodular(rng, n, steps=4 * n)
+        a = u @ IntMatrix.from_rows(d) @ v
+        with time_limit(5):
+            assert invariant_factors(a) == (planted, rank)
 
     def test_dense_60x60_cokernel_order_is_det(self):
         # the transform route did not finish this size in 290 s
@@ -514,6 +537,9 @@ class TestMatrixText:
             parse_matrix("")
         with pytest.raises(MatrixParseError):
             parse_matrix("1,2;")
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix("1 2")
+        assert str(err.value) == "expected ',' or ';' between entries (at position 2)"
         # with two errors, the leftmost one is reported
         with pytest.raises(MatrixParseError, match="expected an integer entry") as err:
             parse_matrix("1,,x")
@@ -574,6 +600,18 @@ class TestIntMatrix:
     def test_det_empty_and_identity(self):
         assert IntMatrix.identity(0).det() == 1
         assert IntMatrix.identity(4).det() == 1
+
+    def test_shape_refusals(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+            IntMatrix(2, 1, ((1,),))
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix(2, 2, ((1, 2), (3,)))
+        with pytest.raises(ValueError, match="cols="):
+            IntMatrix.from_rows([])
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix.zero(2, 3).det()
 
     def test_entries_must_be_int(self):
         with pytest.raises(TypeError):

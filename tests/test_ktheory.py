@@ -107,3 +107,7 @@ class TestDelta1Class:
             Delta1Class(True, 2, IntMatrix.from_rows([[2]]))
         with pytest.raises(TypeError, match="IntMatrix"):
             Delta1Class(4, 3, [[3, 0], [1, 3]])
+        with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+            Delta1Class(0, 2, IntMatrix.from_rows([[2]]))
+        with pytest.raises(ValueError, match="base must be at least 2"):
+            Delta1Class(4, 1, IntMatrix.from_rows([[1, 0], [0, 1]]))
