@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fgab import IntMatrix, _require_int
+from .fgab import IntMatrix, _require_int, _trusted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .bundles import SphereBundleSpec
@@ -66,6 +66,8 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     """Matrix of multiplication by the K-class ``z + z1·λ`` on K^0(S^n).
 
     The basis is (1, λ) on an even sphere; on an odd sphere λ is absent.
+    The callers pass ints from a validated spec, so the matrix is built
+    unchecked.
 
     >>> _class_matrix(4, 3, 1).to_text()
     '3,0;1,3'
@@ -73,8 +75,8 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     '-2'
     """
     if sphere_dim % 2 == 0:
-        return IntMatrix(2, 2, ((z, 0), (z1, z)))
-    return IntMatrix(1, 1, ((z,),))
+        return _trusted(IntMatrix, rows=2, cols=2, entries=((z, 0), (z1, z)))
+    return _trusted(IntMatrix, rows=1, cols=1, entries=((z,),))
 
 
 @dataclass(frozen=True)
@@ -125,4 +127,4 @@ def delta1_class(spec: "SphereBundleSpec") -> Delta1Class:
     ``rank`` times the identity.  Odd sphere: the 1x1 matrix [rank].
     """
     matrix = _class_matrix(spec.sphere_dim, spec.rank, spec.euler_param)
-    return Delta1Class(sphere_dim=spec.sphere_dim, base=spec.rank, matrix=matrix)
+    return _trusted(Delta1Class, sphere_dim=spec.sphere_dim, base=spec.rank, matrix=matrix)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import BundleSpecError, SphereBundleSpec
-from .fgab import FgAbGroup, IntMatrix, cokernel
+from .fgab import FgAbGroup, IntMatrix, _trusted, cokernel
 from .ktheory import _class_matrix
 
 __all__ = [
@@ -60,7 +60,7 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     trivial, but that is an output of the computation, not an input.
     """
     k0 = cokernel(pimsner_matrix(spec))
-    return KGroupPair(k0=k0, k1=FgAbGroup(k0.free_rank))
+    return KGroupPair(k0=k0, k1=_trusted(FgAbGroup, free_rank=k0.free_rank, torsion=()))
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
@@ -77,4 +77,5 @@ def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
             f"closed-form trivial-bundle K-groups need an even sphere, got S^{sphere_dim}"
         )
     t = rank - 1
-    return KGroupPair(k0=FgAbGroup.from_factors([t, t]), k1=FgAbGroup())
+    k0 = _trusted(FgAbGroup, free_rank=0, torsion=(t, t) if t > 1 else ())
+    return KGroupPair(k0=k0, k1=_trusted(FgAbGroup, free_rank=0, torsion=()))

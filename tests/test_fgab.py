@@ -7,6 +7,7 @@ enumeration, solution enumeration) -- see the comments next to each.
 
 import contextlib
 import doctest
+import itertools
 import json
 import random
 import signal
@@ -287,6 +288,47 @@ class TestInvariantFactors:
         # a unit minor: all invariant factors are 1
         assert invariant_factors(IntMatrix.from_rows([[2, 3], [1, 2]])) == ((), 2)
         assert invariant_factors(IntMatrix.from_rows([[1, 5, 7]])) == ((), 1)
+
+    @staticmethod
+    def expected_from_snf(a):
+        diagonal = smith_normal_form(a).diagonal
+        if a.rows == a.cols == 2:
+            assert diagonal == snf_2x2_oracle(*a.entries[0], *a.entries[1])
+        return tuple(x for x in diagonal if x > 1), sum(1 for x in diagonal if x)
+
+    @pytest.mark.parametrize("a, expected", [
+        (IntMatrix.zero(2, 3), ((), 0)),
+        (IntMatrix.zero(0, 4), ((), 0)),
+        (IntMatrix.from_rows([[-4]]), ((4,), 1)),
+        (IntMatrix.from_rows([[3, 0], [0, 3]]), ((3, 3), 2)),
+        (IntMatrix.from_rows([[2, 0], [4, 0]]), ((2,), 1)),
+        (IntMatrix.from_rows([[6 * x for x in row] for row in random_unimodular(random.Random(6), 3).entries]),
+         ((6, 6, 6), 3)),
+    ], ids=["zero", "0x4", "-4", "3I", "rank-1 2x2", "6U"])
+    def test_gcd_power_exit(self, a, expected, monkeypatch):
+        # g**rank == |minor| for g the gcd of the entries: every factor is g, no sweep
+        assert self.expected_from_snf(a) == expected
+
+        def no_sweep(*args):
+            raise AssertionError("the gcd-power exit should have answered")
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
+        assert invariant_factors(a) == expected
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 4]], [[2, 4], [6, 8]]])
+    def test_gcd_power_near_misses_still_sweep(self, rows, monkeypatch):
+        # g = 2 but |minor| = 8 != 2**2: the factors are (2, 4), found by the sweep
+        a = IntMatrix.from_rows(rows)
+        expected = self.expected_from_snf(a)  # before the patch: snf sweeps too
+        sweep, calls = spherecp.fgab._echelon_mod, []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", counted)
+        assert invariant_factors(a) == expected == ((2, 4), 2)
+        assert calls
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
         # rank 2 with minor 2: modulo 2 every nonzero pivot divides the entries
@@ -630,3 +672,43 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix.from_rows([], cols=2.5)
         assert IntMatrix.from_rows([[2, 1]]).entries == ((2, 1),)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations; no elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestBareissPivotSearch:
+    """Each path of the pivot search: column swap, row swap, no pivot at all."""
+
+    @pytest.mark.parametrize("rows, cols, rank, minor", [
+        # column k is zero from row k down: the pivot comes from a later column
+        ([[0, 1, 2], [0, 3, 4]], 3, 2, 2),
+        ([[0, 1], [0, 2]], 2, 1, 1),
+        ([[1, 2, 3], [2, 4, 7], [3, 6, 1]], 3, 2, 1),
+        # a zero pivot with a nonzero entry below it: rows swap
+        ([[0, 1], [1, 0]], 2, 2, 1),
+        ([[0, 2, 1], [0, 0, 3], [5, 1, 1]], 3, 3, 30),
+        # no nonzero entry at all
+        ([[0, 0, 0], [0, 0, 0]], 3, 0, 1),
+        ([], 3, 0, 1),
+    ])
+    def test_rank_and_minor(self, rows, cols, rank, minor):
+        r, m, _ = spherecp.fgab._bareiss(rows, cols)
+        assert (r, abs(m)) == (rank, minor)
+        if rows and len(rows) == cols:
+            assert IntMatrix.from_rows(rows).det() == leibniz_det(rows)
+
+    def test_det_sign_against_leibniz(self):
+        # sparse entries make zero pivots, and so both kinds of swap, common
+        rng = random.Random(4)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+            assert IntMatrix.from_rows(rows).det() == leibniz_det(rows)

@@ -6,11 +6,27 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "spherecp").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spherecp"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(path: Path) -> set:
+    """Every name, attribute, imported name and constant in the source."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):  # from sys import ...
+            names.add(node.name)
+        elif isinstance(node, ast.Constant):  # getattr(sys, "...")
+            names.add(node.value)
+    return names
 
 
 def test_sources_found():
@@ -32,14 +48,10 @@ def test_imports_are_stdlib_only(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_int_str_limit_is_never_set(path):
     # sys.set_int_max_str_digits is process-global; the library only reads it
-    names = set()
-    for node in ast.walk(_tree(path)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):  # from sys import ...
-            names.add(node.name)
-        elif isinstance(node, ast.Constant):  # getattr(sys, "...")
-            names.add(node.value)
-    assert "set_int_max_str_digits" not in names
+    assert "set_int_max_str_digits" not in _names(path)
+
+
+@pytest.mark.parametrize("name", ["cli.py", "bundles.py"])
+def test_user_input_never_meets_the_unchecked_constructor(name):
+    # user input enters here, so every value must pass a public constructor's checks
+    assert "_trusted" not in _names(PACKAGE / name)
