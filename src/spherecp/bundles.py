@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fgab import _PositionedParseError, _literal_int
+from .fgab import SpherecpInputError, _literal_int
 from .ktheory import TruncPoly
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-class BundleSpecError(ValueError):
+class BundleSpecError(SpherecpInputError):
     """A bundle spec violates the domain restrictions."""
 
 
@@ -51,7 +51,7 @@ class OddSphereNonzeroClass(BundleSpecError):
     pass
 
 
-class SpecFormatError(_PositionedParseError):
+class SpecFormatError(SpherecpInputError):
     """Bundle spec text is not well-formed (distinct from domain errors)."""
 
 
@@ -124,7 +124,7 @@ def load_spec(path: str | Path) -> SphereBundleSpec:
     """Read a JSON bundle spec from a file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read bundle spec file: {exc}") from None
     return parse_spec(text)
 

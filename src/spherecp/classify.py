@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import SphereBundleSpec, k_class, spec_to_dict
+from .fgab import SpherecpInputError
 from .ktheory import Delta1Class, TruncPoly, delta1_class
 from .pimsner import KGroupPair, k_groups, k_groups_trivial
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class ComparisonError(ValueError):
+class ComparisonError(SpherecpInputError):
     """The two specs are not comparable by this calculus."""
 
 

@@ -12,8 +12,9 @@ Every subcommand takes ``--format human`` (default) or ``--format
 structured``; structured output is a single JSON object rendered with
 sorted keys, so re-rendering a parsed report is byte-identical.
 
-Exit codes: 0 success, 1 invalid input or a domain refusal, 2 internal
-error (never expected).
+Exit codes: 0 success, 1 invalid input or a domain refusal (a
+:class:`~spherecp.fgab.SpherecpInputError`), 2 anything else, an
+internal error (never expected).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .classify import (
     report_to_dict,
 )
 from .cuntz_words import parse_expression
-from .fgab import parse_matrix, smith_normal_form
+from .fgab import SpherecpInputError, parse_matrix, smith_normal_form
 from .pimsner import k_groups, pimsner_matrix
 
 __all__ = ["main", "build_parser"]
@@ -43,8 +44,8 @@ __all__ = ["main", "build_parser"]
 TABLE_ROWS_BUDGET = 10_000
 
 
-class CliError(Exception):
-    """User-facing input problem; maps to exit code 1."""
+class CliError(SpherecpInputError):
+    """User-facing input problem found by the command line itself."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         human, structured = _COMMANDS[args.subcommand](args)
-    except (CliError, ValueError) as exc:
+    except SpherecpInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - invariant violations only

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .fgab import _PositionedParseError, _literal_int, _require_int
+from .fgab import SpherecpInputError, _literal_int, _require_int, _trusted
 
 __all__ = [
     "Word",
@@ -55,11 +55,11 @@ Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-class BaseMismatchError(ValueError):
+class BaseMismatchError(SpherecpInputError):
     """Two elements from algebras with different numbers of isometries."""
 
 
-class ExpressionParseError(_PositionedParseError):
+class ExpressionParseError(SpherecpInputError):
     """Bad expression text."""
 
 
@@ -116,10 +116,9 @@ class CuntzElement:
 
     Immutable.  ``==`` is *structural* (same reduced coefficient map);
     use :meth:`equals` for equality in the algebra, which also sees the
-    unit relation.
+    unit relation.  Results derived from checked elements are built by
+    :func:`~spherecp.fgab._trusted`, which skips the checks of ``__init__``.
     """
-
-    __slots__ = ("_base", "_coeffs")
 
     def __init__(self, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
         _check_base(base)
@@ -131,18 +130,6 @@ class CuntzElement:
                 _add_term(clean, key, frac)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_coeffs", clean)
-
-    @classmethod
-    def _trusted(cls, base: int, coeffs: dict[tuple[Word, Word], Fraction]) -> "CuntzElement":
-        """Wrap a coefficient map built from already checked words.
-
-        ``coeffs`` must map pairs of valid words to nonzero Fractions; the
-        new element takes ownership of the dict.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_coeffs", coeffs)
-        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CuntzElement is immutable")
@@ -199,19 +186,19 @@ class CuntzElement:
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
             _add_term(out, key, c)
-        return CuntzElement._trusted(self._base, out)
+        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
         return self + (-other)
 
     def __neg__(self) -> "CuntzElement":
-        return CuntzElement._trusted(self._base, {k: -c for k, c in self._coeffs.items()})
+        coeffs = {k: -c for k, c in self._coeffs.items()}
+        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
 
     def __mul__(self, other: "CuntzElement | Scalar") -> "CuntzElement":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if not other:
-                return CuntzElement._trusted(self._base, {})
-            return CuntzElement._trusted(self._base, {k: c * other for k, c in self._coeffs.items()})
+            coeffs = {k: c * other for k, c in self._coeffs.items()} if other else {}
+            return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
@@ -221,13 +208,14 @@ class CuntzElement:
                 key = _mul_keys(mu, nu, alpha, beta)
                 if key is not None:
                     _add_term(out, key, c1 * c2)
-        return CuntzElement._trusted(self._base, out)
+        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
 
     __rmul__ = __mul__  # scalars commute with every element
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
-        return CuntzElement._trusted(self._base, {(nu, mu): c for (mu, nu), c in self._coeffs.items()})
+        coeffs = {(nu, mu): c for (mu, nu), c in self._coeffs.items()}
+        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
 
     # -- grading -----------------------------------------------------------
 
@@ -251,10 +239,8 @@ class CuntzElement:
     def spectral_component(self, k: int) -> "CuntzElement":
         """Projection onto the degree-k part of the gauge grading."""
         _require_int("degree", k)
-        return CuntzElement._trusted(
-            self._base,
-            {key: c for key, c in self._coeffs.items() if len(key[0]) - len(key[1]) == k},
-        )
+        coeffs = {key: c for key, c in self._coeffs.items() if len(key[0]) - len(key[1]) == k}
+        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
 
     # -- decidable equality -------------------------------------------------
 
@@ -283,7 +269,7 @@ class CuntzElement:
                     for i in range(1, d):
                         _add_term(out, (a + (i,), b + (i,)), -c)
             _add_term(out, (mu, nu), c)
-        return CuntzElement._trusted(d, out)
+        return _trusted(CuntzElement, _base=d, _coeffs=out)
 
     def expand(self, depth: int) -> "CuntzElement":
         """Rewrite so every adjoint part has length exactly ``depth``.
@@ -304,9 +290,8 @@ class CuntzElement:
                     f"cannot expand to depth {depth}: a term already has adjoint length {len(nu)}"
                 )
             for w in itertools.product(range(1, self._base + 1), repeat=gap):
-                key = (mu + w, nu + w)
-                out[key] = out.get(key, Fraction(0)) + c
-        return CuntzElement(self._base, out)
+                _add_term(out, (mu + w, nu + w), c)
+        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
 
     def equals(self, other: "CuntzElement") -> bool:
         """Equality in the algebra (decides the unit relation, not just form).
@@ -422,4 +407,4 @@ def parse_expression(base: int, text: str) -> CuntzElement:
         raise ExpressionParseError("empty expression", 0)
     if key is not None and coeff:
         _add_term(out, key, coeff)
-    return CuntzElement._trusted(base, out)
+    return _trusted(CuntzElement, _base=base, _coeffs=out)

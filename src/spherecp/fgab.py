@@ -14,26 +14,12 @@ below that block rides along with its row and column operations;
 :func:`smith_normal_form` keeps the transforms there.  For a square
 nonsingular A the block is the Hermite form H = W A, swept modulo
 M = |det A|, and W comes from one exact solve.  The size of U and V is
-measured, not proven: the benchmark's fixed dense matrices (n = 16..25,
-entries in ±50) and the 40 x 40 one drawn from ``random.Random(1)`` stay
-within 2 bits(M) + bits(n) bits, and over about 13 000 random
-nonsingular inputs (n <= 40; entries in ±2, ±50 and ±10^6, and products
-with planted torsion) the largest had 3.9 bits(M) + bits(n) bits.  The
-excess comes from diagonalizing the few columns where H's diagonal is
-not 1.  On dense n x n matrices with entries in ±50 (2-core Intel Xeon,
-Python 3.11.7) it took about 1 ms at n=10, 7-10 ms at n=25, 33-36 ms at
-n=40 (270-bit U and V) and 0.19-0.20 s at n=60.  Every other shape,
-rectangular or square and singular, runs on A itself beside identities,
-and there the transforms grow far past the diagonal: a 21 x 20 matrix
-with entries in ±50 took 46-50 ms and reached 61 k-bit entries.
+measured, not proven; :func:`smith_normal_form` states the envelope.
+Every other shape, rectangular or square and singular, runs on A itself
+beside identities, and there the transforms grow far past the diagonal.
 :func:`invariant_factors`, behind :func:`cokernel`, needs no transforms
 and runs only the sweep, on A modulo a nonzero minor M and then on
-transposes.  On the same matrices and machine it took 3-5 ms at n=25,
-14-24 ms at n=40 and 86-106 ms at n=60 (the CPU's speed swung between
-runs).  On the 2x2 and 1x1 presentations of K-groups it took about
-4 µs on a 1x1, 5-7 µs on a 2x2 whose invariant factors all equal the
-gcd of its entries, which skips the sweep, and 19-22 µs on a 2x2 that
-needs it, such as [[-2, 0], [-1, -2]].
+transposes, unless the gcd of the entries already gives every factor.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -56,6 +42,7 @@ __all__ = [
     "SnfDecomposition",
     "FgAbGroup",
     "MatrixParseError",
+    "SpherecpInputError",
     "LITERAL_DIGITS_BUDGET",
     "smith_normal_form",
     "invariant_factors",
@@ -66,8 +53,11 @@ __all__ = [
 ]
 
 
-class _PositionedParseError(ValueError):
-    """Bad input text; ``position`` is a 0-based character offset."""
+class SpherecpInputError(ValueError):
+    """Bad input or a domain refusal; the command line maps it to exit code 1.
+
+    ``position``, when given, is a 0-based character offset into the input text.
+    """
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
@@ -76,7 +66,7 @@ class _PositionedParseError(ValueError):
         self.position = position
 
 
-class MatrixParseError(_PositionedParseError):
+class MatrixParseError(SpherecpInputError):
     """Malformed matrix text."""
 
 
@@ -88,12 +78,17 @@ def _require_int(what: str, *values: object) -> None:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with these ``fields``, unchecked.
+    """An instance of ``cls`` with these ``fields``, built without checks.
 
-    Only for values the library derives from already validated ones: it
-    skips ``__post_init__``, so the caller vouches for every field, with
-    tuples where the class stores tuples.  Every public constructor and
-    parser keeps its checks.
+    The package's one unchecked constructor: it builds every value class,
+    the frozen dataclasses and :class:`~spherecp.cuntz_words.CuntzElement`
+    alike.  It writes the instance ``__dict__`` directly, so it skips
+    ``__init__``, ``__post_init__`` and any ``__setattr__`` guard.  Only
+    for values the library derives from already validated ones: the
+    caller vouches for every field, in the form the checked route stores
+    it (tuples for a dataclass, a dict of nonzero Fractions for a
+    ``CuntzElement``).  Every public constructor and parser keeps its
+    checks.
     """
     self = object.__new__(cls)
     self.__dict__.update(fields)
@@ -104,6 +99,9 @@ def _trusted(cls, **fields):
 class IntMatrix:
     """Dense integer matrix, entries stored row-major as nested tuples.
 
+    The constructor takes the entries as any sequence of row sequences
+    and stores them as tuples, so equal matrices compare and hash equal.
+
     Either dimension may be zero; a 0 x n matrix still remembers n, which
     matters for kernels and cokernels of empty presentations.
     """
@@ -113,6 +111,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         entries = itertools.chain.from_iterable(self.entries)
         _require_int("matrix dimensions and entries", self.rows, self.cols, *entries)
         if self.rows < 0 or self.cols < 0:
@@ -545,11 +544,16 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     W beside it (:func:`_hermite_and_transform`), so U = U_H W and
     V = V_H for the Smith transforms U_H, V_H of H.  H's entries lie
     below M = |det A|, and on dense input H is the identity but for a few
-    columns, so U and V stay within a small multiple of the size of M
-    (the module docstring gives the measured sizes).  Every other shape
-    runs on A beside the m x m identity, and there the transforms can
-    grow far past the diagonal; :func:`invariant_factors` finds the same
-    diagonal without them.
+    columns, so U and V stay within a small multiple of the size of M.
+    That envelope is measured, not proven: the benchmark's fixed dense
+    matrices (n = 16..25, entries in ±50) and the 40 x 40 one drawn from
+    ``random.Random(1)`` stay within 2 bits(M) + bits(n) bits, and over
+    about 13 000 random nonsingular inputs (n <= 40; entries in ±2, ±50
+    and ±10^6, and products with planted torsion) the largest had
+    3.9 bits(M) + bits(n) bits, from the few columns where H's diagonal
+    is not 1.  Every other shape runs on A beside the m x m identity, and
+    there the transforms can grow far past the diagonal;
+    :func:`invariant_factors` finds the same diagonal without them.
     """
     m, n = a.rows, a.cols
     mat = _hermite_and_transform(a) if m == n else None

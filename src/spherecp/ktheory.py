@@ -87,7 +87,8 @@ class Delta1Class:
     K-class on the sphere K-ring; over an odd sphere the K-ring is Z and
     the matrix collapses to the 1x1 matrix [rank].  The base-d scalar
     tensor factor is implicit (the invariant acts on it as the identity),
-    which keeps every comparison inside integer matrices.
+    which keeps every comparison inside integer matrices.  Construction
+    checks the matrix against :func:`_class_matrix`.
     """
 
     sphere_dim: int
@@ -103,18 +104,11 @@ class Delta1Class:
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
         m = self.matrix
-        if self.sphere_dim % 2 == 0:
-            ok = (
-                (m.rows, m.cols) == (2, 2)
-                and m[0, 0] == self.base
-                and m[1, 1] == self.base
-                and m[0, 1] == 0
-            )
-            if not ok:
+        c = m[m.rows - 1, 0] if m.rows and m.cols else 0  # the lower-left entry
+        if m != _class_matrix(self.sphere_dim, self.base, c):
+            if self.sphere_dim % 2 == 0:
                 raise ValueError("even-sphere invariant must be [[d, 0], [c, d]] with d = base")
-        else:
-            if (m.rows, m.cols) != (1, 1) or m[0, 0] != self.base:
-                raise ValueError("odd-sphere invariant must be the 1x1 matrix [base]")
+            raise ValueError("odd-sphere invariant must be the 1x1 matrix [base]")
 
     def __str__(self) -> str:
         return f"{self.matrix.to_text()} base={self.base}"

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from oracles import random_cuntz_element
 
 from spherecp import cli
-from spherecp.bundles import SphereBundleSpec
-from spherecp.classify import classify_report
+from spherecp.bundles import BundleSpecError, SpecFormatError, SphereBundleSpec
+from spherecp.classify import ComparisonError, classify_report
 from spherecp.cli import TABLE_ROWS_BUDGET, _table_row, main, render_structured
-from spherecp.fgab import parse_matrix
+from spherecp.cuntz_words import BaseMismatchError, ExpressionParseError
+from spherecp.fgab import MatrixParseError, SpherecpInputError, parse_matrix
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,13 @@ class TestKGroups:
         code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
         assert code == 1 and out == ""
         assert "LITERAL_DIGITS_BUDGET" in err and "set_int_max_str_digits" not in err
+
+    def test_spec_file_not_text(self, capsys, tmp_path):
+        p = tmp_path / "b.json"
+        p.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read bundle spec file:")
 
     def test_spec_file_conflicts_with_flags(self, capsys, tmp_path):
         p = tmp_path / "b.json"
@@ -400,15 +408,24 @@ class TestHarness:
         assert run_cli(capsys, "kgroups", "--sphere", "4", "--rank", "3", "--zap")[0] == 1
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
-        # anything but bad input or a domain refusal is exit code 2
-        def broken(args):
-            raise RuntimeError("boom")
+        # anything but bad input or a domain refusal is exit code 2; only a
+        # SpherecpInputError is bad input, so a stray ValueError is a fault too
+        for error in (RuntimeError, ValueError):
+            def broken(args, error=error):
+                raise error("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "snf", broken)
-        code, out, err = run_cli(capsys, "snf", "1,2;3,4")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("internal error: RuntimeError: boom")
+            monkeypatch.setitem(cli._COMMANDS, "snf", broken)
+            code, out, err = run_cli(capsys, "snf", "1,2;3,4")
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"internal error: {error.__name__}: boom")
+
+    def test_input_errors_share_one_base(self):
+        for error in (BundleSpecError, SpecFormatError, ComparisonError, BaseMismatchError,
+                      ExpressionParseError, MatrixParseError, cli.CliError):
+            assert issubclass(error, SpherecpInputError)
+        assert SpherecpInputError("bad").position is None
+        assert str(SpherecpInputError("bad", 3)) == "bad (at position 3)"
 
     def test_structured_round_trip_byte_identical(self, capsys):
         cases = [

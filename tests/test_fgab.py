@@ -673,6 +673,14 @@ class TestIntMatrix:
             IntMatrix.from_rows([], cols=2.5)
         assert IntMatrix.from_rows([[2, 1]]).entries == ((2, 1),)
 
+    def test_entries_are_stored_as_tuples(self):
+        # list entries compare and hash like the tuples from_rows stores
+        a = IntMatrix(1, 1, [[2]])
+        assert a.entries == ((2,),)
+        assert a == IntMatrix.from_rows([[2]]) and hash(a) == hash(IntMatrix.from_rows([[2]]))
+        b = IntMatrix(2, 2, ([1, 0], [0, 1]))
+        assert b == IntMatrix.identity(2) and b.det() == 1
+
 
 def leibniz_det(rows):
     """Determinant as the signed sum over permutations; no elimination."""

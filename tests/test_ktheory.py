@@ -111,3 +111,24 @@ class TestDelta1Class:
             Delta1Class(0, 2, IntMatrix.from_rows([[2]]))
         with pytest.raises(ValueError, match="base must be at least 2"):
             Delta1Class(4, 1, IntMatrix.from_rows([[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("sphere, rows", [
+        (4, [[3, 1], [1, 3]]), (4, [[3, 0], [1, 2]]), (4, [[2, 0], [1, 3]]), (4, [[3]]),
+        (4, [[3, 0, 0], [1, 3, 0], [0, 0, 3]]), (5, [[4]]), (5, [[3, 0], [0, 3]]),
+    ])
+    def test_refusal_messages(self, sphere, rows):
+        expected = {
+            0: "even-sphere invariant must be [[d, 0], [c, d]] with d = base",
+            1: "odd-sphere invariant must be the 1x1 matrix [base]",
+        }[sphere % 2]
+        with pytest.raises(ValueError) as err:
+            Delta1Class(sphere, 3, IntMatrix.from_rows(rows))
+        assert str(err.value) == expected
+
+    @given(st.integers(1, 4), st.integers(2, 9), ints)
+    def test_accepts_the_class_matrix(self, half, d, c):
+        # any lower-left entry on an even sphere, list entries included
+        even = Delta1Class(2 * half, d, IntMatrix(2, 2, [[d, 0], [c, d]]))
+        assert even == delta1_class(SphereBundleSpec(2 * half, d, c))
+        odd = Delta1Class(2 * half - 1, d, IntMatrix(1, 1, [[d]]))
+        assert odd == delta1_class(SphereBundleSpec(2 * half - 1, d))

@@ -55,3 +55,14 @@ def test_int_str_limit_is_never_set(path):
 def test_user_input_never_meets_the_unchecked_constructor(name):
     # user input enters here, so every value must pass a public constructor's checks
     assert "_trusted" not in _names(PACKAGE / name)
+
+
+def test_one_unchecked_constructor():
+    # every value built without checks goes through fgab._trusted
+    defined = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted"
+    ]
+    assert defined == ["fgab.py"]

@@ -1,16 +1,20 @@
 """Values the library builds without checks pass every check of their public constructor.
 
-``fgab._trusted`` skips ``__post_init__`` for values derived from already
-validated ones.  Each such value is rebuilt here through the public
-constructors, which run every check, and must be accepted and compare equal.
+``fgab._trusted`` skips ``__post_init__`` (and ``CuntzElement.__init__``)
+for values derived from already validated ones.  Each such value is rebuilt
+here through the public constructors, which run every check, and must be
+accepted and compare equal.
 """
 
 import dataclasses
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_cuntz_element
 
 from spherecp.bundles import SphereBundleSpec
+from spherecp.cuntz_words import CuntzElement, parse_expression
 from spherecp.fgab import IntMatrix, cokernel, kernel, smith_normal_form
 from spherecp.ktheory import delta1_class
 from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
@@ -64,3 +68,33 @@ def test_spec_results_pass_the_checks(spec):
     assert_valid(k_groups(spec))
     if spec.sphere_dim % 2 == 0:
         assert_valid(k_groups_trivial(spec.sphere_dim, spec.rank))
+
+
+@st.composite
+def element_pairs(draw):
+    base = draw(st.integers(2, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    return random_cuntz_element(rng, base), random_cuntz_element(rng, base)
+
+
+def assert_valid_element(x):
+    copy = CuntzElement(x.base, x.terms())
+    assert copy == x
+    assert hash(copy) == hash(x)
+    assert all(x.terms().values())  # the checked route drops zero coefficients
+
+
+@given(element_pairs(), st.integers(-2, 2), st.fractions(max_denominator=4))
+@settings(max_examples=200, deadline=None)
+def test_word_results_pass_the_checks(pair, k, scalar):
+    x, y = pair
+    parsed = parse_expression(x.base, str(x))
+    depth = max(len(nu) for _, nu in x.terms()) + 1
+    results = [
+        parsed, x * y, x * scalar, x * Fraction(0), scalar * x, x + y, x - x, -x,
+        x.star(), x.normal_form(), (x + y).normal_form(), x.spectral_component(k),
+        x.expand(depth), (x - x.normal_form()).expand(depth),
+    ]
+    for result in results:
+        assert_valid_element(result)
+    assert results[-1].is_zero  # x - normal_form(x) is 0, and refined terms are independent
