@@ -20,7 +20,7 @@ from pathlib import Path
 # Prefer the checkout's own package over any installed copy.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spherecp import CuntzElement, parse_expression  # noqa: E402
+from spherecp import parse_expression  # noqa: E402
 
 
 IDENTITIES = [
@@ -39,12 +39,13 @@ IDENTITIES = [
 
 def build_cases(d: int):
     unit_terms = " + ".join(f"s{i} s{i}*" for i in range(1, d + 1))
-    refined = CuntzElement.unit(d).expand(2)
+    # the unit resolution applied twice: s_i s_j s_j* s_i* over all d^2 pairs
+    refined = " + ".join(f"s{i} s{j} s{j}* s{i}*" for i in range(1, d + 1) for j in range(1, d + 1))
     for name, left, right, expected in IDENTITIES:
         if name == "unit resolution":
             built = parse_expression(d, unit_terms)
         elif name.startswith("refined unit resolution"):
-            built = refined
+            built = parse_expression(d, refined)
         else:
             built = parse_expression(d, left)
         yield name, built, parse_expression(d, right), expected

@@ -14,6 +14,7 @@ class over the given sphere.  Reports downstream repeat this caveat.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,9 @@ def k_class(spec: SphereBundleSpec) -> TruncPoly:
     return TruncPoly(spec.rank, spec.euler_param)
 
 
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
 def parse_spec(text: str) -> SphereBundleSpec:
     """Parse a JSON bundle spec: {"sphere_dim": n, "rank": d, "euler": c}.
 
@@ -103,8 +107,13 @@ def parse_spec(text: str) -> SphereBundleSpec:
     to catch typos early.  An integer longer than
     :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is refused.
     Building the spec validates it, so a spec that violates the domain
-    restrictions raises here.
+    restrictions raises here.  A spec is one flat object, so text with a
+    second bracket outside its strings is refused before ``json.loads``
+    could exhaust the recursion limit on it.
     """
+    bare = _JSON_STRING.sub("", text)
+    if bare.count("{") + bare.count("[") > 1:
+        raise SpecFormatError("bundle spec nests deeper than one flat JSON object")
     try:
         raw = json.loads(text, parse_int=lambda lit: _literal_int(lit, None, SpecFormatError))
     except json.JSONDecodeError as exc:

@@ -23,9 +23,7 @@ unit relation rewrites it in one step:
 
 :meth:`CuntzElement.normal_form` applies this to every term, at most
 1 + k·(d-1) output terms per input term, and :meth:`CuntzElement.equals`
-compares normal forms.  :meth:`CuntzElement.expand`, which refines every
-term to one common adjoint length at a cost of d^depth terms, stays as
-an independent cross-check.
+compares normal forms.
 
 Coefficients are exact rationals (``fractions.Fraction``); nothing here
 is approximate.
@@ -33,7 +31,6 @@ is approximate.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -270,28 +267,6 @@ class CuntzElement:
                         _add_term(out, (a + (i,), b + (i,)), -c)
             _add_term(out, (mu, nu), c)
         return _trusted(CuntzElement, _base=d, _coeffs=out)
-
-    def expand(self, depth: int) -> "CuntzElement":
-        """Rewrite so every adjoint part has length exactly ``depth``.
-
-        Uses S_mu S_nu* = sum of S_{mu w} S_{nu w}* over all |w| =
-        depth - |nu|; requires depth >= every current |nu|.  The result
-        has d^(depth - |nu|) terms per input term.  It is equal to
-        ``self`` in the algebra, and at a common depth the refined
-        monomials are linearly independent, so comparing expansions is a
-        slow, independent check of :meth:`equals`.
-        """
-        _require_int("depth", depth)
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (mu, nu), c in self._coeffs.items():
-            gap = depth - len(nu)
-            if gap < 0:
-                raise ValueError(
-                    f"cannot expand to depth {depth}: a term already has adjoint length {len(nu)}"
-                )
-            for w in itertools.product(range(1, self._base + 1), repeat=gap):
-                _add_term(out, (mu + w, nu + w), c)
-        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
 
     def equals(self, other: "CuntzElement") -> bool:
         """Equality in the algebra (decides the unit relation, not just form).

@@ -10,16 +10,15 @@ point (and no numerical library) is involved anywhere.  Two eliminations
 do the work.  A Hermite sweep, modulo a nonzero minor M, puts a lattice
 in triangular form with no entry reaching M.  An exact loop diagonalizes
 the leading block of a work matrix, and whatever is stored beside or
-below that block rides along with its row and column operations;
-:func:`smith_normal_form` keeps the transforms there.  For a square
-nonsingular A the block is the Hermite form H = W A, swept modulo
-M = |det A|, and W comes from one exact solve.  The size of U and V is
-measured, not proven; :func:`smith_normal_form` states the envelope.
-Every other shape, rectangular or square and singular, runs on A itself
-beside identities, and there the transforms grow far past the diagonal.
-:func:`invariant_factors`, behind :func:`cokernel`, needs no transforms
-and runs only the sweep, on A modulo a nonzero minor M and then on
-transposes, unless the gcd of the entries already gives every factor.
+below that block rides along with its row and column operations.
+:func:`smith_normal_form` has one route for every shape: Hermite forms
+of two square nonsingular matrices built from A compress it to an
+r x r core, r = rank A, whose transforms ride along as the loop
+diagonalizes it.  The size of U and V is measured, not proven;
+:func:`smith_normal_form` states the envelope.  :func:`invariant_factors`,
+behind :func:`cokernel`, needs no transforms and runs only the sweep, on
+A modulo a nonzero minor M and then on transposes, unless the gcd of the
+entries already gives every factor.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -166,7 +165,7 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        rank, minor, _ = _bareiss(self.entries, self.cols)
+        rank, minor, _, _ = _bareiss(self.entries, self.cols)
         return minor if rank == self.rows else 0
 
     def to_text(self) -> str:
@@ -242,14 +241,17 @@ def parse_matrix(text: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int, list[list[int]]]:
-    """Rank r, one nonzero r x r minor and the eliminated rows, by Bareiss elimination.
+def _bareiss(entries: Sequence[Sequence[int]],
+             cols: int) -> tuple[int, int, list[list[int]], tuple[list[int], list[int]]]:
+    """Rank r, one nonzero r x r minor, the eliminated rows and the pivot order, by Bareiss elimination.
 
     Fraction-free elimination with row and column swaps: after step k the
     pivot is the leading (k+1) x (k+1) minor of the swapped matrix, so
     every division is exact and no entry outgrows a minor.  The sign
     follows the swaps, so for a nonsingular square matrix the minor is
-    the determinant.  Rank 0 gives the empty minor 1.
+    the determinant.  Rank 0 gives the empty minor 1.  The pivot order
+    is the input's row indices and column indices as the swaps left them;
+    the first r of each name the rows and columns of the minor.
 
     Pivots are sought in the first ``cols`` columns only, but row
     operations act on whole rows: each eliminated row is one integer
@@ -258,6 +260,7 @@ def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int, lis
     """
     a = [list(row) for row in entries]
     m = len(a)
+    row_order, col_order = list(range(m)), list(range(cols))
     sign = prev = 1
     for k in range(min(m, cols)):
         for j in range(k, cols):  # the first nonzero entry, column by column
@@ -268,13 +271,15 @@ def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int, lis
                 continue
             break
         else:
-            return k, sign * prev, a
+            return k, sign * prev, a, (row_order, col_order)
         if i != k:
             a[k], a[i] = a[i], a[k]
+            row_order[k], row_order[i] = row_order[i], row_order[k]
             sign = -sign
         if j != k:
             for row in a:
                 row[k], row[j] = row[j], row[k]
+            col_order[k], col_order[j] = col_order[j], col_order[k]
             sign = -sign
         pivot_row = a[k]
         p = pivot_row[k]
@@ -286,7 +291,7 @@ def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int, lis
                 row[j] = (row[j] * p - x * pivot_row[j]) // prev
             row[k] = 0
         prev = p
-    return min(m, cols), sign * prev, a
+    return min(m, cols), sign * prev, a, (row_order, col_order)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -399,8 +404,8 @@ class SnfDecomposition:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
 
-def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
-    """Diagonalize the leading m x n block of ``mat`` exactly, in place.
+def _diagonalize(mat: list[list[int]], n: int) -> None:
+    """Diagonalize the leading n x n block of ``mat``, a nonsingular matrix, exactly, in place.
 
     Pivot choice is deterministic: the first entry of minimal absolute
     value in the working submatrix (row-major scan).  Entries that the
@@ -409,7 +414,7 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
 
     Row operations act on whole rows and column operations on every row
     from the pivot down, so whatever ``mat`` holds past column n of the
-    first m rows, or in rows past m, rides along with the elimination;
+    first n rows, or in rows past n, rides along with the elimination;
     :func:`smith_normal_form` keeps U and V there.
     """
     t = 0  # the pivot position; rows above t are zero from column t on
@@ -428,9 +433,9 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
             ct, cj = row[t], row[j]
             row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
 
-    def min_pos() -> tuple[int, int] | None:
+    def min_pos() -> tuple[int, int]:
         best: tuple[int, int, int] | None = None
-        for i in range(t, m):
+        for i in range(t, n):
             row = mat[i]
             for j in range(t, n):
                 x = row[j]
@@ -438,19 +443,16 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
                     best = (abs(x), i, j)
                     if best[0] == 1:
                         return i, j
-        return None if best is None else (best[1], best[2])
+        return best[1], best[2]  # the block is nonsingular, so some entry is nonzero
 
-    while t < min(m, n):
-        pos = min_pos()
-        if pos is None:
-            break
-        i0, j0 = pos
+    while t < n:
+        i0, j0 = min_pos()
         mat[t], mat[i0] = mat[i0], mat[t]
         if j0 != t:
             for row in mat[t:]:
                 row[t], row[j0] = row[j0], row[t]
         while True:
-            for i in range(t + 1, m):
+            for i in range(t + 1, n):
                 b = mat[i][t]
                 if not b:
                     continue
@@ -474,7 +476,7 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
                 else:
                     g, s0, s1 = _egcd(p, b)
                     col_pair(j, s0, s1, -(b // g), p // g)
-            if any(mat[i][t] for i in range(t + 1, m)):
+            if any(mat[i][t] for i in range(t + 1, n)):
                 # a Bezout column transform re-dirtied the pivot column;
                 # each such transform shrinks |pivot|, so this terminates
                 continue
@@ -482,7 +484,7 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
             if abs(p) == 1:  # a unit divides the rest of the submatrix
                 break
             bad = next(
-                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if mat[i][j] % p),
+                ((i, j) for i in range(t + 1, n) for j in range(t + 1, n) if mat[i][j] % p),
                 None,
             )
             if bad is None:
@@ -495,23 +497,28 @@ def _diagonalize(mat: list[list[int]], m: int, n: int) -> None:
         t += 1
 
 
-def _hermite_and_transform(a: IntMatrix) -> list[list[int]] | None:
-    """Rows of [H | W] with H = W A the Hermite form of square ``a``; None if singular.
+def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
+    """:func:`_bareiss` of the rows of [A^T | I_n] for the m x n ``a``, pivots among its m columns.
 
-    One Bareiss elimination of the rows of [A^T | I] gives det A and
-    [T | F] with F A^T = T upper triangular.  :func:`_hermite_mod` then
-    finds H modulo |det A|, and W^T solves A^T W^T = H^T, that is
-    T W^T = F H^T; W is integral (H's rows lie in the row lattice of A),
-    so back substitution divides exactly.  W is unimodular because H and
-    A span the same lattice.
+    The rows are A's columns, so the pivot order lists A's pivot columns, then its pivot rows.
     """
-    n = a.rows
-    rank, det, tf = _bareiss(
-        [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*a.entries))], n
-    )
-    if rank < n:
-        return None
-    h = _hermite_mod(a.entries, abs(det))
+    columns = list(zip(*a)) or [()] * n  # with no rows, A still has n columns
+    return _bareiss([list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(columns)], len(a))
+
+
+def _hermite_and_transform(a: Sequence[Sequence[int]], eliminated=None) -> list[list[int]]:
+    """Rows of [H | W] with H = W A the Hermite form of square nonsingular ``a``.
+
+    One Bareiss elimination of the rows of [A^T | I] (``eliminated``, if
+    the caller has run it) gives det A and [T | F] with F A^T = T upper
+    triangular.  :func:`_hermite_mod` then finds H modulo |det A|, and
+    W^T solves A^T W^T = H^T, that is T W^T = F H^T; W is integral (H's
+    rows lie in the row lattice of A), so back substitution divides
+    exactly.  W is unimodular because H and A span the same lattice.
+    """
+    n = len(a)
+    _, det, tf, _ = eliminated or _transposed_bareiss(a, n)
+    h = _hermite_mod(a, abs(det))
     f_cols = list(zip(*tf))[n:]
     fh = []  # columns of F H^T, one per row of H
     for hc in h:
@@ -534,37 +541,70 @@ def _hermite_and_transform(a: IntMatrix) -> list[list[int]] | None:
     return [hi + list(wi) for hi, wi in zip(h, zip(*x))]
 
 
+def _compress(x: Sequence[Sequence[int]], pivots: list[int]) -> list[list[int]]:
+    """Rows of [H | W] for the square [X | e_i for each row i of X not in ``pivots``].
+
+    X has full column rank r and its rows ``pivots`` are independent, so
+    the square matrix is nonsingular, and W X = [H_11; 0] with H_11 the
+    leading r x r block of H.
+    """
+    others = sorted(set(range(len(x))) - set(pivots))
+    return _hermite_and_transform([[*row, *(int(i == j) for j in others)] for i, row in enumerate(x)])
+
+
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Diagonalize ``a`` over the integers: find unimodular U, V with U A V = D.
 
-    The elimination runs on a block with a left transform appended to its
-    rows and the n x n identity stacked below it; the row operations turn
-    the first into U and the column operations turn the second into V.
-    For a square nonsingular A the block is its Hermite form H = W A with
-    W beside it (:func:`_hermite_and_transform`), so U = U_H W and
-    V = V_H for the Smith transforms U_H, V_H of H.  H's entries lie
-    below M = |det A|, and on dense input H is the identity but for a few
-    columns, so U and V stay within a small multiple of the size of M.
-    That envelope is measured, not proven: the benchmark's fixed dense
-    matrices (n = 16..25, entries in ±50) and the 40 x 40 one drawn from
-    ``random.Random(1)`` stay within 2 bits(M) + bits(n) bits, and over
-    about 13 000 random nonsingular inputs (n <= 40; entries in ±2, ±50
-    and ±10^6, and products with planted torsion) the largest had
-    3.9 bits(M) + bits(n) bits, from the few columns where H's diagonal
-    is not 1.  Every other shape runs on A beside the m x m identity, and
-    there the transforms can grow far past the diagonal;
-    :func:`invariant_factors` finds the same diagonal without them.
+    One route serves every shape.  Bareiss elimination of the rows of
+    [A^T | I] finds the rank r and a nonzero r x r minor M of A, on its
+    pivot rows P and columns Q.  Two compressions to a nonsingular core
+    follow (Storjohann, ETH thesis 2000), each a Hermite form of a square
+    nonsingular matrix (:func:`_hermite_and_transform`):
+
+    * if r < n, the columns of A^T at P beside the unit columns e_j,
+      j not in Q, give W' with A W'^T = [B | 0];
+    * B beside the unit rows e_i, i not in P, gives W with W B = [H_11; 0].
+
+    An exact loop then diagonalizes the r x r block H_11, U_H H_11 V_H = D_11,
+    with W's first r rows beside it and W'^T's first r columns below it,
+    so U = diag(U_H, I) W and V = W'^T diag(V_H, I) come out with no
+    separate product.  A square nonsingular A is the case r = m = n: both
+    paddings are empty and the first elimination is the Hermite form's own.
+
+    Each Hermite form runs modulo its determinant, a divisor of M, so no
+    entry of H reaches M.  The size of U and V is measured, not proven.
+    Over about 13 000 random square nonsingular inputs (n <= 40; entries
+    in ±2, ±50 and ±10^6, and products with planted torsion) the largest
+    entry had 3.9 bits(M) + bits(n) bits.  Over 1050 random rectangular
+    and rank-deficient inputs up to 40 x 40 (entries in ±2, ±7 and ±50,
+    half with planted rank) it had 3.7 bits(M) + bits(max(m, n)) bits,
+    and at most 1.8 times the bits of Hadamard's bound on the r x r
+    minors.  M itself is no bound: the last n - r columns of V are a
+    kernel basis, which can need entries as large as the largest r x r
+    minor, and M may be smaller.
+    :func:`invariant_factors` finds the same diagonal without transforms.
     """
     m, n = a.rows, a.cols
-    mat = _hermite_and_transform(a) if m == n else None
-    if mat is None:
-        mat = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
-    mat += [[int(i == j) for j in range(n)] for i in range(n)]
-    _diagonalize(mat, m, n)
+    r, _, _, (q, p) = eliminated = _transposed_bareiss(a.entries, n)  # A's pivot columns q, rows p
+    wt = [[int(i == j) for j in range(n)] for i in range(n)]  # W'^T
+    if r == m == n:
+        hw = _hermite_and_transform(a.entries, eliminated)
+    else:
+        b = a.entries
+        if r < n:  # the last n - r columns of W'^T span the kernel of A
+            w = [row[n:] for row in _compress([[a.entries[i][j] for i in p[:r]] for j in range(n)], q[:r])]
+            wt = [list(col) for col in zip(*w)]
+            b = [[sum(x * y for x, y in zip(row, wk)) for wk in w[:r]] for row in a.entries]
+        hw = _compress(b, p[:r])
+    mat = [h[:r] + h[m:] for h in hw[:r]] + [row[:r] for row in wt]
+    _diagonalize(mat, r)
+    u = [row[r:] for row in mat[:r]] + [h[m:] for h in hw[r:]]
+    d = [[mat[i][i] if i == j < r else 0 for j in range(n)] for i in range(m)]
+    v = [row + w[r:] for row, w in zip(mat[r:], wt)]
     return SnfDecomposition(
-        U=_trusted(IntMatrix, rows=m, cols=m, entries=tuple(tuple(row[n:]) for row in mat[:m])),
-        D=_trusted(IntMatrix, rows=m, cols=n, entries=tuple(tuple(row[:n]) for row in mat[:m])),
-        V=_trusted(IntMatrix, rows=n, cols=n, entries=tuple(map(tuple, mat[m:]))),
+        U=_trusted(IntMatrix, rows=m, cols=m, entries=tuple(map(tuple, u))),
+        D=_trusted(IntMatrix, rows=m, cols=n, entries=tuple(map(tuple, d))),
+        V=_trusted(IntMatrix, rows=n, cols=n, entries=tuple(map(tuple, v))),
     )
 
 
@@ -611,7 +651,7 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 6]]))
     ((2,), 1)
     """
-    rank, minor, _ = _bareiss(a.entries, a.cols)
+    rank, minor, _, _ = _bareiss(a.entries, a.cols)
     # the gcd of the entries, a row at a time: gcd(*chain(...)) left about
     # 144 KB of argument tuples in CPython's free list, raising peak RSS
     g = 0

@@ -3,9 +3,11 @@
 The main route presents both K-groups of the algebra of sections from a
 single integer matrix: multiplication by 1 - [E] on the K-group of the
 base sphere, built by :func:`spherecp.ktheory._class_matrix`.  By
-Pimsner's exact sequence K0 is its cokernel and K1 its kernel -- the
-kernel is *computed*, never assumed trivial, though injectivity makes it
-vanish for every admissible rank.
+Pimsner's exact sequence K0 is its cokernel and K1 its kernel.  One
+:func:`~spherecp.fgab.cokernel` call gives both: the kernel of a map
+between free groups is free, of rank cols - rank, which is the
+cokernel's free rank.  K1 is read from that rank, never assumed
+trivial, though injectivity makes it vanish for every admissible rank.
 
 For the trivial bundle over an even sphere there is a second, closed-form
 route (a Künneth-style product formula) exposed as

@@ -150,6 +150,29 @@ def is_divisor_chain(diagonal: tuple[int, ...]) -> bool:
     return all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
 
+def expand(x, depth: int):
+    """``x`` rewritten so every adjoint part has length exactly ``depth``.
+
+    Applies S_mu S_nu* = sum of S_{mu w} S_{nu w}* over all |w| =
+    depth - |nu|, so every |nu| must be at most ``depth``; each term
+    becomes d^(depth - |nu|) terms.  At a common depth the refined
+    monomials are linearly independent, so comparing expansions decides
+    equality in the algebra without the library's normal form, at a cost
+    exponential in the depth.
+    """
+    import itertools
+
+    from spherecp.cuntz_words import CuntzElement
+
+    out = {}
+    for (mu, nu), c in x.terms().items():
+        if depth < len(nu):
+            raise ValueError(f"cannot expand to depth {depth}: a term has adjoint length {len(nu)}")
+        for w in itertools.product(range(1, x.base + 1), repeat=depth - len(nu)):
+            out[mu + w, nu + w] = out.get((mu + w, nu + w), 0) + c
+    return CuntzElement(x.base, out)
+
+
 # -- generation helpers (not oracles, but shared by several suites) ---------
 
 

@@ -126,6 +126,13 @@ class TestSpecFiles:
         with pytest.raises(SpecFormatError):
             parse_spec("[4, 3, 1]")
 
+    def test_nesting_refused_before_json_reads_it(self):
+        with pytest.raises(SpecFormatError, match="nests deeper"):
+            parse_spec('{"sphere_dim": 4, "rank": [3]}')
+        # brackets inside strings are not nesting: the unknown field is named
+        with pytest.raises(SpecFormatError, match=r"unknown bundle spec fields: a\[\{"):
+            parse_spec('{"sphere_dim": 4, "rank": 3, "a[{": "]\\"["}')
+
     def test_bad_json_rejected(self):
         with pytest.raises(SpecFormatError):
             parse_spec("{sphere_dim: 4")

@@ -116,6 +116,14 @@ class TestKGroups:
         assert code == 1 and out == ""
         assert "LITERAL_DIGITS_BUDGET" in err and "set_int_max_str_digits" not in err
 
+    def test_spec_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        # json.loads raised RecursionError on this, and kgroups exited 2
+        p = tmp_path / "b.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bundle spec nests deeper than one flat JSON object")
+
     def test_spec_file_not_text(self, capsys, tmp_path):
         p = tmp_path / "b.json"
         p.write_bytes(b"\xff\xfe{")
