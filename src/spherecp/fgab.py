@@ -16,9 +16,11 @@ of two square nonsingular matrices built from A compress it to an
 r x r core, r = rank A, whose transforms ride along as the loop
 diagonalizes it.  The size of U and V is measured, not proven;
 :func:`smith_normal_form` states the envelope.  :func:`invariant_factors`,
-behind :func:`cokernel`, needs no transforms and runs only the sweep, on
-A modulo a nonzero minor M and then on transposes, unless the gcd of the
-entries already gives every factor.
+behind :func:`cokernel`, needs no transforms.  It reads the factors off
+determinantal divisors when the gcd of the entries and the minors that
+Bareiss elimination leaves decide them, as on every 2 x 2 matrix;
+otherwise it runs only the sweep, on A modulo a nonzero minor M and then
+on transposes.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -501,9 +503,13 @@ def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
     """:func:`_bareiss` of the rows of [A^T | I_n] for the m x n ``a``, pivots among its m columns.
 
     The rows are A's columns, so the pivot order lists A's pivot columns, then its pivot rows.
+    Only a square A's Hermite form reads the image F of I_n, so a
+    non-square A's rows carry no identity; the pivots, which never look
+    past column m, are the same.
     """
     columns = list(zip(*a)) or [()] * n  # with no rows, A still has n columns
-    return _bareiss([list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(columns)], len(a))
+    width = n if len(a) == n else 0
+    return _bareiss([list(col) + [int(i == j) for j in range(width)] for i, col in enumerate(columns)], len(a))
 
 
 def _hermite_and_transform(a: Sequence[Sequence[int]], eliminated=None) -> list[list[int]]:
@@ -637,11 +643,18 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     * d_1 ... d_r, the gcd of the r x r minors, divides M;
     * so g**r = M forces d_1 ... d_r = g**r, and each d_i = g.
 
-    Rank 0 and M = 1 are cases of this exit.  Otherwise, since every d_i
-    divides M, the rows of ``a`` plus M*Z^cols span a lattice with
-    invariant factors d_1..d_r and cols - r copies of M (Domich, Kannan,
-    Trotter, Math. Oper. Res. 12 (1987)), which :func:`_echelon_mod`
-    makes triangular modulo M.  The sweep runs again on the transpose
+    Rank 0 and M = 1 are cases of this exit.  A square nonsingular n x n
+    ``a`` has a second exit, by the same divisors D_k = d_1 ... d_k.
+    D_n = M, and g**(n-1) divides D_(n-1), which divides gcd(c, M) for c
+    the gcd of any (n-1) x (n-1) minors.  At n = 2 the entries are all the
+    1 x 1 minors, so c = g; at n >= 3, c is the gcd of the two minors that
+    Bareiss elimination leaves in its row n-2.  When gcd(c, M) = g**(n-1),
+    the factors are g, n-1 times, then M / g**(n-1); so no 2 x 2 matrix
+    of rank 2 reaches the sweep.  Otherwise, since every d_i divides M,
+    the rows of ``a`` plus M*Z^cols span a lattice with invariant factors
+    d_1..d_r and cols - r copies of M (Domich, Kannan, Trotter, Math.
+    Oper. Res. 12 (1987)), which :func:`_echelon_mod` makes triangular
+    modulo M.  The sweep runs again on the transpose
     until each diagonal entry divides its row; column operations from
     the top row down would then clear the rows without touching the
     diagonal, whose divisor chain, less the copies of M, is the answer.
@@ -650,8 +663,10 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     ((2, 4), 2)
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 6]]))
     ((2,), 1)
+    >>> invariant_factors(IntMatrix.from_rows([[2, 0], [1, 2]]))
+    ((4,), 2)
     """
-    rank, minor, _, _ = _bareiss(a.entries, a.cols)
+    rank, minor, eliminated, _ = _bareiss(a.entries, a.cols)
     # the gcd of the entries, a row at a time: gcd(*chain(...)) left about
     # 144 KB of argument tuples in CPython's free list, raising peak RSS
     g = 0
@@ -660,6 +675,11 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     minor = abs(minor)
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
+    n = a.rows
+    if rank == n == a.cols:  # c: the gcd of the (n-1)-minors in hand
+        c = gcd(*eliminated[n - 2][n - 2:]) if n > 2 else g
+        if gcd(c, minor) == g ** (n - 1):
+            return ((g,) * (n - 1) if g > 1 else ()) + (minor // g ** (n - 1),), n
     h = _echelon_mod(a.entries, a.cols, minor)
     # the gcd of a row is its diagonal entry exactly when that entry divides the row
     while (diagonal := [row[k] for k, row in enumerate(h)]) != [gcd(*row) for row in h]:

@@ -26,6 +26,40 @@ def snf_2x2_oracle(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return (g, abs(det) // g)
 
 
+def determinantal_divisors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Smith's determinantal divisors D_1, ..., D_min(m, n) of a matrix with at most 4 rows or columns.
+
+    D_k is the gcd of every k x k minor, each minor expanded by Leibniz's
+    formula over all permutations; D_k = 0 past the rank.  The invariant
+    factors are then d_k = D_k / D_(k-1), with D_0 = 1.  Brute force:
+    C(m, k) C(n, k) k! terms for each k.
+    """
+    import itertools
+
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if min(m, n) > 4:
+        raise ValueError("oracle needs at most 4 rows or columns")
+
+    def leibniz(block: list[list[int]]) -> int:
+        total = 0
+        for perm in itertools.permutations(range(len(block))):
+            inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+            term = -1 if inversions % 2 else 1
+            for i, j in enumerate(perm):
+                term *= block[i][j]
+            total += term
+        return total
+
+    divisors = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                g = gcd(g, leibniz([[rows[i][j] for j in cs] for i in rs]))
+        divisors.append(g)
+    return tuple(divisors)
+
+
 def coset_count_2x2(matrix) -> int:
     """Order of Z^2 / (column lattice of a nonsingular 2x2 matrix).
 

@@ -23,6 +23,7 @@ import spherecp.fgab
 from spherecp import cli
 from oracles import (
     coset_count_2x2,
+    determinantal_divisors,
     invariant_factors_by_primes,
     is_divisor_chain,
     kernel_rank_by_enumeration,
@@ -266,6 +267,34 @@ def int_matrices(draw, max_dim=7, max_entry=30):
     return IntMatrix.from_rows(rows, cols=n)
 
 
+@st.composite
+def small_presentations(draw):
+    """Square matrices U D V with planted torsion, and non-square ones, with at most 4 rows or columns.
+
+    D is diagonal, a divisor chain of drawn rank with zeros after it, and
+    U, V are random unimodular matrices.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        rank = draw(st.integers(0, n))
+        chain, acc = [], 1
+        for _ in range(rank):
+            acc *= draw(st.sampled_from([1, 1, 2, 3, 4, 5, 12]))
+            chain.append(acc)
+        chain += [0] * (n - rank)
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        d = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return random_unimodular(rng, n, steps=3 * n) @ d @ random_unimodular(rng, n, steps=3 * n)
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if m == n:
+        n += 1
+    if draw(st.booleans()):
+        m, n = n, m
+    bound = draw(st.sampled_from([2, 12, 10**6]))
+    entry = st.integers(-bound, bound)
+    return IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
 class TestInvariantFactors:
     """The transform-free route, modulo a nonzero minor, against the SNF route."""
 
@@ -315,11 +344,30 @@ class TestInvariantFactors:
         monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
         assert invariant_factors(a) == expected
 
-    @pytest.mark.parametrize("rows", [[[2, 0], [0, 4]], [[2, 4], [6, 8]]])
-    def test_gcd_power_near_misses_still_sweep(self, rows, monkeypatch):
-        # g = 2 but |minor| = 8 != 2**2: the factors are (2, 4), found by the sweep
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2, 0], [0, 4]], ((2, 4), 2)),
+        ([[2, 4], [6, 8]], ((2, 4), 2)),
+        ([[2, 0], [1, 2]], ((4,), 2)),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 4]], ((4,), 3)),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 6]], ((2, 2, 6), 3)),
+    ], ids=["2,0;0,4", "2,4;6,8", "2,0;1,2", "1,0,0;0,1,0;0,0,4", "2,0,0;0,2,0;0,0,6"])
+    def test_gcd_power_near_misses_exit_by_determinants(self, rows, expected, monkeypatch):
+        # g**n != M, but gcd(c, M) = g**(n-1) for c the gcd of the (n-1)-minors
+        # in hand (the entries at n = 2): the factors are g, ..., g, M / g**(n-1)
         a = IntMatrix.from_rows(rows)
-        expected = self.expected_from_snf(a)  # before the patch: snf sweeps too
+        assert self.expected_from_snf(a) == expected  # before the patch: snf sweeps
+
+        def no_sweep(*args):
+            raise AssertionError("the determinantal-divisor exit should have answered")
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
+        assert invariant_factors(a) == expected
+
+    def test_undecided_minors_still_sweep(self, monkeypatch):
+        # g = 1 and M = 4; the 2-minors in Bareiss row 1 are 2 and 0, so
+        # gcd(c, M) = 2 != 1 leaves D_2 open (it is 2): the factors (2, 2) need the sweep
+        a = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        expected = self.expected_from_snf(a)
         sweep, calls = spherecp.fgab._echelon_mod, []
 
         def counted(*args):
@@ -327,8 +375,16 @@ class TestInvariantFactors:
             return sweep(*args)
 
         monkeypatch.setattr(spherecp.fgab, "_echelon_mod", counted)
-        assert invariant_factors(a) == expected == ((2, 4), 2)
+        assert invariant_factors(a) == expected == ((2, 2), 3)
         assert calls
+
+    @given(small_presentations())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_determinantal_divisors(self, a):
+        # d_k = D_k / D_(k-1), D_k the gcd of the k x k minors (Smith 1861), units dropped
+        divisors = [1, *(x for x in determinantal_divisors([list(row) for row in a.entries]) if x)]
+        factors = tuple(y // x for x, y in zip(divisors, divisors[1:]))
+        assert invariant_factors(a) == (tuple(f for f in factors if f > 1), len(factors))
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
         # rank 2 with minor 2: modulo 2 every nonzero pivot divides the entries

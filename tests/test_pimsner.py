@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+import spherecp.fgab
 from oracles import snf_2x2_oracle
 from spherecp.bundles import (
     NonpositiveDimension,
@@ -17,7 +18,7 @@ from spherecp.bundles import (
     RankTooSmall,
     SphereBundleSpec,
 )
-from spherecp.fgab import FgAbGroup, IntMatrix, group_order
+from spherecp.fgab import FgAbGroup, IntMatrix, cokernel, group_order
 from spherecp.pimsner import (
     EvenSphereRequired,
     k_groups,
@@ -107,6 +108,19 @@ class TestKGroups:
         for d, c in [(3, 1), (5, 2), (7, 0), (4, -3)]:
             groups = {k_groups(SphereBundleSpec(n, d, c)).k0 for n in (2, 4, 6, 8)}
             assert len(groups) == 1
+
+    def test_even_sphere_grid_never_sweeps(self, monkeypatch):
+        # every 2x2 presentation exits by determinants: d_1 = D_1, the gcd of
+        # the entries, and d_2 = |det| / d_1, so no modular sweep runs
+        def no_sweep(*args):
+            raise AssertionError("a 2x2 presentation reached the modular sweep")
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
+        for n in (2, 4):
+            for d in range(2, 40):
+                for c in range(-60, 61):
+                    a = pimsner_matrix(SphereBundleSpec(n, d, c))
+                    assert cokernel(a) == FgAbGroup.from_factors(snf_2x2_oracle(*a.entries[0], *a.entries[1]))
 
     def test_rank_two_blind_spot(self):
         # at rank 2 the K0 group is trivial no matter the euler parameter

@@ -66,3 +66,25 @@ def test_one_unchecked_constructor():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted"
     ]
     assert defined == ["fgab.py"]
+
+
+MEMOISERS = {"cache", "lru_cache", "cached_property"}
+
+
+def test_only_the_parser_is_memoised():
+    # the benchmark repeats identical rounds, so a cached result would read as a speedup
+    found = []
+    for path in SOURCES:
+        tree = _tree(path)
+        decorated = {}  # each node inside a decorator -> the decorated name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    decorated.update((id(sub), node.name) for sub in ast.walk(decorator))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in MEMOISERS:
+                found.append((path.name, decorated.get(id(node))))
+    assert found == [("cli.py", "build_parser")]
