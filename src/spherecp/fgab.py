@@ -36,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -198,20 +198,42 @@ def _literal_int(text: str, position: int | None, error: type[ValueError]) -> in
     raise error(f"integer literal of {digits} digits exceeds {limit}", position)
 
 
+_ROW_BREAK = re.compile(r"\][ \t\r\n]*,[ \t\r\n]*\[")
 _MATRIX_TOKEN = re.compile(  # "],[" ends a row like ";"; "bad" matches where nothing else does
-    r"[ \t\r\n]+|(?P<sep>[,;]|\][ \t\r\n]*,[ \t\r\n]*\[)|\[|\]|(?P<int>[+-]?\d+)|(?P<bad>.)", re.DOTALL
+    rf"[ \t\r\n]+|(?P<sep>[,;]|{_ROW_BREAK.pattern})|\[|\]|(?P<int>[+-]?\d+)|(?P<bad>.)", re.DOTALL
 )
+_PADDED_ENTRY = rf"[ \t\r\n\[\]]*[+-]?\d{{1,{LITERAL_DIGITS_BUDGET}}}[ \t\r\n\[\]]*"
+_MATRIX_TEXT = re.compile(rf"{_PADDED_ENTRY}(?:[,;]{_PADDED_ENTRY})*")
+_NO_BRACKETS = str.maketrans("[]", "  ")
 
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse matrix text like ``-2,0;-1,-2`` or ``[[-2,0],[-1,-2]]``.
 
     Rows are separated by ``;`` or ``],[``; other brackets and whitespace
-    are ignored.  The text is read in one pass; on bad text
-    :class:`MatrixParseError` reports the leftmost error with its
-    character position.  An entry longer than
+    are ignored.  Well-formed text is checked whole by one pattern and
+    split by ``str`` methods; any other text is scanned token by token
+    only to name its error.  :class:`MatrixParseError` reports the
+    leftmost error with its character position.  An entry longer than
     :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
+
+    >>> parse_matrix("[[-2, 0], [-1, -2]]").entries
+    ((-2, 0), (-1, -2))
     """
+    # the scan, too, reads "],[" as a row break wherever a "]" starts one
+    flat = _ROW_BREAK.sub(";", text)
+    if _MATRIX_TEXT.fullmatch(flat):
+        try:
+            rows = [tuple(map(int, row.split(","))) for row in flat.translate(_NO_BRACKETS).split(";")]
+        except ValueError:  # a literal past a lower int <-> str limit
+            rows = []
+        if len(set(map(len, rows))) == 1:
+            return IntMatrix.from_rows(rows)
+    _raise_matrix_text_error(text)
+
+
+def _raise_matrix_text_error(text: str) -> NoReturn:
+    """Raise the :class:`MatrixParseError` that names the leftmost error in ``text``."""
     rows: list[list[int]] = []
     current: list[int] = []
     expect_entry = True
@@ -240,7 +262,7 @@ def parse_matrix(text: str) -> IntMatrix:
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise MatrixParseError(f"row {idx + 1} has {len(row)} entries, expected {width}")
-    return IntMatrix.from_rows(rows)
+    raise AssertionError(f"the matrix pattern refused well-formed text {text!r}")
 
 
 def _bareiss(entries: Sequence[Sequence[int]],

@@ -56,8 +56,10 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     """Both K-groups of the bundle algebra, from the presentation matrix.
 
     K0 = cokernel, K1 = kernel, both read from one call to
-    :func:`~spherecp.fgab.cokernel` (elimination modulo a nonzero minor,
-    no Smith transforms): K1 is free of rank cols - rank, K0's free rank.
+    :func:`~spherecp.fgab.cokernel` (determinantal divisors, no Smith
+    transforms: the presentation is nonsingular and at most 2 x 2, so the
+    gcd of its entries and its determinant decide the factors):
+    K1 is free of rank cols - rank, K0's free rank.
     Since the rank is at least 2 the matrix is injective and K1 comes out
     trivial, but that is an output of the computation, not an input.
     """

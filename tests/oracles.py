@@ -8,6 +8,8 @@ Slow on purpose -- these only run on small inputs.
 
 from __future__ import annotations
 
+import re
+import sys
 from math import gcd
 
 
@@ -205,6 +207,73 @@ def expand(x, depth: int):
         for w in itertools.product(range(1, x.base + 1), repeat=depth - len(nu)):
             out[mu + w, nu + w] = out.get((mu + w, nu + w), 0) + c
     return CuntzElement(x.base, out)
+
+
+class MatrixTextError(ValueError):
+    """A refusal by :func:`parse_matrix_tokens`, worded as the library words it.
+
+    ``position`` is the 0-based offset of the error, or None for a ragged row.
+    """
+
+    def __init__(self, message: str, position=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+        self.position = position
+
+
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|(?P<sep>[,;]|\][ \t\r\n]*,[ \t\r\n]*\[)|\[|\]|(?P<int>[+-]?\d+)|(?P<bad>.)", re.DOTALL
+)
+
+
+def parse_matrix_tokens(text: str) -> list[list[int]]:
+    """The rows of matrix text, read one regex token at a time.
+
+    The library's parser as it was before it checked whole texts with
+    one pattern: ``;`` or ``],[`` ends a row, ``,`` an entry, other
+    brackets and whitespace are skipped, and the first token out of
+    place raises :class:`MatrixTextError` at its position.  A literal
+    past 4300 digits, or past a lower int <-> str limit that the process
+    has set, is refused at its position too.
+    """
+    rows: list[list[int]] = []
+    current: list[int] = []
+    expect_entry = True
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "int":
+            if not expect_entry:
+                raise MatrixTextError("expected ',' or ';' between entries", m.start())
+            literal = m.group()
+            digits = len(literal.lstrip("+-"))
+            if digits > 4300:
+                limit = "LITERAL_DIGITS_BUDGET (4300 digits)"
+            elif 0 < sys.get_int_max_str_digits() < digits:
+                limit = f"the interpreter's int <-> str limit ({sys.get_int_max_str_digits()} digits)"
+            else:
+                current.append(int(literal))
+                expect_entry = False
+                continue
+            raise MatrixTextError(f"integer literal of {digits} digits exceeds {limit}", m.start())
+        elif kind == "sep":
+            if expect_entry:
+                raise MatrixTextError("expected an integer entry", m.start())
+            if m.group() != ",":
+                rows.append(current)
+                current = []
+            expect_entry = True
+        elif kind == "bad":
+            raise MatrixTextError(f"unexpected character {m.group()!r}", m.start())
+    if expect_entry:
+        if not rows and not current:
+            raise MatrixTextError("matrix text contains no entries", 0)
+        raise MatrixTextError("matrix text ends with a dangling separator", len(text))
+    rows.append(current)
+    for idx, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise MatrixTextError(f"row {idx + 1} has {len(row)} entries, expected {len(rows[0])}")
+    return rows
 
 
 # -- generation helpers (not oracles, but shared by several suites) ---------

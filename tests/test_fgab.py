@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 import spherecp.fgab
 from spherecp import cli
 from oracles import (
+    MatrixTextError,
     coset_count_2x2,
     determinantal_divisors,
     invariant_factors_by_primes,
     is_divisor_chain,
     kernel_rank_by_enumeration,
+    parse_matrix_tokens,
     random_int_matrix,
     random_unimodular,
     snf_2x2_oracle,
@@ -681,6 +683,40 @@ class TestFgAbGroup:
         assert str(FgAbGroup(free_rank=2, torsion=(2, 6))) == "Z^2 + Z/2 + Z/6"
 
 
+MATRIX_ALPHABET = list("0123456789+-,;[] \t\r\n") + ["],[", "] ,\n[", "[[[", "]]]"]
+PADDING = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "[", "]", "[[[", "]]]"]), max_size=3).map("".join)
+ENTRIES = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(0, 99).map(lambda k: f"+{k}"),
+    st.integers(LITERAL_DIGITS_BUDGET - 1, LITERAL_DIGITS_BUDGET + 1).map(lambda n: "-" + "7" * n),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Padded entries joined by ",", ";" or "],[", then edited.
+
+    Entries carry signs, and some sit at the literal budget or one digit
+    past it; padding mixes whitespace and bracket runs.  Up to three
+    pieces of the matrix alphabet go in at drawn places, a drawn span may
+    be cut, and one foreign character may go in, so the texts run from
+    well formed through ragged to refused.
+    """
+    cells = draw(st.lists(st.tuples(PADDING, ENTRIES, PADDING).map("".join), max_size=12))
+    seps = st.sampled_from([",", ",", ";", "],[", "] ,\n["])
+    text = "".join((draw(seps) if i else "") + cell for i, cell in enumerate(cells))
+    for piece in draw(st.lists(st.sampled_from(MATRIX_ALPHABET), max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + text[at + draw(st.integers(0, 3)):]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.characters()) + text[at:]
+    return text
+
+
 class TestMatrixText:
     def test_parse_basic(self):
         assert parse_matrix("-2,0;-1,-2") == IntMatrix.from_rows([[-2, 0], [-1, -2]])
@@ -698,6 +734,55 @@ class TestMatrixText:
         # finditer skips no character and parse_matrix sees all of them
         spans = [m.span() for m in spherecp.fgab._MATRIX_TOKEN.finditer(text)]
         assert "".join(text[a:b] for a, b in spans) == text
+
+    @given(matrix_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_property_matches_the_token_scan(self, text):
+        # the pattern and str methods accept what the token scan accepts,
+        # and refused text keeps the scan's message and position
+        try:
+            rows = parse_matrix_tokens(text)
+        except MatrixTextError as expected:
+            with pytest.raises(MatrixParseError) as err:
+                parse_matrix(text)
+            assert (str(err.value), err.value.position) == (str(expected), expected.position)
+        else:
+            assert parse_matrix(text).entries == tuple(map(tuple, rows))
+
+    def test_valid_text_never_reaches_the_scan(self, monkeypatch):
+        # the token scan runs only to name an error
+        def no_scan(text):
+            raise AssertionError(f"well-formed text {text!r} reached the token scan")
+
+        monkeypatch.setattr(spherecp.fgab, "_raise_matrix_text_error", no_scan)
+        rng = random.Random(20071123)  # the benchmark's fixed dense set; its 25x25 is last
+        fixed = [dense(rng, n) for n in range(16, 26)][-1]
+        big = "9" * LITERAL_DIGITS_BUDGET
+        cases = [
+            ("-2,0;-1,-2", [[-2, 0], [-1, -2]]),
+            ("[[-2,0],[-1,-2]]", [[-2, 0], [-1, -2]]),
+            ("[ 1, 2 ; 3, 4 ]", [[1, 2], [3, 4]]),
+            ("[[1, 2] , [3, 4]]", [[1, 2], [3, 4]]),
+            ("\t+1,\n-2 ;\r\n+3 ,\t4\n", [[1, -2], [3, 4]]),
+            (f"[-{big}, +{big}]", [[-int(big), int(big)]]),
+            (fixed.to_text(), fixed.entries),
+        ]
+        for text, rows in cases:
+            assert parse_matrix(text) == IntMatrix.from_rows(rows)
+        with pytest.raises(AssertionError, match="reached the token scan"):
+            parse_matrix("1,x")  # the patch is live: refused text does reach it
+
+    def test_refused_text_stays_linear(self):
+        cases = [
+            (",".join(["7"] * 100_000) + "x", "unexpected character 'x'", 199_999),
+            ("1" * 200_000, "integer literal of 200000 digits exceeds LITERAL_DIGITS_BUDGET", 0),
+            ("[" * 100_000, "matrix text contains no entries", 0),
+        ]
+        with time_limit(10):
+            for text, message, position in cases:
+                with pytest.raises(MatrixParseError, match=message) as err:
+                    parse_matrix(text)
+                assert err.value.position == position
 
     def test_round_trip(self):
         rng = random.Random(5)
@@ -755,6 +840,19 @@ class TestMatrixText:
             assert parse_matrix("9" * 1000).entries == ((int("9" * 1000),),)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("limit", [0, 10_000])
+    def test_budget_holds_past_a_raised_interpreter_limit(self, limit):
+        # with no limit (0) or a higher one, int() would take the literal,
+        # so the budget alone refuses it
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(MatrixParseError, match="LITERAL_DIGITS_BUDGET") as err:
+                parse_matrix("[1, -" + "1" * (LITERAL_DIGITS_BUDGET + 1) + "]")
+            assert err.value.position == 4
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestIntMatrix:

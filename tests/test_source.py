@@ -57,6 +57,17 @@ def test_user_input_never_meets_the_unchecked_constructor(name):
     assert "_trusted" not in _names(PACKAGE / name)
 
 
+def test_matrix_text_never_meets_the_unchecked_constructor():
+    # parse_matrix turns user text into a matrix, so it builds through IntMatrix's checks
+    (body,) = [
+        node
+        for node in ast.walk(_tree(PACKAGE / "fgab.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_matrix"
+    ]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(body)}
+    assert "IntMatrix" in named and "_trusted" not in named
+
+
 def test_one_unchecked_constructor():
     # every value built without checks goes through fgab._trusted
     defined = [
