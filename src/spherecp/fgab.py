@@ -202,8 +202,8 @@ _ROW_BREAK = re.compile(r"\][ \t\r\n]*,[ \t\r\n]*\[")
 _MATRIX_TOKEN = re.compile(  # "],[" ends a row like ";"; "bad" matches where nothing else does
     rf"[ \t\r\n]+|(?P<sep>[,;]|{_ROW_BREAK.pattern})|\[|\]|(?P<int>[+-]?\d+)|(?P<bad>.)", re.DOTALL
 )
-_PADDED_ENTRY = rf"[ \t\r\n\[\]]*[+-]?\d{{1,{LITERAL_DIGITS_BUDGET}}}[ \t\r\n\[\]]*"
-_MATRIX_TEXT = re.compile(rf"{_PADDED_ENTRY}(?:[,;]{_PADDED_ENTRY})*")
+# a character no token takes, or a literal past the budget
+_REFUSED = re.compile(rf"[^\d \t\r\n\[\],;+-]|(?<!\d)\d{{{LITERAL_DIGITS_BUDGET + 1}}}")
 _NO_BRACKETS = str.maketrans("[]", "  ")
 
 
@@ -211,10 +211,11 @@ def parse_matrix(text: str) -> IntMatrix:
     """Parse matrix text like ``-2,0;-1,-2`` or ``[[-2,0],[-1,-2]]``.
 
     Rows are separated by ``;`` or ``],[``; other brackets and whitespace
-    are ignored.  Well-formed text is checked whole by one pattern and
-    split by ``str`` methods; any other text is scanned token by token
-    only to name its error.  :class:`MatrixParseError` reports the
-    leftmost error with its character position.  An entry longer than
+    are ignored.  Well-formed text is read by one regex search, ``str``
+    methods and ``int``, with no Python loop over its tokens; any other
+    text is scanned token by token only to name its error.
+    :class:`MatrixParseError` reports the leftmost error with its
+    character position.  An entry longer than
     :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
 
     >>> parse_matrix("[[-2, 0], [-1, -2]]").entries
@@ -222,10 +223,12 @@ def parse_matrix(text: str) -> IntMatrix:
     """
     # the scan, too, reads "],[" as a row break wherever a "]" starts one
     flat = _ROW_BREAK.sub(";", text)
-    if _MATRIX_TEXT.fullmatch(flat):
+    if not _REFUSED.search(flat):
+        # with "_" and other whitespace refused, int() takes an entry exactly
+        # when it is a signed digit run padded with the whitespace left
         try:
-            rows = [tuple(map(int, row.split(","))) for row in flat.translate(_NO_BRACKETS).split(";")]
-        except ValueError:  # a literal past a lower int <-> str limit
+            rows = [list(map(int, row.split(","))) for row in flat.translate(_NO_BRACKETS).split(";")]
+        except ValueError:  # a malformed entry, or a literal past a lower int <-> str limit
             rows = []
         if len(set(map(len, rows))) == 1:
             return IntMatrix.from_rows(rows)
@@ -262,7 +265,7 @@ def _raise_matrix_text_error(text: str) -> NoReturn:
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise MatrixParseError(f"row {idx + 1} has {len(row)} entries, expected {width}")
-    raise AssertionError(f"the matrix pattern refused well-formed text {text!r}")
+    raise AssertionError(f"the scan accepted text that the search and int() refused: {text!r}")
 
 
 def _bareiss(entries: Sequence[Sequence[int]],

@@ -811,6 +811,11 @@ class TestMatrixText:
         with pytest.raises(MatrixParseError, match="expected an integer entry") as err:
             parse_matrix("1,,x")
         assert err.value.position == 2
+        # int() takes underscores between digits and any whitespace around them
+        for text, position in [("1_000", 1), ("\x0b1, 2", 0), ("1, 2\xa0", 4), ("1;\u30002", 2)]:
+            with pytest.raises(MatrixParseError) as err:
+                parse_matrix(text)
+            assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
 
     def test_literal_budget(self):
         # refused as a parse error, not int()'s bare ValueError
