@@ -230,8 +230,8 @@ _TOKEN = re.compile(
 def parse_matrix_tokens(text: str) -> list[list[int]]:
     """The rows of matrix text, read one regex token at a time.
 
-    The library's parser as it was before it checked whole texts with
-    one pattern: ``;`` or ``],[`` ends a row, ``,`` an entry, other
+    The library's parser as it was before well-formed text skipped the
+    scan: ``;`` or ``],[`` ends a row, ``,`` an entry, other
     brackets and whitespace are skipped, and the first token out of
     place raises :class:`MatrixTextError` at its position.  A literal
     past 4300 digits, or past a lower int <-> str limit that the process

@@ -738,8 +738,8 @@ class TestMatrixText:
     @given(matrix_texts())
     @settings(max_examples=400, deadline=None)
     def test_property_matches_the_token_scan(self, text):
-        # the pattern and str methods accept what the token scan accepts,
-        # and refused text keeps the scan's message and position
+        # the search, str methods and int() accept what the token scan
+        # accepts, and refused text keeps the scan's message and position
         try:
             rows = parse_matrix_tokens(text)
         except MatrixTextError as expected:
