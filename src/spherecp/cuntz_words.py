@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NoReturn, Union
 
-from .fgab import SpherecpInputError, _literal_int, _require_int, _trusted
+from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
 
 __all__ = [
     "Word",
@@ -301,17 +301,21 @@ class CuntzElement:
             word = " ".join(
                 [f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)]
             )
-            mag = abs(c)
+            n, q = c.numerator, c.denominator
+            positive = n > 0
+            if not positive:
+                n = -n
+            mag = str(n) if q == 1 else f"{n}/{q}"
             if not word:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = word
             else:
                 body = f"{mag} {word}"
             if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
+                chunks.append(body if positive else f"-{body}")
             else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+                chunks.append(f"+ {body}" if positive else f"- {body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:
@@ -327,6 +331,11 @@ _EXPR_TOKEN = re.compile(  # "bad" matches where nothing else does, so finditer 
     r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?)|(?P<op>[+-])"
     r"|(?P<bad>.)", re.DOTALL
 )
+# the scan's tokens other than whitespace, as (idx, star, numer, den, op, bad);
+# nothing matches whitespace and "(\S)" takes every other character
+_EXPR_ATOM = re.compile(r"s(\d+)(\*?)|(\d+)(?:/(\d+))?|([+-])|(\S)")
+# a literal past the budget: every maximal digit run is one literal of the scan
+_LONG_LITERAL = re.compile(rf"(?<!\d)\d{{{LITERAL_DIGITS_BUDGET + 1}}}")
 
 
 def parse_expression(base: int, text: str) -> CuntzElement:
@@ -336,50 +345,90 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     adjoints ``sK*``, and rational scalars (``3``, ``1/2``); terms are
     joined by ``+`` or ``-``.  Products reduce immediately, so arbitrary
     words in generators and adjoints are accepted, not only normal forms.
-    The text is read in one pass; on bad text :class:`ExpressionParseError`
-    reports the leftmost error.  A coefficient or generator index longer
-    than :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an
-    error.
+    Well-formed text is read by one regex search and one ``findall``, with
+    each term's coefficient kept as an integer numerator and denominator
+    and turned into one ``Fraction`` when the term closes; any other text
+    is scanned token by token only to name its error.
+    :class:`ExpressionParseError` reports the leftmost error with its
+    character position.  A coefficient or generator index longer than
+    :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an error.
     """
     _check_base(base)
-    out: dict[tuple[Word, Word], Fraction] = {}
-    coeff: Fraction | None = None  # the open term's coefficient; None between terms
-    key: tuple[Word, Word] | None = None  # its reduced monomial; None once the term is 0
-    sign = 1
+    if not _LONG_LITERAL.search(text):
+        out: dict[tuple[Word, Word], Fraction] = {}
+        num: int | None = None  # the open term's numerator; None between terms
+        sign = 1
+        after_op = False  # an operator came and no term has opened since
+        # the open term is num/q times S_mu S_nu*, or 0 once live is False
+        try:
+            for idx, star, numer, den, op, bad in _EXPR_ATOM.findall(text):
+                if op:
+                    if num is not None:
+                        if live and num:
+                            _add_term(out, (tuple(mu), tuple(pending[::-1])), Fraction(num, q))
+                        num = None
+                    elif after_op:
+                        break
+                    sign = 1 if op == "+" else -1
+                    after_op = True
+                    continue
+                if bad:
+                    break
+                if num is None:
+                    num, q, mu, pending, live = sign, 1, [], [], True
+                if numer:
+                    num *= int(numer)
+                    if den:
+                        q *= int(den)
+                        if not q:
+                            break
+                    continue
+                i = int(idx)
+                if not 1 <= i <= base:
+                    break
+                if not live:
+                    continue
+                # pending holds the adjoint word reversed: S_mu S_nu* has nu = pending[::-1]
+                if star:
+                    pending.append(i)
+                elif not pending:
+                    mu.append(i)
+                elif pending.pop() != i:  # s_j* s_i = 0 for j != i
+                    live = False
+            else:
+                if num is not None:
+                    if live and num:
+                        _add_term(out, (tuple(mu), tuple(pending[::-1])), Fraction(num, q))
+                    return _trusted(CuntzElement, _base=base, _coeffs=out)
+        except ValueError:  # a literal past a lower int <-> str limit
+            pass
+    _raise_expression_error(base, text)
+
+
+def _raise_expression_error(base: int, text: str) -> NoReturn:
+    """Raise the :class:`ExpressionParseError` that names the leftmost error in ``text``."""
+    in_term = False  # a term is open
     op_pos: int | None = None  # position of the last operator
     for m in _EXPR_TOKEN.finditer(text):
         kind, pos = m.lastgroup, m.start()
         if kind == "bad":
             raise ExpressionParseError(f"unexpected character {m.group()!r}", pos)
         if kind == "op":
-            if coeff is not None:
-                if key is not None and coeff:
-                    _add_term(out, key, coeff)
-                coeff = None
-            elif op_pos is not None:
+            if not in_term and op_pos is not None:
                 raise ExpressionParseError("empty term before operator", pos)
-            # else: unary sign opening the whole expression
-            sign = 1 if m.group("op") == "+" else -1
-            op_pos = pos
-        elif kind != "ws":
-            if coeff is None:
-                coeff, key = Fraction(sign), ((), ())
-            if kind == "num":
-                numer = _literal_int(m.group("numer"), pos, ExpressionParseError)
-                den = _literal_int(m.group("den"), m.start("den"), ExpressionParseError) if m.group("den") else 1
-                if not den:
-                    raise ExpressionParseError("zero denominator", pos)
-                coeff *= Fraction(numer, den)
-            else:
-                idx = _literal_int(m.group("idx"), m.start("idx"), ExpressionParseError)
-                if not 1 <= idx <= base:
-                    raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
-                if key is not None:
-                    key = _mul_keys(*key, (), (idx,)) if m.group("star") else _mul_keys(*key, (idx,), ())
-    if coeff is None:
+            in_term, op_pos = False, pos
+        elif kind == "num":
+            _literal_int(m.group("numer"), pos, ExpressionParseError)
+            if m.group("den") and not _literal_int(m.group("den"), m.start("den"), ExpressionParseError):
+                raise ExpressionParseError("zero denominator", pos)
+            in_term = True
+        elif kind == "gen":
+            idx = _literal_int(m.group("idx"), m.start("idx"), ExpressionParseError)
+            if not 1 <= idx <= base:
+                raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
+            in_term = True
+    if not in_term:
         if op_pos is not None:
             raise ExpressionParseError("expression ends with a dangling operator", op_pos)
         raise ExpressionParseError("empty expression", 0)
-    if key is not None and coeff:
-        _add_term(out, key, coeff)
-    return _trusted(CuntzElement, _base=base, _coeffs=out)
+    raise AssertionError(f"the scan accepted text that the search and findall refused: {text!r}")

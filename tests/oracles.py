@@ -276,6 +276,106 @@ def parse_matrix_tokens(text: str) -> list[list[int]]:
     return rows
 
 
+class ExpressionTextError(ValueError):
+    """A refusal by :func:`parse_expression_tokens`, worded as the library words it.
+
+    ``position`` is the 0-based offset of the error.
+    """
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+_EXPRESSION_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?)|(?P<op>[+-])"
+    r"|(?P<bad>.)", re.DOTALL
+)
+
+
+def _expression_literal(literal: str, position: int) -> int:
+    digits = len(literal)
+    if digits > 4300:
+        limit = "LITERAL_DIGITS_BUDGET (4300 digits)"
+    elif 0 < sys.get_int_max_str_digits() < digits:
+        limit = f"the interpreter's int <-> str limit ({sys.get_int_max_str_digits()} digits)"
+    else:
+        return int(literal)
+    raise ExpressionTextError(f"integer literal of {digits} digits exceeds {limit}", position)
+
+
+def parse_expression_tokens(base: int, text: str) -> dict:
+    """The coefficient map ``{(mu, nu): Fraction}`` of expression text, read one regex token at a time.
+
+    The library's parser as it was before well-formed text skipped the
+    scan: each term's coefficient is a ``Fraction`` multiplied atom by
+    atom, its monomial S_mu S_nu* is reduced after every generator or
+    adjoint (or becomes 0), and ``+``/``-`` close it into the map in the
+    order the terms appear, dropping coefficients that cancel.  The first
+    token out of place raises :class:`ExpressionTextError` at its
+    position, and so does a literal past 4300 digits or past a lower
+    int <-> str limit that the process has set.
+    """
+    from fractions import Fraction
+
+    out: dict = {}
+    coeff = None  # the open term's coefficient; None between terms
+    key = None  # its reduced (mu, nu); None once the term is 0
+    sign = 1
+    op_pos = None
+
+    def close():
+        if key is not None and coeff:
+            total = out.get(key, 0) + coeff
+            if total:
+                out[key] = total  # a key already present keeps its place
+            else:
+                del out[key]
+
+    for m in _EXPRESSION_TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "bad":
+            raise ExpressionTextError(f"unexpected character {m.group()!r}", pos)
+        if kind == "op":
+            if coeff is not None:
+                close()
+                coeff = None
+            elif op_pos is not None:
+                raise ExpressionTextError("empty term before operator", pos)
+            sign = 1 if m.group() == "+" else -1
+            op_pos = pos
+        elif kind != "ws":
+            if coeff is None:
+                coeff, key = Fraction(sign), ((), ())
+            if kind == "num":
+                numer = _expression_literal(m.group("numer"), pos)
+                den = _expression_literal(m.group("den"), m.start("den")) if m.group("den") else 1
+                if den == 0:
+                    raise ExpressionTextError("zero denominator", pos)
+                coeff *= Fraction(numer, den)
+                continue
+            i = _expression_literal(m.group("idx"), m.start("idx"))
+            if not 1 <= i <= base:
+                raise ExpressionTextError(f"generator index {i} out of range 1..{base}", pos)
+            if key is None:
+                continue
+            mu, nu = key
+            if m.group("star"):
+                key = (mu, (i,) + nu)  # S_mu S_nu* S_i* = S_mu S_(i nu)*
+            elif not nu:
+                key = (mu + (i,), ())
+            elif nu[0] == i:  # S_nu* S_i with nu = (i, rest...) is S_rest*
+                key = (mu, nu[1:])
+            else:
+                key = None
+    if coeff is None:
+        if op_pos is not None:
+            raise ExpressionTextError("expression ends with a dangling operator", op_pos)
+        raise ExpressionTextError("empty expression", 0)
+    close()
+    return out
+
+
 # -- generation helpers (not oracles, but shared by several suites) ---------
 
 

@@ -7,6 +7,7 @@ verify the ring laws, grading, and the decidability contract of
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherecp.cuntz_words
-from oracles import expand, random_cuntz_element, random_homogeneous_element
+from oracles import (
+    ExpressionTextError,
+    expand,
+    parse_expression_tokens,
+    random_cuntz_element,
+    random_homogeneous_element,
+)
 from spherecp.cuntz_words import (
     BaseMismatchError,
     CuntzElement,
@@ -22,6 +29,7 @@ from spherecp.cuntz_words import (
     generator,
     parse_expression,
 )
+from spherecp.fgab import LITERAL_DIGITS_BUDGET
 
 
 def s(i, base=2):
@@ -348,6 +356,30 @@ def expressions(draw):
     return d, text, x
 
 
+EXPRESSION_PIECES = ["s", "*", "/", " 1/0 ", "+", "-", "+ -", "0", "1", "2", "3", "12", "\u0661", " ", "\t", "\xa0",
+                     "x", "s0", "s1", "s2*", "s9"]
+LONG_LITERALS = st.sampled_from(["7" * LITERAL_DIGITS_BUDGET, "7" * (LITERAL_DIGITS_BUDGET + 1)])
+
+
+@st.composite
+def expression_texts(draw):
+    """Generated expression text, then edited, with its number of isometries.
+
+    Up to three pieces (signs, ``s``, ``*``, ``/``, digits, an
+    Arabic-Indic digit, tab, NBSP, a foreign ``x``, generators in and out
+    of range, a zero denominator) go in at drawn places, and some texts get a literal at the budget or one digit past
+    it, so the texts run from well formed to refused at any point.
+    """
+    d, text, _ = draw(expressions())
+    pieces = draw(st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=3))
+    if draw(st.integers(0, 7)) == 0:
+        pieces.append(draw(st.sampled_from(["", "s", "1/"])) + draw(LONG_LITERALS))
+    for piece in pieces:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return d, text
+
+
 class TestNormalFormProperties:
     @given(elements())
     @settings(max_examples=100, deadline=None)
@@ -495,6 +527,78 @@ class TestExpressionText:
         x = parse_expression(2, "9" * 4300 + " s1")
         assert x.terms() == {((1,), ()): Fraction(int("9" * 4300))}
 
+    def test_literal_past_a_lowered_interpreter_limit(self):
+        # a process may lower the int <-> str limit below the budget
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            # a coefficient, a denominator and a generator index
+            for text, position in [("1" * 2000 + " s1", 0), ("s1 + 1/" + "2" * 1001, 7),
+                                   ("s2 s" + "1" * 1001, 4)]:
+                with pytest.raises(ExpressionParseError, match=r"int <-> str limit \(1000 digits\)") as err:
+                    parse_expression(2, text)
+                assert err.value.position == position
+            x = parse_expression(2, "9" * 1000 + " s1")
+            assert x.terms() == {((1,), ()): Fraction(int("9" * 1000))}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("limit", [0, 10_000])
+    def test_budget_holds_past_a_raised_interpreter_limit(self, limit):
+        # with no limit (0) or a higher one, int() would take the literal,
+        # so the budget alone refuses it
+        long = "1" * (LITERAL_DIGITS_BUDGET + 1)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for text, position in [(f"s1 - {long} s2", 5), (f"s1 + 1/{long}", 7), (f"s2 s{long}", 4)]:
+                with pytest.raises(ExpressionParseError, match="LITERAL_DIGITS_BUDGET") as err:
+                    parse_expression(2, text)
+                assert err.value.position == position
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @given(expression_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_property_matches_the_token_scan(self, case):
+        # one findall accepts what the token scan accepts, with the same
+        # terms in the same order, and refused text keeps the scan's
+        # message and position
+        d, text = case
+        try:
+            expected = parse_expression_tokens(d, text)
+        except ExpressionTextError as refused:
+            with pytest.raises(ExpressionParseError) as err:
+                parse_expression(d, text)
+            assert (str(err.value), err.value.position) == (str(refused), refused.position)
+        else:
+            assert list(parse_expression(d, text).terms().items()) == list(expected.items())
+
+    def test_valid_text_never_reaches_the_scan(self, monkeypatch):
+        # the token scan runs only to name an error
+        def no_scan(base, text):
+            raise AssertionError(f"well-formed text {text!r} reached the token scan")
+
+        monkeypatch.setattr(spherecp.cuntz_words, "_raise_expression_error", no_scan)
+        cases = [
+            (d, " + ".join(f"s{i} s{i}*" for i in range(1, d + 1)),
+             {((i,), (i,)): 1 for i in range(1, d + 1)})
+            for d in (2, 3, 4)
+        ]
+        cases += [
+            (2, "1/2 s1 - 3/4 s2 s1* + 5/6", {((1,), ()): Fraction(1, 2), ((2,), (1,)): Fraction(-3, 4),
+                                              ((), ()): Fraction(5, 6)}),
+            (2, "s1* s1", {((), ()): 1}),
+            (2, "s1* s2", {}),
+            (2, "0 s1 + s2", {((2,), ()): 1}),
+            (2, "- s1 + 2", {((1,), ()): -1, ((), ()): 2}),
+            (2, "s1s2*", {((1,), (2,)): 1}),
+        ]
+        for d, text, terms in cases:
+            assert parse_expression(d, text) == CuntzElement(d, terms)
+        with pytest.raises(AssertionError, match="reached the token scan"):
+            parse_expression(2, "s1 ?")  # the patch is live: refused text does reach it
+
     def test_rendering_is_canonical_and_round_trips(self):
         x = parse_expression(2, "s2 s1* + s1")
         assert str(x) == "s1 + s2 s1*"
@@ -522,8 +626,11 @@ class TestExpressionText:
     def test_token_spans_tile_the_text(self, text):
         # the catch-all alternative matches wherever no token does, so
         # finditer skips no character and parse_expression sees all of them
-        spans = [m.span() for m in spherecp.cuntz_words._EXPR_TOKEN.finditer(text)]
-        assert "".join(text[a:b] for a, b in spans) == text
+        tokens = list(spherecp.cuntz_words._EXPR_TOKEN.finditer(text))
+        assert "".join(m.group() for m in tokens) == text
+        # the fast route's atoms are the same tokens without the whitespace
+        atoms = [m.span() for m in spherecp.cuntz_words._EXPR_ATOM.finditer(text)]
+        assert atoms == [m.span() for m in tokens if m.lastgroup != "ws"]
 
     def test_parse_is_inverse_of_str_on_expanded_forms(self):
         x = expand(CuntzElement.unit(2), 2)
