@@ -367,8 +367,9 @@ def expression_texts(draw):
 
     Up to three pieces (signs, ``s``, ``*``, ``/``, digits, an
     Arabic-Indic digit, tab, NBSP, a foreign ``x``, generators in and out
-    of range, a zero denominator) go in at drawn places, and some texts get a literal at the budget or one digit past
-    it, so the texts run from well formed to refused at any point.
+    of range, a zero denominator) go in at drawn places, and some texts
+    get a literal at the budget or one digit past it, so the texts run
+    from well formed to refused at any point.
     """
     d, text, _ = draw(expressions())
     pieces = draw(st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=3))
