@@ -17,9 +17,11 @@ r x r core, r = rank A, whose transforms ride along as the loop
 diagonalizes it.  The size of U and V is measured, not proven;
 :func:`smith_normal_form` states the envelope.  :func:`invariant_factors`,
 behind :func:`cokernel`, needs no transforms.  It reads the factors off
-determinantal divisors when the gcd of the entries and the minors that
-Bareiss elimination leaves decide them, as on every 2 x 2 matrix;
-otherwise it runs only the sweep, on A modulo a nonzero minor M and then
+determinantal divisors when the gcd of the entries and the minors decide
+them.  A matrix with at most one row or column, or a 2 x 2, is decided
+with no elimination at all, since every minor is an entry or the
+determinant; larger ones take their minors from Bareiss elimination.
+Otherwise it runs only the sweep, on A modulo a nonzero minor M and then
 on transposes.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
@@ -659,13 +661,17 @@ def _divisor_chain(orders: Iterable[int]) -> list[int]:
 def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     """The invariant factors other than 1 and the rank of ``a``, without transforms.
 
-    Bareiss elimination finds the rank r and a nonzero r x r minor M.
-    Let g be the gcd of the entries.  When g**r = M every invariant
-    factor d_i (i <= r) is g, and no sweep runs; the proof is Smith's
-    determinantal divisors (Phil. Trans. 151 (1861)):
+    Let g be the gcd of the entries and D_k the gcd of the k x k minors.
+    When every minor is an entry or the determinant, as for at most one
+    row or column and for a 2 x 2, the rank r and M = D_r are read with
+    no elimination: M = |det| at rank 2, g at rank 1, and the empty
+    minor 1 at rank 0.  Any other shape runs Bareiss elimination, which
+    finds r and a nonzero r x r minor M, a multiple of D_r.  When
+    g**r = M every invariant factor d_i (i <= r) is g, and no sweep runs;
+    the proof is Smith's determinantal divisors (Phil. Trans. 151 (1861)):
 
     * g divides every d_i, so g**r divides d_1 ... d_r;
-    * d_1 ... d_r, the gcd of the r x r minors, divides M;
+    * d_1 ... d_r = D_r divides M;
     * so g**r = M forces d_1 ... d_r = g**r, and each d_i = g.
 
     Rank 0 and M = 1 are cases of this exit.  A square nonsingular n x n
@@ -674,33 +680,43 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     the gcd of any (n-1) x (n-1) minors.  At n = 2 the entries are all the
     1 x 1 minors, so c = g; at n >= 3, c is the gcd of the two minors that
     Bareiss elimination leaves in its row n-2.  When gcd(c, M) = g**(n-1),
-    the factors are g, n-1 times, then M / g**(n-1); so no 2 x 2 matrix
-    of rank 2 reaches the sweep.  Otherwise, since every d_i divides M,
-    the rows of ``a`` plus M*Z^cols span a lattice with invariant factors
-    d_1..d_r and cols - r copies of M (Domich, Kannan, Trotter, Math.
-    Oper. Res. 12 (1987)), which :func:`_echelon_mod` makes triangular
-    modulo M.  The sweep runs again on the transpose
+    the factors are g, n-1 times, then M / g**(n-1).  So a matrix read
+    with no elimination never reaches the sweep: at rank r <= 1, M = g**r,
+    and at rank 2, c = g divides M.  Otherwise, since every d_i divides
+    M, the rows of ``a`` plus M*Z^cols span a lattice with invariant
+    factors d_1..d_r and cols - r copies of M (Domich, Kannan, Trotter,
+    Math. Oper. Res. 12 (1987)), which :func:`_echelon_mod` makes
+    triangular modulo M.  The sweep runs again on the transpose
     until each diagonal entry divides its row; column operations from
     the top row down would then clear the rows without touching the
     diagonal, whose divisor chain, less the copies of M, is the answer.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), 2)
-    >>> invariant_factors(IntMatrix.from_rows([[2, 4, 6]]))
+    >>> invariant_factors(IntMatrix.from_rows([[4, 6]]))
     ((2,), 1)
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [1, 2]]))
+    ((), 1)
     >>> invariant_factors(IntMatrix.from_rows([[2, 0], [1, 2]]))
     ((4,), 2)
     """
-    rank, minor, eliminated, _ = _bareiss(a.entries, a.cols)
     # the gcd of the entries, a row at a time: gcd(*chain(...)) left about
     # 144 KB of argument tuples in CPython's free list, raising peak RSS
     g = 0
     for row in a.entries:
         g = gcd(g, *row)
-    minor = abs(minor)
+    n = a.rows
+    if n == a.cols == 2:  # the minors are the entries and the determinant
+        (p, q), (s, t) = a.entries
+        minor = abs(p * t - q * s)
+        rank, minor = (2, minor) if minor else (1, g) if g else (0, 1)
+    elif min(n, a.cols) <= 1:  # the minors are the entries
+        rank, minor = (1, g) if g else (0, 1)
+    else:
+        rank, minor, eliminated, _ = _bareiss(a.entries, a.cols)
+        minor = abs(minor)
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
-    n = a.rows
     if rank == n == a.cols:  # c: the gcd of the (n-1)-minors in hand
         c = gcd(*eliminated[n - 2][n - 2:]) if n > 2 else g
         if gcd(c, minor) == g ** (n - 1):
