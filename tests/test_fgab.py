@@ -14,6 +14,7 @@ import signal
 import sys
 import time
 from math import isqrt, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,33 @@ def small_presentations(draw):
     return IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
 
 
+@st.composite
+def elimination_free_shapes(draw):
+    """0 x n, n x 0, 1 x n and n x 1 matrices (n <= 6) and 2 x 2s, some zero and some singular.
+
+    Every minor of these shapes is an entry or the determinant.  A 2 x 2
+    is drawn whole, as a row r beside t*r in either order (possibly
+    transposed), or as zero.
+    """
+    entry = st.integers(-10**6, 10**6)
+    kind = draw(st.sampled_from(["0xn", "nx0", "1xn", "nx1", "2x2", "t*r", "zero"]))
+    n = draw(st.integers(0, 6))
+    if kind == "0xn":
+        return IntMatrix.zero(0, n)
+    if kind == "nx0":
+        return IntMatrix.zero(n, 0)
+    if kind in ("1xn", "nx1"):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        return IntMatrix(1, n, (row,)) if kind == "1xn" else IntMatrix(n, 1, [(x,) for x in row])
+    if kind == "zero":
+        return IntMatrix.zero(2, 2)
+    if kind == "2x2":
+        return IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)))
+    r, t = draw(st.lists(entry, min_size=2, max_size=2)), draw(st.integers(-1000, 1000))
+    rows = [r, [t * x for x in r]][:: draw(st.sampled_from([1, -1]))]
+    return IntMatrix.from_rows(list(zip(*rows)) if draw(st.booleans()) else rows)
+
+
 class TestInvariantFactors:
     """The transform-free route, modulo a nonzero minor, against the SNF route."""
 
@@ -387,6 +415,31 @@ class TestInvariantFactors:
         divisors = [1, *(x for x in determinantal_divisors([list(row) for row in a.entries]) if x)]
         factors = tuple(y // x for x, y in zip(divisors, divisors[1:]))
         assert invariant_factors(a) == (tuple(f for f in factors if f > 1), len(factors))
+
+    @given(elimination_free_shapes())
+    @settings(max_examples=300, deadline=None)
+    def test_property_small_shapes_need_no_elimination(self, a):
+        # every minor is an entry or the determinant, so the rank and D_r are
+        # read directly; hypothesis refuses function-scoped fixtures, hence mock
+        divisors = [1, *(x for x in determinantal_divisors([list(row) for row in a.entries]) if x)]
+        factors = tuple(y // x for x, y in zip(divisors, divisors[1:]))
+        refuse = AssertionError("an elimination ran on a shape read without one")
+        with mock.patch.object(spherecp.fgab, "_bareiss", side_effect=refuse), \
+                mock.patch.object(spherecp.fgab, "_echelon_mod", side_effect=refuse):
+            assert invariant_factors(a) == (tuple(f for f in factors if f > 1), len(factors))
+
+    def test_larger_shapes_still_run_bareiss(self, monkeypatch):
+        # a 2 x 3 has three 2 x 2 minors, a 3 x 3 nine: neither is read directly
+        bareiss, calls = spherecp.fgab._bareiss, []
+
+        def counted(*args):
+            calls.append(args)
+            return bareiss(*args)
+
+        monkeypatch.setattr(spherecp.fgab, "_bareiss", counted)
+        assert invariant_factors(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]])) == ((2,), 2)
+        assert invariant_factors(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 6]])) == ((6, 6), 3)
+        assert len(calls) == 2
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
         # rank 2 with minor 2: modulo 2 every nonzero pivot divides the entries

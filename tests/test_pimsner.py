@@ -109,18 +109,24 @@ class TestKGroups:
             groups = {k_groups(SphereBundleSpec(n, d, c)).k0 for n in (2, 4, 6, 8)}
             assert len(groups) == 1
 
-    def test_even_sphere_grid_never_sweeps(self, monkeypatch):
-        # every 2x2 presentation exits by determinants: d_1 = D_1, the gcd of
-        # the entries, and d_2 = |det| / d_1, so no modular sweep runs
-        def no_sweep(*args):
-            raise AssertionError("a 2x2 presentation reached the modular sweep")
+    def test_presentation_grid_never_eliminates(self, monkeypatch):
+        # every minor of a 1x1 or 2x2 presentation is an entry or the
+        # determinant, so the determinantal divisors are read with no
+        # elimination: d_1 = D_1, the gcd of the entries, and d_2 = |det| / d_1
+        def no_elimination(*args):
+            raise AssertionError("a 1x1 or 2x2 presentation reached an elimination")
 
-        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
-        for n in (2, 4):
-            for d in range(2, 40):
+        monkeypatch.setattr(spherecp.fgab, "_bareiss", no_elimination)
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_elimination)
+        for d in range(2, 40):
+            for n in (2, 4):
                 for c in range(-60, 61):
                     a = pimsner_matrix(SphereBundleSpec(n, d, c))
                     assert cokernel(a) == FgAbGroup.from_factors(snf_2x2_oracle(*a.entries[0], *a.entries[1]))
+            for n in (1, 3, 5):
+                a = pimsner_matrix(SphereBundleSpec(n, d, 0))
+                assert a == IntMatrix.from_rows([[1 - d]])
+                assert k_groups(SphereBundleSpec(n, d, 0)).k0 == FgAbGroup.from_factors([d - 1])
 
     def test_rank_two_blind_spot(self):
         # at rank 2 the K0 group is trivial no matter the euler parameter
