@@ -124,9 +124,9 @@ class TestKGroups:
                     a = pimsner_matrix(SphereBundleSpec(n, d, c))
                     assert cokernel(a) == FgAbGroup.from_factors(snf_2x2_oracle(*a.entries[0], *a.entries[1]))
             for n in (1, 3, 5):
-                a = pimsner_matrix(SphereBundleSpec(n, d, 0))
-                assert a == IntMatrix.from_rows([[1 - d]])
-                assert k_groups(SphereBundleSpec(n, d, 0)).k0 == FgAbGroup.from_factors([d - 1])
+                spec = SphereBundleSpec(n, d, 0)
+                assert pimsner_matrix(spec) == IntMatrix.from_rows([[1 - d]])
+                assert k_groups(spec).k0 == FgAbGroup.from_factors([d - 1])
 
     def test_rank_two_blind_spot(self):
         # at rank 2 the K0 group is trivial no matter the euler parameter
