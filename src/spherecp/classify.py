@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .bundles import SphereBundleSpec, k_class, spec_to_dict
 from .fgab import SpherecpInputError
-from .ktheory import Delta1Class, TruncPoly, delta1_class
-from .pimsner import KGroupPair, k_groups, k_groups_trivial
+from .ktheory import Delta1Class, TruncPoly, _class_rows, delta1_class
+from .pimsner import KGroupPair, _k0, k_groups, k_groups_trivial
 
 __all__ = [
     "ComparisonError",
@@ -67,9 +67,16 @@ def _check_comparable(a: SphereBundleSpec, b: SphereBundleSpec) -> None:
 
 
 def delta1_equal(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
-    """Do the grade-one invariants agree?  Requires same sphere and rank."""
+    """Do the grade-one invariants agree?  Requires same sphere and rank.
+
+    Compares the rows of the two invariant matrices, multiplication by
+    each K-class, as laid out by :func:`~spherecp.ktheory._class_rows`:
+    the matrices of :func:`~spherecp.ktheory.delta1_class`, with no
+    value built.
+    """
     _check_comparable(a, b)
-    return delta1_class(a).matrix == delta1_class(b).matrix
+    rows = _class_rows(a.sphere_dim, a.rank, a.euler_param)
+    return rows == _class_rows(b.sphere_dim, b.rank, b.euler_param)
 
 
 def graded_stably_isomorphic(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
@@ -88,9 +95,10 @@ def k_distinguishable(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
 
     True is conclusive (the algebras cannot be stably isomorphic, graded
     or not).  False is *inconclusive*: equal K-groups do not imply
-    isomorphism -- the grade-one invariant is strictly finer.
+    isomorphism -- the grade-one invariant is strictly finer.  Each K0
+    is compared as its (free rank, torsion) pair, so no group is built.
     """
-    return k_groups(a).k0 != k_groups(b).k0
+    return _k0(a) != _k0(b)
 
 
 CAVEAT_DELTA0 = (

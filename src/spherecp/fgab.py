@@ -661,6 +661,11 @@ def _divisor_chain(orders: Iterable[int]) -> list[int]:
 def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     """The invariant factors other than 1 and the rank of ``a``, without transforms.
 
+    The work is done by the rows-level read :func:`_factors`, which
+    takes only the rows and the column count.  :func:`cokernel` calls it
+    on ``a``, and :mod:`spherecp.pimsner` on the rows of a K-group
+    presentation, so that route builds no :class:`IntMatrix`.
+
     Let g be the gcd of the entries and D_k the gcd of the k x k minors.
     When every minor is an entry or the determinant, as for at most one
     row or column and for a 2 x 2, the rank r and M = D_r are read with
@@ -700,33 +705,38 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     >>> invariant_factors(IntMatrix.from_rows([[2, 0], [1, 2]]))
     ((4,), 2)
     """
+    return _factors(a.entries, a.cols)
+
+
+def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], int]:
+    """:func:`invariant_factors` of the matrix with these rows and ``cols`` columns."""
     # the gcd of the entries, a row at a time: gcd(*chain(...)) left about
     # 144 KB of argument tuples in CPython's free list, raising peak RSS
     g = 0
-    for row in a.entries:
+    for row in entries:
         g = gcd(g, *row)
-    n = a.rows
-    if n == a.cols == 2:  # the minors are the entries and the determinant
-        (p, q), (s, t) = a.entries
+    n = len(entries)
+    if n == cols == 2:  # the minors are the entries and the determinant
+        (p, q), (s, t) = entries
         minor = abs(p * t - q * s)
         rank, minor = (2, minor) if minor else (1, g) if g else (0, 1)
-    elif min(n, a.cols) <= 1:  # the minors are the entries
+    elif min(n, cols) <= 1:  # the minors are the entries
         rank, minor = (1, g) if g else (0, 1)
     else:
-        rank, minor, eliminated, _ = _bareiss(a.entries, a.cols)
+        rank, minor, eliminated, _ = _bareiss(entries, cols)
         minor = abs(minor)
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
-    if rank == n == a.cols:  # c: the gcd of the (n-1)-minors in hand
+    if rank == n == cols:  # c: the gcd of the (n-1)-minors in hand
         c = gcd(*eliminated[n - 2][n - 2:]) if n > 2 else g
         if gcd(c, minor) == g ** (n - 1):
             return ((g,) * (n - 1) if g > 1 else ()) + (minor // g ** (n - 1),), n
-    h = _echelon_mod(a.entries, a.cols, minor)
+    h = _echelon_mod(entries, cols, minor)
     # the gcd of a row is its diagonal entry exactly when that entry divides the row
     while (diagonal := [row[k] for k, row in enumerate(h)]) != [gcd(*row) for row in h]:
-        h = _echelon_mod(list(zip(*h)), a.cols, minor)
+        h = _echelon_mod(list(zip(*h)), cols, minor)
     chain = _divisor_chain(diagonal)
-    return tuple(chain[: len(chain) - (a.cols - rank)]), rank
+    return tuple(chain[: len(chain) - (cols - rank)]), rank
 
 
 @dataclass(frozen=True)
@@ -791,7 +801,7 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     invariant factors give the torsion; generators not hit by any
     relation contribute free rank cols - rank.
     """
-    torsion, rank = invariant_factors(a)
+    torsion, rank = _factors(a.entries, a.cols)
     return _trusted(FgAbGroup, free_rank=a.cols - rank, torsion=torsion)
 
 

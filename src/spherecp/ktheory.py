@@ -6,7 +6,7 @@ Two small exact types live here:
   of an even sphere: two integer coordinates, compared with ``==``;
 * :class:`Delta1Class` -- the grade-one invariant of the algebra of a
   bundle E: the integer matrix of multiplication by [E] on the sphere
-  K-group.  :func:`_class_matrix` builds it, and also the K-group
+  K-group.  :func:`_class_rows` lays it out, and also the K-group
   presentation of :mod:`spherecp.pimsner`, multiplication by 1 - [E].
   The invariant acts on the base-d scalar tensor factor as the identity,
   so only the integer matrix and the base are stored.
@@ -62,10 +62,23 @@ class TruncPoly:
         return " ".join(parts)
 
 
-def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
-    """Matrix of multiplication by the K-class ``z + z1·λ`` on K^0(S^n).
+def _class_rows(sphere_dim: int, z: int, z1: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix of multiplication by ``z + z1·λ`` on K^0(S^n).
 
     The basis is (1, λ) on an even sphere; on an odd sphere λ is absent.
+    This is the one place that lays the matrix out.
+
+    >>> _class_rows(4, 3, 1)
+    ((3, 0), (1, 3))
+    >>> _class_rows(5, -2, 0)
+    ((-2,),)
+    """
+    return ((z, 0), (z1, z)) if sphere_dim % 2 == 0 else ((z,),)
+
+
+def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
+    """:func:`_class_rows` as an :class:`~spherecp.fgab.IntMatrix`.
+
     The callers pass ints from a validated spec, so the matrix is built
     unchecked.
 
@@ -74,9 +87,8 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     >>> _class_matrix(5, -2, 0).to_text()
     '-2'
     """
-    if sphere_dim % 2 == 0:
-        return _trusted(IntMatrix, rows=2, cols=2, entries=((z, 0), (z1, z)))
-    return _trusted(IntMatrix, rows=1, cols=1, entries=((z,),))
+    entries = _class_rows(sphere_dim, z, z1)
+    return _trusted(IntMatrix, rows=len(entries), cols=len(entries), entries=entries)
 
 
 @dataclass(frozen=True)

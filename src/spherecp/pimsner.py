@@ -1,13 +1,15 @@
 """K-groups of the bundle algebra, computed two independent ways.
 
-The main route presents both K-groups of the algebra of sections from a
-single integer matrix: multiplication by 1 - [E] on the K-group of the
-base sphere, built by :func:`spherecp.ktheory._class_matrix`.  By
-Pimsner's exact sequence K0 is its cokernel and K1 its kernel.  One
-:func:`~spherecp.fgab.cokernel` call gives both: the kernel of a map
-between free groups is free, of rank cols - rank, which is the
-cokernel's free rank.  K1 is read from that rank, never assumed
-trivial, though injectivity makes it vanish for every admissible rank.
+The main route presents K0 of the algebra of sections by one integer
+matrix: multiplication by 1 - [E] on the K-group of the base sphere,
+laid out by :func:`spherecp.ktheory._class_rows`.  By Pimsner's exact
+sequence K0 is its cokernel and K1 its kernel.  K0 is read by
+:func:`spherecp.fgab._factors` straight from the rows, so no matrix is
+built; :func:`pimsner_matrix` gives the same presentation as an
+:class:`~spherecp.fgab.IntMatrix`.  The presentation has determinant
+(1 - d)**k, k = 1 or 2, which is nonzero for every admissible rank
+d >= 2, so the map is injective and K1 is the trivial group, one frozen
+value shared by every result.
 
 For the trivial bundle over an even sphere there is a second, closed-form
 route (a Künneth-style product formula) exposed as
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import BundleSpecError, SphereBundleSpec
-from .fgab import FgAbGroup, IntMatrix, _trusted, cokernel
-from .ktheory import _class_matrix
+from .fgab import FgAbGroup, IntMatrix, _factors, _trusted
+from .ktheory import _class_matrix, _class_rows
 
 __all__ = [
     "KGroupPair",
@@ -33,6 +35,9 @@ __all__ = [
 
 class EvenSphereRequired(BundleSpecError):
     """The closed-form trivial-bundle formula only covers even spheres."""
+
+
+_TRIVIAL = FgAbGroup()  # K1 of every result: a frozen constant, not a cache
 
 
 @dataclass(frozen=True)
@@ -52,19 +57,25 @@ def pimsner_matrix(spec: SphereBundleSpec) -> IntMatrix:
     return _class_matrix(spec.sphere_dim, 1 - spec.rank, -spec.euler_param)
 
 
-def k_groups(spec: SphereBundleSpec) -> KGroupPair:
-    """Both K-groups of the bundle algebra, from the presentation matrix.
+def _k0(spec: SphereBundleSpec) -> tuple[int, tuple[int, ...]]:
+    """K0 as (free rank, torsion): the cokernel of :func:`pimsner_matrix`, read from its rows."""
+    rows = _class_rows(spec.sphere_dim, 1 - spec.rank, -spec.euler_param)
+    torsion, rank = _factors(rows, len(rows))
+    return len(rows) - rank, torsion
 
-    K0 = cokernel, K1 = kernel, both read from one call to
-    :func:`~spherecp.fgab.cokernel` (determinantal divisors, no Smith
-    transforms: the presentation is nonsingular and at most 2 x 2, so the
-    gcd of its entries and its determinant decide the factors):
-    K1 is free of rank cols - rank, K0's free rank.
-    Since the rank is at least 2 the matrix is injective and K1 comes out
-    trivial, but that is an output of the computation, not an input.
+
+def k_groups(spec: SphereBundleSpec) -> KGroupPair:
+    """Both K-groups of the bundle algebra, from the presentation's rows.
+
+    K0 is the cokernel of the presentation, read from its determinantal
+    divisors with no Smith transforms and no elimination: the
+    presentation is at most 2 x 2, so the gcd of its entries and its
+    determinant decide the factors.  K1, the kernel, is the shared
+    trivial group: the presentation is nonsingular for every admissible
+    rank, so the map is injective.
     """
-    k0 = cokernel(pimsner_matrix(spec))
-    return KGroupPair(k0=k0, k1=_trusted(FgAbGroup, free_rank=k0.free_rank, torsion=()))
+    free_rank, torsion = _k0(spec)
+    return KGroupPair(k0=_trusted(FgAbGroup, free_rank=free_rank, torsion=torsion), k1=_TRIVIAL)
 
 
 def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
@@ -82,4 +93,4 @@ def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
         )
     t = rank - 1
     k0 = _trusted(FgAbGroup, free_rank=0, torsion=(t, t) if t > 1 else ())
-    return KGroupPair(k0=k0, k1=_trusted(FgAbGroup, free_rank=0, torsion=()))
+    return KGroupPair(k0=k0, k1=_TRIVIAL)

@@ -1,11 +1,15 @@
 """Tests for the classification decision procedures and reports."""
 
+import dataclasses
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherecp.classify
+import spherecp.pimsner
 from spherecp.bundles import RankTooSmall, SphereBundleSpec
 from spherecp.classify import (
     CAVEAT_DELTA0,
@@ -13,6 +17,7 @@ from spherecp.classify import (
     CAVEAT_ODD_COLLAPSE,
     CAVEAT_REALIZABILITY,
     CAVEAT_TRIVIAL_CLASS,
+    ComparisonError,
     DimensionMismatch,
     RankMismatch,
     classify_report,
@@ -21,8 +26,9 @@ from spherecp.classify import (
     k_distinguishable,
     report_to_dict,
 )
-from spherecp.fgab import FgAbGroup
-from spherecp.pimsner import k_groups
+from spherecp.fgab import FgAbGroup, cokernel
+from spherecp.ktheory import delta1_class
+from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
 
 
 class TestDelta1Equal:
@@ -200,3 +206,76 @@ class TestClassifyReport:
         spec = SphereBundleSpec(4, 6, 4)
         rep = classify_report(spec)
         assert rep.k_groups.k0 == k_groups(spec).k0
+
+
+def _k0_closed_form(spec):
+    # K0 = Z/g + Z/((d-1)^2/g), g = gcd(d-1, c), on an even sphere; Z/(d-1) on an odd one
+    d = spec.rank
+    if spec.sphere_dim % 2:
+        return FgAbGroup.from_factors([d - 1])
+    g = math.gcd(d - 1, spec.euler_param)
+    return FgAbGroup.from_factors([g, (d - 1) ** 2 // g])
+
+
+class TestReadsFromRows:
+    SPHERES = range(1, 7)
+
+    def _grid(self, n):
+        return [SphereBundleSpec(n, d, c) for d in range(2, 13) for c in (range(-8, 9) if n % 2 == 0 else (0,))]
+
+    def test_queries_build_no_presentation_or_invariant(self, monkeypatch):
+        # K-group and grade-one queries read the presentation's rows; neither
+        # a cokernel group nor a Delta1Class may be built on the way
+        def refuse(*args):
+            raise AssertionError("a query built a presentation group or a grade-one invariant")
+
+        # raising=False: the check holds whether or not pimsner imports cokernel
+        monkeypatch.setattr(spherecp.pimsner, "cokernel", refuse, raising=False)
+        monkeypatch.setattr(spherecp.classify, "delta1_class", refuse)
+        for n in self.SPHERES:
+            grid = self._grid(n)
+            k0 = {spec: _k0_closed_form(spec) for spec in grid}
+            for spec in grid:
+                assert k_groups(spec) == spherecp.pimsner.KGroupPair(k0[spec], FgAbGroup())
+            for a, b in itertools.product(grid, repeat=2):  # different ranks too
+                assert k_distinguishable(a, b) == (k0[a] != k0[b])
+                if a.rank == b.rank:
+                    assert delta1_equal(a, b) == (a.euler_param == b.euler_param)
+
+    def test_k1_is_one_frozen_trivial_constant(self):
+        trivial = spherecp.pimsner._TRIVIAL
+        assert trivial == FgAbGroup()
+        for n in self.SPHERES:
+            for spec in self._grid(n):
+                assert k_groups(spec).k1 is trivial
+        assert k_groups_trivial(4, 3).k1 is trivial
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trivial.free_rank = 1
+
+
+_RANKS = st.one_of(st.integers(2, 40), st.integers(2, 10**30))
+_EULERS = st.one_of(st.integers(-60, 60), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def _spec_pairs(draw):
+    """Two specs, half the time over the same sphere with the same rank."""
+    n, d = draw(st.integers(1, 8)), draw(_RANKS)
+    a = SphereBundleSpec(n, d, 0 if n % 2 else draw(_EULERS))
+    if draw(st.booleans()):
+        n, d = draw(st.integers(1, 8)), draw(_RANKS)
+    return a, SphereBundleSpec(n, d, 0 if n % 2 else draw(_EULERS))
+
+
+@given(_spec_pairs())
+@settings(max_examples=300, deadline=None)
+def test_property_row_reads_agree_with_the_checked_route(pair):
+    # the row reads against public, checked values: the presentation matrix
+    # and its cokernel, and the grade-one invariant
+    a, b = pair
+    assert k_distinguishable(a, b) == (cokernel(pimsner_matrix(a)) != cokernel(pimsner_matrix(b)))
+    if (a.sphere_dim, a.rank) == (b.sphere_dim, b.rank):
+        assert delta1_equal(a, b) == (delta1_class(a) == delta1_class(b))
+    else:
+        with pytest.raises(ComparisonError):
+            delta1_equal(a, b)
