@@ -69,10 +69,10 @@ def _check_comparable(a: SphereBundleSpec, b: SphereBundleSpec) -> None:
 def delta1_equal(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
     """Do the grade-one invariants agree?  Requires same sphere and rank.
 
-    Compares the rows of the two invariant matrices, multiplication by
-    each K-class, as laid out by :func:`~spherecp.ktheory._class_rows`:
-    the matrices of :func:`~spherecp.ktheory.delta1_class`, with no
-    value built.
+    It compares the rows of the two invariant matrices (multiplication
+    by each K-class, laid out by :func:`~spherecp.ktheory._class_rows`),
+    which are the matrices :func:`~spherecp.ktheory.delta1_class` would
+    build, and builds no value.
     """
     _check_comparable(a, b)
     rows = _class_rows(a.sphere_dim, a.rank, a.euler_param)
