@@ -84,10 +84,11 @@ def graded_stably_isomorphic(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:
 
     Even sphere: equivalent to equality of the K-classes.  Odd sphere:
     always true once the preconditions (same sphere, same rank) hold,
-    since the K-class degenerates to the rank.
+    since the K-class degenerates to the rank.  The K-classes are
+    compared as their (rank, euler) coordinates, so no value is built.
     """
     _check_comparable(a, b)
-    return k_class(a) == k_class(b)
+    return (a.rank, a.euler_param) == (b.rank, b.euler_param)
 
 
 def k_distinguishable(a: SphereBundleSpec, b: SphereBundleSpec) -> bool:

@@ -25,14 +25,18 @@ unit relation rewrites it in one step:
 1 + k·(d-1) output terms per input term, and :meth:`CuntzElement.equals`
 compares normal forms.
 
-Coefficients are exact rationals (``fractions.Fraction``); nothing here
-is approximate.
+Coefficients are exact rationals, stored as integer numerators over one
+positive common denominator that shares no factor with all of them, so
+the stored form is unique; nothing here is approximate.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, NoReturn, Union
 
 from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
@@ -96,7 +100,7 @@ def _mul_keys(mu: Word, nu: Word, alpha: Word, beta: Word) -> tuple[Word, Word] 
     return None
 
 
-def _add_term(out: dict[tuple[Word, Word], Fraction], key: tuple[Word, Word], c: Fraction) -> None:
+def _add_term(out: dict[tuple[Word, Word], int], key: tuple[Word, Word], c: int) -> None:
     """Add ``c`` at ``key``, keeping ``out`` free of zero coefficients."""
     if key in out:
         total = out[key] + c
@@ -108,25 +112,68 @@ def _add_term(out: dict[tuple[Word, Word], Fraction], key: tuple[Word, Word], c:
         out[key] = c
 
 
+def _over_lcm(base: int, terms: list[tuple[tuple[Word, Word], int, int]]) -> "CuntzElement":
+    """The sum of the terms ``(key, num, q)``, each ``num/q`` times the
+    monomial ``key``, over the lcm of the denominators ``q``.
+
+    Terms are added in order, so a key keeps the place its partial sums
+    would give it with rational coefficients.
+    """
+    den = 1
+    for _, _, q in terms:
+        den = lcm(den, q)
+    out: dict[tuple[Word, Word], int] = {}
+    for key, num, q in terms:
+        if num:
+            _add_term(out, key, num * (den // q))
+    return _reduced(base, out, den)
+
+
+def _reduced(base: int, coeffs: dict[tuple[Word, Word], int], den: int) -> "CuntzElement":
+    """The element ``coeffs / den`` (``den > 0``) with the common factor of
+    ``den`` and every numerator divided out, which makes the form unique.
+
+    The common factor divides every integer combination of the
+    numerators, so the fold starts from ``gcd(den, c1 + 2·c2 + 3·c3 + ...)``:
+    that is mostly 1 or small, which spares a gcd of two long ints per
+    term when the denominator is long.
+    """
+    if den != 1:
+        g = gcd(den, sum(map(mul, coeffs.values(), count(1))))
+        for c in coeffs.values():
+            if g == 1:
+                break
+            g = gcd(g, c)
+        if g != 1:
+            coeffs = {key: c // g for key, c in coeffs.items()}
+            den //= g
+    return _trusted(CuntzElement, _base=base, _coeffs=coeffs, _den=den)
+
+
 class CuntzElement:
     """Finite rational combination of reduced monomials S_mu S_nu*.
 
-    Immutable.  ``==`` is *structural* (same reduced coefficient map);
-    use :meth:`equals` for equality in the algebra, which also sees the
-    unit relation.  Results derived from checked elements are built by
+    Immutable.  The coefficients are stored as ``_coeffs``, a map from
+    each monomial's (mu, nu) to a nonzero integer numerator, over one
+    common denominator ``_den > 0`` with ``gcd(_den, *numerators) == 1``;
+    :meth:`terms` gives them back as ``Fraction``.  ``==`` is
+    *structural* (same reduced coefficient map); use :meth:`equals` for
+    equality in the algebra, which also sees the unit relation.  Results
+    derived from checked elements are built by
     :func:`~spherecp.fgab._trusted`, which skips the checks of ``__init__``.
     """
 
     def __init__(self, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
         _check_base(base)
-        clean: dict[tuple[Word, Word], Fraction] = {}
+        terms = []
         for (mu, nu), c in (coeffs or {}).items():
             frac = _check_scalar(c)
             key = (_check_word(mu, base), _check_word(nu, base))
-            if frac:
-                _add_term(clean, key, frac)
+            terms.append((key, frac.numerator, frac.denominator))
+        reduced = _over_lcm(base, terms)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_coeffs", reduced._coeffs)
+        object.__setattr__(self, "_den", reduced._den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CuntzElement is immutable")
@@ -152,21 +199,16 @@ class CuntzElement:
         return self._base
 
     def terms(self) -> dict[tuple[Word, Word], Fraction]:
-        """Copy of the reduced coefficient map."""
-        return dict(self._coeffs)
+        """The reduced coefficient map, each numerator over the common
+        denominator made one ``Fraction``."""
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._coeffs.items()}
 
     @property
     def is_zero(self) -> bool:
         """Structural: no reduced terms.  ``s1 s1* + s2 s2* - 1`` is zero in
         the algebra but not here; ask ``normal_form().is_zero`` for that."""
         return not self._coeffs
-
-    def sorted_terms(self) -> list[tuple[tuple[Word, Word], Fraction]]:
-        """Terms in the canonical order: by (|mu|, mu, |nu|, nu)."""
-        return sorted(
-            self._coeffs.items(),
-            key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]),
-        )
 
     # -- algebra -----------------------------------------------------------
 
@@ -180,39 +222,43 @@ class CuntzElement:
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
-        out = dict(self._coeffs)
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        out = dict(self._coeffs) if d1 == den else {k: c * (den // d1) for k, c in self._coeffs.items()}
+        m = den // d2
         for key, c in other._coeffs.items():
-            _add_term(out, key, c)
-        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
+            _add_term(out, key, c * m)
+        return _reduced(self._base, out, den)
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
         return self + (-other)
 
     def __neg__(self) -> "CuntzElement":
         coeffs = {k: -c for k, c in self._coeffs.items()}
-        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
+        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
 
     def __mul__(self, other: "CuntzElement | Scalar") -> "CuntzElement":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            coeffs = {k: c * other for k, c in self._coeffs.items()} if other else {}
-            return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
+            n = other.numerator
+            coeffs = {k: c * n for k, c in self._coeffs.items()} if n else {}
+            return _reduced(self._base, coeffs, self._den * other.denominator)
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
-        out: dict[tuple[Word, Word], Fraction] = {}
+        out: dict[tuple[Word, Word], int] = {}
         for (mu, nu), c1 in self._coeffs.items():
             for (alpha, beta), c2 in other._coeffs.items():
                 key = _mul_keys(mu, nu, alpha, beta)
                 if key is not None:
                     _add_term(out, key, c1 * c2)
-        return _trusted(CuntzElement, _base=self._base, _coeffs=out)
+        return _reduced(self._base, out, self._den * other._den)
 
     __rmul__ = __mul__  # scalars commute with every element
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
         coeffs = {(nu, mu): c for (mu, nu), c in self._coeffs.items()}
-        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
+        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
 
     # -- grading -----------------------------------------------------------
 
@@ -237,7 +283,7 @@ class CuntzElement:
         """Projection onto the degree-k part of the gauge grading."""
         _require_int("degree", k)
         coeffs = {key: c for key, c in self._coeffs.items() if len(key[0]) - len(key[1]) == k}
-        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs)
+        return _reduced(self._base, coeffs, self._den)
 
     # -- decidable equality -------------------------------------------------
 
@@ -253,7 +299,7 @@ class CuntzElement:
         forms are structurally equal.
         """
         d = self._base
-        out: dict[tuple[Word, Word], Fraction] = {}
+        out: dict[tuple[Word, Word], int] = {}
         for (mu, nu), c in self._coeffs.items():
             m, n = len(mu), len(nu)
             k = 0
@@ -266,7 +312,7 @@ class CuntzElement:
                     for i in range(1, d):
                         _add_term(out, (a + (i,), b + (i,)), -c)
             _add_term(out, (mu, nu), c)
-        return _trusted(CuntzElement, _base=d, _coeffs=out)
+        return _reduced(d, out, self._den)
 
     def equals(self, other: "CuntzElement") -> bool:
         """Equality in the algebra (decides the unit relation, not just form).
@@ -277,7 +323,7 @@ class CuntzElement:
         if not isinstance(other, CuntzElement):
             raise TypeError(f"cannot compare CuntzElement with {type(other).__name__}")
         self._require_same_base(other)
-        return self.normal_form()._coeffs == other.normal_form()._coeffs
+        return self.normal_form() == other.normal_form()
 
     # -- structural equality / hashing --------------------------------------
 
@@ -286,10 +332,10 @@ class CuntzElement:
         decides equality in the algebra."""
         if not isinstance(other, CuntzElement):
             return NotImplemented
-        return self._base == other._base and self._coeffs == other._coeffs
+        return self._base == other._base and self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self._base, frozenset(self._coeffs.items())))
+        return hash((self._base, self._den, frozenset(self._coeffs.items())))
 
     # -- text ----------------------------------------------------------------
 
@@ -297,11 +343,17 @@ class CuntzElement:
         if not self._coeffs:
             return "0"
         chunks: list[str] = []
-        for (mu, nu), c in self.sorted_terms():
+        den = self._den
+        ordered = sorted(  # the canonical order: by (|mu|, mu, |nu|, nu)
+            self._coeffs.items(),
+            key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]),
+        )
+        for (mu, nu), n in ordered:
             word = " ".join(
                 [f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)]
             )
-            n, q = c.numerator, c.denominator
+            g = gcd(n, den)
+            n, q = n // g, den // g
             positive = n > 0
             if not positive:
                 n = -n
@@ -319,7 +371,7 @@ class CuntzElement:
         return " ".join(chunks)
 
     def __repr__(self) -> str:
-        return f"CuntzElement({self._base}, {self._coeffs!r})"
+        return f"CuntzElement({self._base}, {self.terms()!r})"
 
 
 def generator(base: int, index: int) -> CuntzElement:
@@ -346,16 +398,17 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     joined by ``+`` or ``-``.  Products reduce immediately, so arbitrary
     words in generators and adjoints are accepted, not only normal forms.
     Well-formed text is read by one regex search and one ``findall``, with
-    each term's coefficient kept as an integer numerator and denominator
-    and turned into one ``Fraction`` when the term closes; any other text
-    is scanned token by token only to name its error.
+    each term's coefficient kept as an integer numerator and denominator;
+    when the text ends, every term is scaled to the lcm of the
+    denominators and the terms are added in order.  Any other text is
+    scanned token by token only to name its error.
     :class:`ExpressionParseError` reports the leftmost error with its
     character position.  A coefficient or generator index longer than
     :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an error.
     """
     _check_base(base)
     if not _LONG_LITERAL.search(text):
-        out: dict[tuple[Word, Word], Fraction] = {}
+        terms: list[tuple[tuple[Word, Word], int, int]] = []
         num: int | None = None  # the open term's numerator; None between terms
         sign = 1
         after_op = False  # an operator came and no term has opened since
@@ -365,7 +418,7 @@ def parse_expression(base: int, text: str) -> CuntzElement:
                 if op:
                     if num is not None:
                         if live and num:
-                            _add_term(out, (tuple(mu), tuple(pending[::-1])), Fraction(num, q))
+                            terms.append(((tuple(mu), tuple(pending[::-1])), num, q))
                         num = None
                     elif after_op:
                         break
@@ -398,8 +451,8 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             else:
                 if num is not None:
                     if live and num:
-                        _add_term(out, (tuple(mu), tuple(pending[::-1])), Fraction(num, q))
-                    return _trusted(CuntzElement, _base=base, _coeffs=out)
+                        terms.append(((tuple(mu), tuple(pending[::-1])), num, q))
+                    return _over_lcm(base, terms)
         except ValueError:  # a literal past a lower int <-> str limit
             pass
     _raise_expression_error(base, text)

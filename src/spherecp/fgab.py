@@ -89,9 +89,10 @@ def _trusted(cls, **fields):
     ``__init__``, ``__post_init__`` and any ``__setattr__`` guard.  Only
     for values the library derives from already validated ones: the
     caller vouches for every field, in the form the checked route stores
-    it (tuples for a dataclass, a dict of nonzero Fractions for a
-    ``CuntzElement``).  Every public constructor and parser keeps its
-    checks.
+    it (tuples for a dataclass; for a ``CuntzElement``, a dict of nonzero
+    int numerators and a positive common denominator that shares no
+    factor with all of them).  Every public constructor and parser keeps
+    its checks.
     """
     self = object.__new__(cls)
     self.__dict__.update(fields)

@@ -8,7 +8,9 @@ Slow on purpose -- these only run on small inputs.
 
 from __future__ import annotations
 
+import contextlib
 import re
+import signal
 import sys
 from math import gcd
 
@@ -209,6 +211,51 @@ def expand(x, depth: int):
     return CuntzElement(x.base, out)
 
 
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def fraction_product(x_terms: dict, y_terms: dict) -> dict:
+    """Coefficient map ``{(mu, nu): Fraction}`` of the product of two such maps.
+
+    Multiplies every pair of terms with plain ``Fraction`` arithmetic:
+    S_nu* S_alpha is S_rho when alpha = nu rho, S_rho* when nu = alpha rho,
+    and 0 otherwise.
+    """
+    out: dict = {}
+    for (mu, nu), a in x_terms.items():
+        for (alpha, beta), b in y_terms.items():
+            if alpha[: len(nu)] == nu:
+                key = (mu + alpha[len(nu):], beta)
+            elif nu[: len(alpha)] == alpha:
+                key = (mu, beta + nu[len(alpha):])
+            else:
+                continue
+            out[key] = out.get(key, 0) + a * b
+    return _nonzero(out)
+
+
+def fraction_normal_form(base: int, terms: dict) -> dict:
+    """Coefficient map of the Leavitt normal form, one letter at a time.
+
+    Rewrites S_{mu d} S_{nu d}* = S_mu S_nu* - sum over i < d of
+    S_{mu i} S_{nu i}* (the unit relation between mu and nu) until no
+    term's mu and nu both end in d, with ``Fraction`` coefficients.
+    """
+    todo = dict(terms)
+    out: dict = {}
+    while todo:
+        (mu, nu), c = todo.popitem()
+        if mu and nu and mu[-1] == nu[-1] == base:
+            todo[mu[:-1], nu[:-1]] = todo.get((mu[:-1], nu[:-1]), 0) + c
+            for i in range(1, base):
+                key = (mu[:-1] + (i,), nu[:-1] + (i,))
+                todo[key] = todo.get(key, 0) - c
+        else:
+            out[mu, nu] = out.get((mu, nu), 0) + c
+    return _nonzero(out)
+
+
 class MatrixTextError(ValueError):
     """A refusal by :func:`parse_matrix_tokens`, worded as the library words it.
 
@@ -376,7 +423,23 @@ def parse_expression_tokens(base: int, text: str) -> dict:
     return out
 
 
-# -- generation helpers (not oracles, but shared by several suites) ---------
+# -- generation and timing helpers (not oracles, but shared by several suites)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_cuntz_element(rng, base: int, max_terms: int = 4, max_len: int = 3):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import spherecp.classify
 import spherecp.pimsner
-from spherecp.bundles import RankTooSmall, SphereBundleSpec
+from spherecp.bundles import RankTooSmall, SphereBundleSpec, k_class
 from spherecp.classify import (
     CAVEAT_DELTA0,
     CAVEAT_INCONCLUSIVE,
@@ -258,12 +258,12 @@ _EULERS = st.one_of(st.integers(-60, 60), st.integers(-(10**30), 10**30))
 
 
 @st.composite
-def _spec_pairs(draw):
-    """Two specs, half the time over the same sphere with the same rank."""
-    n, d = draw(st.integers(1, 8)), draw(_RANKS)
+def _spec_pairs(draw, top=8):
+    """Two specs over S^1..S^top, half the time over the same sphere with the same rank."""
+    n, d = draw(st.integers(1, top)), draw(_RANKS)
     a = SphereBundleSpec(n, d, 0 if n % 2 else draw(_EULERS))
     if draw(st.booleans()):
-        n, d = draw(st.integers(1, 8)), draw(_RANKS)
+        n, d = draw(st.integers(1, top)), draw(_RANKS)
     return a, SphereBundleSpec(n, d, 0 if n % 2 else draw(_EULERS))
 
 
@@ -279,3 +279,16 @@ def test_property_row_reads_agree_with_the_checked_route(pair):
     else:
         with pytest.raises(ComparisonError):
             delta1_equal(a, b)
+
+
+@given(_spec_pairs(top=6))
+@settings(max_examples=300, deadline=None)
+def test_property_graded_isomorphism_compares_the_k_classes(pair):
+    # the (rank, euler) comparison against the checked K-class values
+    a, b = pair
+    assert graded_stably_isomorphic(a, a)  # the K-class of a equals itself
+    if (a.sphere_dim, a.rank) == (b.sphere_dim, b.rank):
+        assert graded_stably_isomorphic(a, b) == (k_class(a) == k_class(b))
+    else:
+        with pytest.raises(ComparisonError):
+            graded_stably_isomorphic(a, b)

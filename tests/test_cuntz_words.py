@@ -18,9 +18,12 @@ import spherecp.cuntz_words
 from oracles import (
     ExpressionTextError,
     expand,
+    fraction_normal_form,
+    fraction_product,
     parse_expression_tokens,
     random_cuntz_element,
     random_homogeneous_element,
+    time_limit,
 )
 from spherecp.cuntz_words import (
     BaseMismatchError,
@@ -410,6 +413,81 @@ class TestNormalFormProperties:
         assert (x * y).normal_form() == (x.normal_form() * y.normal_form()).normal_form()
         assert (x + y).normal_form() == (x.normal_form() + y.normal_form()).normal_form()
         assert x.star().equals(x.normal_form().star())
+
+
+_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=12))
+
+
+@st.composite
+def fraction_maps(draw, base):
+    """A coefficient map over ``base`` isometries, zero coefficients and denominators up to 12 included."""
+    word = st.lists(st.integers(1, base), max_size=3).map(tuple)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    return draw(st.dictionaries(st.tuples(word, word), coeff, max_size=5))
+
+
+def _primes(n):
+    out, k = [], 2
+    while len(out) < n:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+class TestCommonDenominator:
+    """Integer numerators over one common denominator agree with ``Fraction`` arithmetic."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_results_agree_with_fraction_arithmetic(self, data):
+        base = data.draw(st.sampled_from((2, 3)))
+        x = CuntzElement(base, data.draw(fraction_maps(base)))
+        y = CuntzElement(base, data.draw(fraction_maps(base)))
+        q, k = data.draw(_SCALARS), data.draw(st.integers(-2, 2))
+        xt, yt = x.terms(), y.terms()
+        scaled = {key: q * c for key, c in xt.items() if q}
+        cases = [
+            (x * y, fraction_product(xt, yt)),
+            (x + y, {key: c for key in xt.keys() | yt.keys() if (c := xt.get(key, 0) + yt.get(key, 0))}),
+            (x - x, {}),
+            (-x, {key: -c for key, c in xt.items()}),
+            (q * x, scaled),
+            (x * q, scaled),
+            (x.star(), {(nu, mu): c for (mu, nu), c in xt.items()}),
+            (x.normal_form(), fraction_normal_form(base, xt)),
+            (x.spectral_component(k), {key: c for key, c in xt.items() if len(key[0]) - len(key[1]) == k}),
+        ]
+        for result, expected in cases:
+            assert result.terms() == expected
+            # the same Fraction map reached by other routes: checked, reparsed,
+            # through a larger denominator and back
+            for other in (
+                CuntzElement(base, expected),
+                parse_expression(base, str(result)),
+                result + y - y,
+                result * 6 * Fraction(1, 6),
+            ):
+                assert other == result
+                assert hash(other) == hash(result)
+            # a different map over the same numerators is not equal
+            assert (result * 2 == result) == result.is_zero
+            assert result.equals(result * 2) == result.is_zero
+
+    def test_three_hundred_prime_denominators(self):
+        # the common denominator of x is the product of the first 300 primes
+        # (2766 bits) and x x* has 90 000 terms over its square: the known
+        # cost of one denominator per element, held to a time limit
+        primes = _primes(300)
+        words = [tuple(int(b) + 1 for b in format(k, "b")) for k in range(1, 301)]  # distinct, over {1, 2}
+        xt = {(w, ()): Fraction(1, p) for w, p in zip(words, primes)}
+        x = CuntzElement(2, xt)
+        with time_limit(10):
+            p = x * x.star()
+            assert p.equals(p.star())
+            text = str(p)
+        assert p.terms() == fraction_product(xt, {(nu, mu): c for (mu, nu), c in xt.items()})
+        assert text.startswith("1/4 s2 s2* + 1/6 s2 s1* s2* + 1/10 s2 s2* s2* + 1/14 s2 s1* s1* s2*")
 
 
 class TestGrading:

@@ -5,12 +5,10 @@ independent oracles in oracles.py (gcd/determinant identities, coset
 enumeration, solution enumeration) -- see the comments next to each.
 """
 
-import contextlib
 import doctest
 import itertools
 import json
 import random
-import signal
 import sys
 import time
 from math import isqrt, prod
@@ -33,6 +31,7 @@ from oracles import (
     random_int_matrix,
     random_unimodular,
     snf_2x2_oracle,
+    time_limit,
 )
 from spherecp.fgab import (
     LITERAL_DIGITS_BUDGET,
@@ -59,22 +58,6 @@ def snf_is_valid(a, snf):
         for j in range(snf.D.cols):
             if i != j:
                 assert snf.D[i, j] == 0
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_doctests():

@@ -8,6 +8,7 @@ accepted and compare equal.
 
 import dataclasses
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,13 @@ def assert_valid_element(x):
     assert copy == x
     assert hash(copy) == hash(x)
     assert all(x.terms().values())  # the checked route drops zero coefficients
+    # the one stored form: int numerators, none zero, over a positive
+    # common denominator that shares no factor with all of them
+    numerators = list(x._coeffs.values())
+    assert all(type(c) is int for c in [x._den, *numerators])
+    assert x._den > 0
+    assert gcd(x._den, *numerators) == 1
+    assert all(numerators)
 
 
 @given(element_pairs(), st.integers(-2, 2), st.fractions(max_denominator=4))
