@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fgab import SpherecpInputError, _literal_int
+from .fgab import SpherecpInputError, _literal_int, _require_int
 from .ktheory import TruncPoly
 
 __all__ = [
@@ -72,12 +72,9 @@ def validate(spec: SphereBundleSpec) -> SphereBundleSpec:
     """Check the domain restrictions; returns its argument unchanged on success."""
     # three exact ints, the common case, skip every isinstance call
     if not (spec.sphere_dim.__class__ is spec.rank.__class__ is spec.euler_param.__class__ is int):
-        if not isinstance(spec.sphere_dim, int) or isinstance(spec.sphere_dim, bool):
-            raise SpecFormatError("sphere_dim must be an integer")
-        if not isinstance(spec.rank, int) or isinstance(spec.rank, bool):
-            raise SpecFormatError("rank must be an integer")
-        if not isinstance(spec.euler_param, int) or isinstance(spec.euler_param, bool):
-            raise SpecFormatError("euler parameter must be an integer")
+        _require_int("sphere_dim", spec.sphere_dim, error=SpecFormatError)
+        _require_int("rank", spec.rank, error=SpecFormatError)
+        _require_int("euler parameter", spec.euler_param, error=SpecFormatError)
     if spec.sphere_dim < 1:
         raise NonpositiveDimension(f"sphere dimension must be >= 1, got {spec.sphere_dim}")
     if spec.rank < 2:

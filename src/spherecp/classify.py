@@ -146,18 +146,12 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
     inv = delta1_class(spec)
     if spec.sphere_dim % 2 == 0:
         trivial = k_groups_trivial(spec.sphere_dim, spec.rank)
+        parity_caveat = CAVEAT_REALIZABILITY if spec.euler_param else CAVEAT_TRIVIAL_CLASS
     else:
         trivial = kg
+        parity_caveat = CAVEAT_ODD_COLLAPSE
     distinguishable = kg.k0 != trivial.k0
-    caveats: list[str] = [CAVEAT_DELTA0]
-    if spec.sphere_dim % 2 == 1:
-        caveats.append(CAVEAT_ODD_COLLAPSE)
-    elif spec.euler_param == 0:
-        caveats.append(CAVEAT_TRIVIAL_CLASS)
-    else:
-        caveats.append(CAVEAT_REALIZABILITY)
-    if not distinguishable:
-        caveats.append(CAVEAT_INCONCLUSIVE)
+    caveats = (CAVEAT_DELTA0, parity_caveat) + (() if distinguishable else (CAVEAT_INCONCLUSIVE,))
     return ClassificationReport(
         spec=spec,
         k_class=kc,
@@ -165,7 +159,7 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
         delta1=inv,
         trivial_comparison=trivial,
         k_distinguishable_from_trivial=distinguishable,
-        caveats=tuple(caveats),
+        caveats=caveats,
     )
 
 

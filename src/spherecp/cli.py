@@ -93,32 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spherecp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = dict(choices=("human", "structured"), default="human")
-
     p_kg = sub.add_parser("kgroups", help="K-groups of one bundle algebra")
     _add_spec_args(p_kg)
-    p_kg.add_argument("--format", **common)
 
     p_cl = sub.add_parser("classify", help="classification report or pairwise verdicts")
     _add_spec_args(p_cl)
     _add_spec_args(p_cl, suffix="2")
-    p_cl.add_argument("--format", **common)
 
     p_tb = sub.add_parser("table", help="survey table over a (rank, euler) grid")
     p_tb.add_argument("--sphere", type=int, default=4, metavar="N", help="even sphere dimension (default 4)")
     p_tb.add_argument("--d-max", type=int, default=6, metavar="D", help="largest rank (>= 2, default 6)")
     p_tb.add_argument("--c-max", type=int, default=6, metavar="C", help="largest euler parameter (>= 0, default 6)")
-    p_tb.add_argument("--format", **common)
 
     p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p_snf.add_argument("matrix", help="matrix text, e.g. '-2,0;-1,-2'")
-    p_snf.add_argument("--format", **common)
 
     p_cz = sub.add_parser("cuntz", help="Leavitt normal form or equality of word expressions")
     p_cz.add_argument("--d", type=int, required=True, metavar="D", help="number of isometries (>= 2)")
     p_cz.add_argument("expression", help="expression, e.g. 's1 s2* + 2 s1 s1 s2* s1*'")
     p_cz.add_argument("--equal", metavar="EXPR", help="second expression; print whether the two are equal")
-    p_cz.add_argument("--format", **common)
+
+    for p in sub.choices.values():  # last, so --help lists it after each subcommand's own options
+        p.add_argument("--format", choices=("human", "structured"), default="human")
 
     # Matrix text and word expressions may begin with a minus sign
     # ("-2,0;-1,-2", "-s1"); widen the pattern argparse uses to decide

@@ -237,11 +237,7 @@ class CuntzElement:
         coeffs = {k: -c for k, c in self._coeffs.items()}
         return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
 
-    def __mul__(self, other: "CuntzElement | Scalar") -> "CuntzElement":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            n = other.numerator
-            coeffs = {k: c * n for k, c in self._coeffs.items()} if n else {}
-            return _reduced(self._base, coeffs, self._den * other.denominator)
+    def __mul__(self, other: "CuntzElement") -> "CuntzElement":
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
@@ -252,8 +248,6 @@ class CuntzElement:
                 if key is not None:
                     _add_term(out, key, c1 * c2)
         return _reduced(self._base, out, self._den * other._den)
-
-    __rmul__ = __mul__  # scalars commute with every element
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
@@ -379,13 +373,10 @@ def generator(base: int, index: int) -> CuntzElement:
     return CuntzElement.monomial(base, (index,), ())
 
 
-_EXPR_TOKEN = re.compile(  # "bad" matches where nothing else does, so finditer visits every character
-    r"(?P<ws>\s+)|(?P<gen>s(?P<idx>\d+)(?P<star>\*)?)|(?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?)|(?P<op>[+-])"
-    r"|(?P<bad>.)", re.DOTALL
-)
-# the scan's tokens other than whitespace, as (idx, star, numer, den, op, bad);
-# nothing matches whitespace and "(\S)" takes every other character
-_EXPR_ATOM = re.compile(r"s(\d+)(\*?)|(\d+)(?:/(\d+))?|([+-])|(\S)")
+# the expression's tokens, as (idx, star, numer, den, op, bad); nothing matches
+# whitespace and "bad" takes every other character, so the matches tile the
+# text with its whitespace removed
+_EXPR_ATOM = re.compile(r"s(?P<idx>\d+)(\*?)|(?P<numer>\d+)(?:/(?P<den>\d+))?|(?P<op>[+-])|(?P<bad>\S)")
 # a literal past the budget: every maximal digit run is one literal of the scan
 _LONG_LITERAL = re.compile(rf"(?<!\d)\d{{{LITERAL_DIGITS_BUDGET + 1}}}")
 
@@ -462,24 +453,24 @@ def _raise_expression_error(base: int, text: str) -> NoReturn:
     """Raise the :class:`ExpressionParseError` that names the leftmost error in ``text``."""
     in_term = False  # a term is open
     op_pos: int | None = None  # position of the last operator
-    for m in _EXPR_TOKEN.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "bad":
+    for m in _EXPR_ATOM.finditer(text):
+        pos = m.start()
+        if m.group("bad"):
             raise ExpressionParseError(f"unexpected character {m.group()!r}", pos)
-        if kind == "op":
+        if m.group("op"):
             if not in_term and op_pos is not None:
                 raise ExpressionParseError("empty term before operator", pos)
             in_term, op_pos = False, pos
-        elif kind == "num":
+            continue
+        if m.group("numer"):
             _literal_int(m.group("numer"), pos, ExpressionParseError)
             if m.group("den") and not _literal_int(m.group("den"), m.start("den"), ExpressionParseError):
                 raise ExpressionParseError("zero denominator", pos)
-            in_term = True
-        elif kind == "gen":
+        else:  # a generator
             idx = _literal_int(m.group("idx"), m.start("idx"), ExpressionParseError)
             if not 1 <= idx <= base:
                 raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
-            in_term = True
+        in_term = True
     if not in_term:
         if op_pos is not None:
             raise ExpressionParseError("expression ends with a dangling operator", op_pos)

@@ -73,11 +73,11 @@ class MatrixParseError(SpherecpInputError):
     """Malformed matrix text."""
 
 
-def _require_int(what: str, *values: object) -> None:
-    """Refuse with TypeError any value that is not an int, or is a bool."""
+def _require_int(what: str, *values: object, error: type[Exception] = TypeError) -> None:
+    """Refuse with ``error`` any value that is not an int, or is a bool."""
     for v in values:  # an exact int, the common case, skips both isinstance calls
         if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)):
-            raise TypeError(f"{what} must be int, got {type(v).__name__}")
+            raise error(f"{what} must be int, got {type(v).__name__}")
 
 
 def _trusted(cls, **fields):
@@ -138,10 +138,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def __getitem__(self, pos: tuple[int, int]) -> int:
         i, j = pos

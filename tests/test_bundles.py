@@ -60,6 +60,13 @@ class TestValidate:
             with pytest.raises(SpecFormatError):
                 SphereBundleSpec(*fields)
 
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("field", ["sphere_dim", "rank", "euler"])
+    def test_non_int_field_named_with_its_type(self, field, value):
+        fields = {"sphere_dim": 4, "rank": 3, "euler": 1, field: value}
+        with pytest.raises(SpecFormatError, match=rf"^{field}.* must be int, got {type(value).__name__}$"):
+            SphereBundleSpec(*fields.values())
+
 
 class TestKClass:
     def test_even_sphere_class(self):

@@ -124,6 +124,16 @@ class TestKGroups:
         assert code == 1 and out == ""
         assert err.startswith("error: bundle spec nests deeper than one flat JSON object")
 
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("field", ["sphere_dim", "rank", "euler"])
+    def test_spec_non_int_field(self, capsys, tmp_path, field, value):
+        # a spec error (exit 1), not the TypeError of a library argument check (exit 2)
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps({"sphere_dim": 4, "rank": 3, "euler": 1, field: value}))
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}")
+
     def test_spec_file_not_text(self, capsys, tmp_path):
         p = tmp_path / "b.json"
         p.write_bytes(b"\xff\xfe{")

@@ -132,17 +132,10 @@ class TestAlgebraLaws:
             assert (a * b).star().equals(b.star() * a.star())
             assert a.star().star() == a
 
-    def test_scalar_action(self):
-        x = CuntzElement.monomial(2, (1,), (2,))
-        assert 2 * x == x + x
-        assert Fraction(1, 2) * (x + x) == x
-        assert (x * 0).is_zero
-
     def test_scalar_side_and_refusal(self):
+        # a scalar enters as an element (a multiple of the unit), never bare
         x = CuntzElement.monomial(2, (1,), (2,)) + CuntzElement.unit(2)
-        assert 3 * x == x * 3
-        assert Fraction(2, 3) * x == x * Fraction(2, 3)
-        for bad in (0.5, True, "2"):
+        for bad in (0.5, True, "2", 2, Fraction(2, 3)):
             with pytest.raises(TypeError):
                 bad * x
             with pytest.raises(TypeError):
@@ -298,7 +291,7 @@ class TestNormalForm:
                 4, f"{_power(4, depth)} s{i} s{i}* {_power(4, depth).replace('s4', 's4*')}"
             )
         assert u.equals(resolved)
-        assert not u.equals(resolved * 2)
+        assert not u.equals(resolved + resolved)
         for z in (u, resolved):
             assert len(z.normal_form().terms()) <= len(z.terms()) * (1 + (depth + 1) * (4 - 1))
 
@@ -336,7 +329,8 @@ def expressions(draw):
     """A random sum of products of atoms, as text and as the element it denotes.
 
     The element is built through the algebra (``generator``, ``star``,
-    scalar ``*``, element ``+``/``-``), independently of the parser.
+    ``*`` by a multiple of the unit, element ``+``/``-``), independently of
+    the parser.
     """
     d = draw(st.sampled_from((2, 3)))
     text, x = "", CuntzElement.zero(d)
@@ -348,7 +342,7 @@ def expressions(draw):
             if kind == "num":
                 num, den = draw(st.integers(0, 5)), draw(st.integers(1, 3))
                 atoms.append(f"{num}/{den}" if den > 1 else str(num))
-                term = term * Fraction(num, den)
+                term = term * CuntzElement(d, {((), ()): Fraction(num, den)})
             else:
                 k = draw(st.integers(1, d))
                 atoms.append(f"s{k}*" if kind == "adj" else f"s{k}")
@@ -415,9 +409,6 @@ class TestNormalFormProperties:
         assert x.star().equals(x.normal_form().star())
 
 
-_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=12))
-
-
 @st.composite
 def fraction_maps(draw, base):
     """A coefficient map over ``base`` isometries, zero coefficients and denominators up to 12 included."""
@@ -444,16 +435,14 @@ class TestCommonDenominator:
         base = data.draw(st.sampled_from((2, 3)))
         x = CuntzElement(base, data.draw(fraction_maps(base)))
         y = CuntzElement(base, data.draw(fraction_maps(base)))
-        q, k = data.draw(_SCALARS), data.draw(st.integers(-2, 2))
+        k = data.draw(st.integers(-2, 2))
+        six, sixth = CuntzElement(base, {((), ()): 6}), CuntzElement(base, {((), ()): Fraction(1, 6)})
         xt, yt = x.terms(), y.terms()
-        scaled = {key: q * c for key, c in xt.items() if q}
         cases = [
             (x * y, fraction_product(xt, yt)),
             (x + y, {key: c for key in xt.keys() | yt.keys() if (c := xt.get(key, 0) + yt.get(key, 0))}),
             (x - x, {}),
             (-x, {key: -c for key, c in xt.items()}),
-            (q * x, scaled),
-            (x * q, scaled),
             (x.star(), {(nu, mu): c for (mu, nu), c in xt.items()}),
             (x.normal_form(), fraction_normal_form(base, xt)),
             (x.spectral_component(k), {key: c for key, c in xt.items() if len(key[0]) - len(key[1]) == k}),
@@ -466,13 +455,13 @@ class TestCommonDenominator:
                 CuntzElement(base, expected),
                 parse_expression(base, str(result)),
                 result + y - y,
-                result * 6 * Fraction(1, 6),
+                result * six * sixth,
             ):
                 assert other == result
                 assert hash(other) == hash(result)
             # a different map over the same numerators is not equal
-            assert (result * 2 == result) == result.is_zero
-            assert result.equals(result * 2) == result.is_zero
+            assert (result + result == result) == result.is_zero
+            assert result.equals(result + result) == result.is_zero
 
     def test_three_hundred_prime_denominators(self):
         # the common denominator of x is the product of the first 300 primes
@@ -703,13 +692,11 @@ class TestExpressionText:
     @given(st.text())
     @settings(max_examples=300, deadline=None)
     def test_token_spans_tile_the_text(self, text):
-        # the catch-all alternative matches wherever no token does, so
-        # finditer skips no character and parse_expression sees all of them
-        tokens = list(spherecp.cuntz_words._EXPR_TOKEN.finditer(text))
-        assert "".join(m.group() for m in tokens) == text
-        # the fast route's atoms are the same tokens without the whitespace
-        atoms = [m.span() for m in spherecp.cuntz_words._EXPR_ATOM.finditer(text)]
-        assert atoms == [m.span() for m in tokens if m.lastgroup != "ws"]
+        # the catch-all alternative matches any non-whitespace character no
+        # token takes, so finditer skips only whitespace and parse_expression
+        # and its error scan see every other character
+        atoms = [m.group() for m in spherecp.cuntz_words._EXPR_ATOM.finditer(text)]
+        assert "".join(atoms) == "".join(text.split())
 
     def test_parse_is_inverse_of_str_on_expanded_forms(self):
         x = expand(CuntzElement.unit(2), 2)

@@ -1,6 +1,7 @@
 """Static checks on the library source, read with ``ast``."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -99,3 +100,40 @@ def test_only_the_parser_is_memoised():
             if name in MEMOISERS:
                 found.append((path.name, decorated.get(id(node))))
     assert found == [("cli.py", "build_parser")]
+
+
+def _code_lines_script():
+    path = PACKAGE.parent.parent / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import re  # a trailing comment leaves a code line
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+
+        with a blank line."""
+        text = """a string that is not a docstring,
+
+        so its non-blank lines count"""
+        return (
+            text
+        )
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    # counted: import, class, def, the string's two non-blank lines, and return ( text )
+    assert _code_lines_script().code_lines(CODE_LINES_FIXTURE) == 8

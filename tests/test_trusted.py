@@ -7,7 +7,6 @@ accepted and compare equal.
 """
 
 import dataclasses
-from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
@@ -92,14 +91,14 @@ def assert_valid_element(x):
     assert all(numerators)
 
 
-@given(element_pairs(), st.integers(-2, 2), st.fractions(max_denominator=4))
+@given(element_pairs(), st.integers(-2, 2))
 @settings(max_examples=200, deadline=None)
-def test_word_results_pass_the_checks(pair, k, scalar):
+def test_word_results_pass_the_checks(pair, k):
     x, y = pair
     parsed = parse_expression(x.base, str(x))
     depth = max(len(nu) for _, nu in x.terms()) + 1
     results = [
-        parsed, x * y, x * scalar, x * Fraction(0), scalar * x, x + y, x - x, -x,
+        parsed, x * y, x + y, x - x, -x,
         x.star(), x.normal_form(), (x + y).normal_form(), x.spectral_component(k),
         expand(x, depth), expand(x - x.normal_form(), depth),
     ]
