@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, NoReturn, Union
+from typing import Iterable, Mapping, Union
 
 from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
 
@@ -222,13 +222,7 @@ class CuntzElement:
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        out = dict(self._coeffs) if d1 == den else {k: c * (den // d1) for k, c in self._coeffs.items()}
-        m = den // d2
-        for key, c in other._coeffs.items():
-            _add_term(out, key, c * m)
-        return _reduced(self._base, out, den)
+        return _over_lcm(self._base, [(key, c, x._den) for x in (self, other) for key, c in x._coeffs.items()])
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
         return self + (-other)
@@ -377,102 +371,92 @@ def generator(base: int, index: int) -> CuntzElement:
 # whitespace and "bad" takes every other character, so the matches tile the
 # text with its whitespace removed
 _EXPR_ATOM = re.compile(r"s(?P<idx>\d+)(\*?)|(?P<numer>\d+)(?:/(?P<den>\d+))?|(?P<op>[+-])|(?P<bad>\S)")
-# a literal past the budget: every maximal digit run is one literal of the scan
-_LONG_LITERAL = re.compile(rf"(?<!\d)\d{{{LITERAL_DIGITS_BUDGET + 1}}}")
 
 
 def parse_expression(base: int, text: str) -> CuntzElement:
     """Parse expressions like ``s1 s2* + 2 s1 s1 s2* s1*`` or ``1/2 s1 s1*``.
 
-    A term is a whitespace-separated product of atoms: generators ``sK``,
-    adjoints ``sK*``, and rational scalars (``3``, ``1/2``); terms are
-    joined by ``+`` or ``-``.  Products reduce immediately, so arbitrary
-    words in generators and adjoints are accepted, not only normal forms.
-    Well-formed text is read by one regex search and one ``findall``, with
-    each term's coefficient kept as an integer numerator and denominator;
-    when the text ends, every term is scaled to the lcm of the
-    denominators and the terms are added in order.  Any other text is
-    scanned token by token only to name its error.
-    :class:`ExpressionParseError` reports the leftmost error with its
-    character position.  A coefficient or generator index longer than
+    Terms are joined by ``+`` or ``-``, and a term is a product of atoms
+    in any order: generators ``sK``, adjoints ``sK*`` and nonnegative
+    rational scalars (``3``, ``1/2``).  Every scalar multiplies into the
+    term's coefficient, products reduce immediately, so arbitrary words in
+    generators and adjoints are accepted, and atoms need no whitespace
+    between them (``s1s2*``).  One loop over one ``findall`` reads the
+    text, keeping each term's coefficient as an integer numerator and
+    denominator; when the text ends, every term is scaled to the lcm of
+    the denominators and the terms are added in order.  The loop stops at
+    the first token it refuses, and :class:`ExpressionParseError` names
+    that token's error with its character position, which is the leftmost
+    error.  A coefficient or generator index longer than
     :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an error.
     """
     _check_base(base)
-    if not _LONG_LITERAL.search(text):
-        terms: list[tuple[tuple[Word, Word], int, int]] = []
-        num: int | None = None  # the open term's numerator; None between terms
-        sign = 1
-        after_op = False  # an operator came and no term has opened since
-        # the open term is num/q times S_mu S_nu*, or 0 once live is False
-        try:
-            for idx, star, numer, den, op, bad in _EXPR_ATOM.findall(text):
-                if op:
-                    if num is not None:
-                        if live and num:
-                            terms.append(((tuple(mu), tuple(pending[::-1])), num, q))
-                        num = None
-                    elif after_op:
-                        break
-                    sign = 1 if op == "+" else -1
-                    after_op = True
-                    continue
-                if bad:
-                    break
-                if num is None:
-                    num, q, mu, pending, live = sign, 1, [], [], True
-                if numer:
-                    num *= int(numer)
-                    if den:
-                        q *= int(den)
-                        if not q:
-                            break
-                    continue
-                i = int(idx)
-                if not 1 <= i <= base:
-                    break
-                if not live:
-                    continue
-                # pending holds the adjoint word reversed: S_mu S_nu* has nu = pending[::-1]
-                if star:
-                    pending.append(i)
-                elif not pending:
-                    mu.append(i)
-                elif pending.pop() != i:  # s_j* s_i = 0 for j != i
-                    live = False
-            else:
+    terms: list[tuple[tuple[Word, Word], int, int]] = []
+    num: int | None = None  # the open term's numerator; None between terms
+    sign = 1
+    after_op = False  # an operator has come
+    # the open term is num/q times S_mu S_nu*, or 0 once live is False
+    try:
+        for n, (idx, star, numer, den, op, bad) in enumerate(_EXPR_ATOM.findall(text)):
+            if op:
                 if num is not None:
                     if live and num:
                         terms.append(((tuple(mu), tuple(pending[::-1])), num, q))
-                    return _over_lcm(base, terms)
-        except ValueError:  # a literal past a lower int <-> str limit
-            pass
-    _raise_expression_error(base, text)
-
-
-def _raise_expression_error(base: int, text: str) -> NoReturn:
-    """Raise the :class:`ExpressionParseError` that names the leftmost error in ``text``."""
-    in_term = False  # a term is open
-    op_pos: int | None = None  # position of the last operator
-    for m in _EXPR_ATOM.finditer(text):
-        pos = m.start()
-        if m.group("bad"):
-            raise ExpressionParseError(f"unexpected character {m.group()!r}", pos)
-        if m.group("op"):
-            if not in_term and op_pos is not None:
-                raise ExpressionParseError("empty term before operator", pos)
-            in_term, op_pos = False, pos
-            continue
-        if m.group("numer"):
-            _literal_int(m.group("numer"), pos, ExpressionParseError)
-            if m.group("den") and not _literal_int(m.group("den"), m.start("den"), ExpressionParseError):
-                raise ExpressionParseError("zero denominator", pos)
-        else:  # a generator
-            idx = _literal_int(m.group("idx"), m.start("idx"), ExpressionParseError)
-            if not 1 <= idx <= base:
-                raise ExpressionParseError(f"generator index {idx} out of range 1..{base}", pos)
-        in_term = True
-    if not in_term:
-        if op_pos is not None:
-            raise ExpressionParseError("expression ends with a dangling operator", op_pos)
-        raise ExpressionParseError("empty expression", 0)
-    raise AssertionError(f"the scan accepted text that the search and findall refused: {text!r}")
+                    num = None
+                elif after_op:
+                    break
+                sign = 1 if op == "+" else -1
+                after_op = True
+                continue
+            if bad:
+                break
+            if num is None:
+                num, q, mu, pending, live = sign, 1, [], [], True
+            if numer:
+                if len(numer) > LITERAL_DIGITS_BUDGET or len(den) > LITERAL_DIGITS_BUDGET:
+                    break
+                num *= int(numer)
+                if den:
+                    q *= int(den)
+                    if not q:
+                        break
+                continue
+            if len(idx) > LITERAL_DIGITS_BUDGET:
+                break
+            i = int(idx)
+            if not 1 <= i <= base:
+                break
+            if not live:
+                continue
+            # pending holds the adjoint word reversed: S_mu S_nu* has nu = pending[::-1]
+            if star:
+                pending.append(i)
+            elif not pending:
+                mu.append(i)
+            elif pending.pop() != i:  # s_j* s_i = 0 for j != i
+                live = False
+        else:
+            n = None  # the text ran out with no token refused
+    except ValueError:  # int() of a literal past a lower int <-> str limit
+        pass
+    if n is None:
+        if num is not None:
+            if live and num:
+                terms.append(((tuple(mu), tuple(pending[::-1])), num, q))
+            return _over_lcm(base, terms)
+        if not after_op:
+            raise ExpressionParseError("empty expression", 0)
+        # the operator is the last character of the text that is not whitespace
+        raise ExpressionParseError("expression ends with a dangling operator", len(text.rstrip()) - 1)
+    # the refused token alone names the error; findall gave no positions, so finditer finds it
+    m = next(islice(_EXPR_ATOM.finditer(text), n, None))
+    if m["bad"]:
+        raise ExpressionParseError(f"unexpected character {m['bad']!r}", m.start())
+    if m["op"]:
+        raise ExpressionParseError("empty term before operator", m.start())
+    for group in ("idx", "numer", "den"):
+        if m[group]:
+            _literal_int(m[group], m.start(group), ExpressionParseError)
+    if m["numer"]:
+        raise ExpressionParseError("zero denominator", m.start())
+    raise ExpressionParseError(f"generator index {int(m['idx'])} out of range 1..{base}", m.start())

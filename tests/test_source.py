@@ -137,3 +137,28 @@ class A:
 def test_code_lines_skip_blanks_comments_and_docstrings():
     # counted: import, class, def, the string's two non-blank lines, and return ( text )
     assert _code_lines_script().code_lines(CODE_LINES_FIXTURE) == 8
+
+
+def _private_definitions(path: Path) -> list:
+    """The ``_name``s a module defines at its top level, dunders aside."""
+    names = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_helper_has_a_use():
+    # a module-level _name that nothing in src/ reads is dead code
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):  # fgab._trusted
+                read.add(node.attr)
+    unread = [f"{path.name}:{name}" for path in SOURCES for name in _private_definitions(path) if name not in read]
+    assert unread == []
