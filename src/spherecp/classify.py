@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import SphereBundleSpec, k_class, spec_to_dict
-from .fgab import SpherecpInputError
-from .ktheory import Delta1Class, TruncPoly, _class_rows, delta1_class
+from .fgab import IntMatrix, SpherecpInputError
+from .ktheory import TruncPoly, _class_rows, delta1_class
 from .pimsner import KGroupPair, _k0, k_groups, k_groups_trivial
 
 __all__ = [
@@ -128,7 +128,7 @@ class ClassificationReport:
     spec: SphereBundleSpec
     k_class: TruncPoly
     k_groups: KGroupPair
-    delta1: Delta1Class
+    delta1: IntMatrix
     trivial_comparison: KGroupPair
     k_distinguishable_from_trivial: bool
     caveats: tuple[str, ...]
@@ -170,7 +170,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "k_class": str(report.k_class),
         "K0": str(report.k_groups.k0),
         "K1": str(report.k_groups.k1),
-        "delta1_matrix": report.delta1.matrix.to_text(),
+        "delta1_matrix": report.delta1.to_text(),
         "distinguishable_from_trivial": report.k_distinguishable_from_trivial,
         "caveats": list(report.caveats),
     }

@@ -154,7 +154,7 @@ def _cmd_classify_single(spec: SphereBundleSpec) -> tuple[list[str], dict]:
         f"k_class: {rep.k_class}",
         f"K0 = {rep.k_groups.k0}",
         f"K1 = {rep.k_groups.k1}",
-        f"delta1 matrix: {rep.delta1}",
+        f"delta1 matrix: {rep.delta1.to_text()} base={spec.rank}",
         f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
         f"distinguishable from trivial by K-theory: {'yes' if rep.k_distinguishable_from_trivial else 'no'}",
     ]
@@ -251,8 +251,6 @@ def _cmd_snf(args) -> tuple[list[str], dict]:
 
 
 def _cmd_cuntz(args) -> tuple[list[str], dict]:
-    if args.d < 2:
-        raise CliError("--d must be at least 2")
     x = parse_expression(args.d, args.expression)
     if args.equal is None:
         nf = x.normal_form()

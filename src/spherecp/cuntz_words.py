@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Union
 
-from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
+from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _signed_sum, _trusted
 
 __all__ = [
     "Word",
@@ -66,7 +66,7 @@ class ExpressionParseError(SpherecpInputError):
 
 def _check_base(base: object) -> None:
     if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-        raise ValueError(f"number of isometries must be an int >= 2, got {base!r}")
+        raise SpherecpInputError(f"number of isometries must be an int >= 2, got {base!r}")
 
 
 def _check_word(word: Iterable[int], base: int) -> Word:
@@ -328,35 +328,17 @@ class CuntzElement:
     # -- text ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        chunks: list[str] = []
         den = self._den
-        ordered = sorted(  # the canonical order: by (|mu|, mu, |nu|, nu)
-            self._coeffs.items(),
-            key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]),
-        )
+        terms: list[tuple[bool, str]] = []
+        # the canonical order: by (|mu|, mu, |nu|, nu)
+        ordered = sorted(self._coeffs.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]))
         for (mu, nu), n in ordered:
-            word = " ".join(
-                [f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)]
-            )
+            word = " ".join([f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)])
             g = gcd(n, den)
-            n, q = n // g, den // g
-            positive = n > 0
-            if not positive:
-                n = -n
-            mag = str(n) if q == 1 else f"{n}/{q}"
-            if not word:
-                body = mag
-            elif mag == "1":
-                body = word
-            else:
-                body = f"{mag} {word}"
-            if not chunks:
-                chunks.append(body if positive else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if positive else f"- {body}")
-        return " ".join(chunks)
+            m, q = abs(n) // g, den // g
+            mag = str(m) if q == 1 else f"{m}/{q}"
+            terms.append((n < 0, mag if not word else word if mag == "1" else f"{mag} {word}"))
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"CuntzElement({self._base}, {self.terms()!r})"

@@ -99,6 +99,26 @@ def _trusted(cls, **fields):
     return self
 
 
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Text of a sum of ``terms``, each a (negative, magnitude text) pair.
+
+    The package's one writer of signed sums: no terms give ``0``, the
+    first term is written ``x`` or ``-x`` and each later one ``+ x`` or
+    ``- x``.
+
+    >>> _signed_sum([(True, "2"), (False, "λ"), (True, "s1")])
+    '-2 + λ - s1'
+    """
+    parts: list[str] = []
+    for negative, mag in terms:
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(mag)
+    return "".join(parts) or "0"
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, entries stored row-major as nested tuples.
@@ -231,39 +251,37 @@ def parse_matrix(text: str) -> IntMatrix:
             rows = []
         if len(set(map(len, rows))) == 1:
             return IntMatrix.from_rows(rows)
+        for k, row in enumerate(rows, 1):  # every entry was read, so only the widths are wrong
+            if len(row) != len(rows[0]):
+                raise MatrixParseError(f"row {k} has {len(row)} entries, expected {len(rows[0])}")
     _raise_matrix_text_error(text)
 
 
 def _raise_matrix_text_error(text: str) -> NoReturn:
-    """Raise the :class:`MatrixParseError` that names the leftmost error in ``text``."""
-    rows: list[list[int]] = []
-    current: list[int] = []
+    """Raise the :class:`MatrixParseError` that names the leftmost token error in ``text``.
+
+    Text whose every entry reads comes here only if a token is out of
+    place; :func:`parse_matrix` names a ragged row itself.
+    """
     expect_entry = True
+    seen = False  # an entry has come
     for m in _MATRIX_TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "int":
             if not expect_entry:
                 raise MatrixParseError("expected ',' or ';' between entries", m.start())
-            current.append(_literal_int(m.group(), m.start(), MatrixParseError))
-            expect_entry = False
+            _literal_int(m.group(), m.start(), MatrixParseError)
+            expect_entry, seen = False, True
         elif kind == "sep":
             if expect_entry:
                 raise MatrixParseError("expected an integer entry", m.start())
-            if m.group() != ",":
-                rows.append(current)
-                current = []
             expect_entry = True
         elif kind == "bad":
             raise MatrixParseError(f"unexpected character {m.group()!r}", m.start())
     if expect_entry:
-        if not rows and not current:
+        if not seen:
             raise MatrixParseError("matrix text contains no entries", 0)
         raise MatrixParseError("matrix text ends with a dangling separator", len(text))
-    rows.append(current)
-    width = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != width:
-            raise MatrixParseError(f"row {idx + 1} has {len(row)} entries, expected {width}")
     raise AssertionError(f"the scan accepted text that the search and int() refused: {text!r}")
 
 
@@ -430,6 +448,25 @@ class SnfDecomposition:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
 
+def _least(mat: list[list[int]], t: int, n: int) -> tuple[int, int]:
+    """Row and column of the first entry of least nonzero absolute value
+    in the block of rows and columns t..n-1 of ``mat``, scanned row by row.
+
+    An entry of absolute value 1 ends the scan.  The block is
+    nonsingular, so some entry is nonzero.
+    """
+    best: tuple[int, int, int] | None = None
+    for i in range(t, n):
+        row = mat[i]
+        for j in range(t, n):
+            x = row[j]
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+                if best[0] == 1:
+                    return i, j
+    return best[1], best[2]
+
+
 def _diagonalize(mat: list[list[int]], n: int) -> None:
     """Diagonalize the leading n x n block of ``mat``, a nonsingular matrix, exactly, in place.
 
@@ -444,35 +481,8 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
     :func:`smith_normal_form` keeps U and V there.
     """
     t = 0  # the pivot position; rows above t are zero from column t on
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-
-    def row_pair(i: int, s0: int, s1: int, r0: int, r1: int) -> None:
-        # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
-        rt, ri = mat[t], mat[i]
-        mat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
-        mat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
-
-    def col_pair(j: int, s0: int, s1: int, r0: int, r1: int) -> None:
-        for row in mat[t:]:
-            ct, cj = row[t], row[j]
-            row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
-
-    def min_pos() -> tuple[int, int]:
-        best: tuple[int, int, int] | None = None
-        for i in range(t, n):
-            row = mat[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return i, j
-        return best[1], best[2]  # the block is nonsingular, so some entry is nonzero
-
     while t < n:
-        i0, j0 = min_pos()
+        i0, j0 = _least(mat, t, n)
         mat[t], mat[i0] = mat[i0], mat[t]
         if j0 != t:
             for row in mat[t:]:
@@ -486,10 +496,15 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                 # a pivot that divides b takes the plain branch: one row
                 # operation instead of the Bezout pair's two
                 if b % p == 0:
-                    add_row(i, t, -(b // p))
+                    q = -(b // p)
+                    mat[i] = [x + q * y for x, y in zip(mat[i], mat[t])]
                 else:
+                    # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
                     g, s0, s1 = _egcd(p, b)
-                    row_pair(i, s0, s1, -(b // g), p // g)
+                    r0, r1 = -(b // g), p // g
+                    rt, ri = mat[t], mat[i]
+                    mat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
+                    mat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
             for j in range(t + 1, n):
                 b = mat[t][j]
                 if not b:
@@ -499,9 +514,12 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                     q = b // p
                     for row in mat[t:]:
                         row[j] -= q * row[t]
-                else:
+                else:  # the same Bezout pair on columns t and j
                     g, s0, s1 = _egcd(p, b)
-                    col_pair(j, s0, s1, -(b // g), p // g)
+                    r0, r1 = -(b // g), p // g
+                    for row in mat[t:]:
+                        ct, cj = row[t], row[j]
+                        row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj
             if any(mat[i][t] for i in range(t + 1, n)):
                 # a Bezout column transform re-dirtied the pivot column;
                 # each such transform shrinks |pivot|, so this terminates
@@ -517,7 +535,7 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                 break
             # pivot must divide the rest of the submatrix for the divisor
             # chain; pull the offending row up so the next pass gcds it in
-            add_row(t, bad[0], 1)
+            mat[t] = [x + y for x, y in zip(mat[t], mat[bad[0]])]
         if mat[t][t] < 0:
             mat[t] = [-x for x in mat[t]]
         t += 1

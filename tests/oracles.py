@@ -256,6 +256,46 @@ def fraction_normal_form(base: int, terms: dict) -> dict:
     return _nonzero(out)
 
 
+def render_element(x) -> str:
+    """The text of a word-calculus element, written from its output format.
+
+    The terms of ``x.terms()`` come in the order (|mu|, mu, |nu|, nu).  A
+    term is its word, ``sK`` for each letter of mu and then ``sK*`` for
+    each letter of nu from the last, after the magnitude of its
+    coefficient, an integer or ``p/q`` in lowest terms; the magnitude is
+    left out when it is 1 and the word is not empty.  The first term has
+    a ``-`` in front when its coefficient is negative, and each later one
+    is joined by `` + `` or `` - ``.  With no terms the text is ``0``.
+    """
+    terms = x.terms()
+    text = ""
+    for mu, nu in sorted(terms, key=lambda key: (len(key[0]), key[0], len(key[1]), key[1])):
+        c = terms[mu, nu]
+        pieces = [f"s{i}" for i in mu] + [f"s{i}*" for i in nu[::-1]]
+        if abs(c) != 1 or not pieces:
+            pieces.insert(0, str(abs(c)))  # Fraction writes p or p/q, in lowest terms
+        body = " ".join(pieces)
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += (" - " if c < 0 else " + ") + body
+    return text or "0"
+
+
+def render_k_class(z: int, z1: int) -> str:
+    """The text of the K-class ``z + z1·λ``, written from its output format.
+
+    The rank part ``z``, when nonzero, comes first as an integer; the λ
+    part, when nonzero, is ``λ`` or ``k·λ`` for its magnitude k, with a
+    ``-`` in front when it comes first and is negative, or joined by
+    `` + `` or `` - `` after the rank part.  With both zero the text is ``0``.
+    """
+    lam = "" if not z1 else "λ" if abs(z1) == 1 else f"{abs(z1)}·λ"
+    if not z:
+        return ("-" + lam if z1 < 0 else lam) or "0"
+    return f"{z} {'-' if z1 < 0 else '+'} {lam}" if lam else str(z)
+
+
 class MatrixTextError(ValueError):
     """A refusal by :func:`parse_matrix_tokens`, worded as the library words it.
 

@@ -132,7 +132,7 @@ class TestClassifyReport:
         assert rep.k_distinguishable_from_trivial
         assert str(rep.k_groups.k0) == "Z/4"
         assert str(rep.trivial_comparison.k0) == "Z/2 + Z/2"
-        assert rep.delta1.matrix.to_text() == "3,0;1,3"
+        assert rep.delta1.to_text() == "3,0;1,3"
         assert CAVEAT_DELTA0 in rep.caveats
         assert CAVEAT_REALIZABILITY in rep.caveats
         assert CAVEAT_INCONCLUSIVE not in rep.caveats
@@ -225,7 +225,7 @@ class TestReadsFromRows:
 
     def test_queries_build_no_presentation_or_invariant(self, monkeypatch):
         # K-group and grade-one queries read the presentation's rows; neither
-        # a cokernel group nor a Delta1Class may be built on the way
+        # a cokernel group nor a grade-one matrix may be built on the way
         def refuse(*args):
             raise AssertionError("a query built a presentation group or a grade-one invariant")
 

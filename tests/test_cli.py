@@ -173,6 +173,12 @@ class TestClassify:
         assert "distinguishable from trivial by K-theory: yes" in out
         assert "caveat:" in out
 
+    def test_single_report_odd_sphere(self, capsys):
+        # over an odd sphere the grade-one matrix is the 1x1 matrix [rank]
+        code, out, _ = run_cli(capsys, "classify", "--sphere", "5", "--rank", "4")
+        assert code == 0
+        assert "\ndelta1 matrix: 4 base=4\n" in out
+
     def test_single_report_structured_fields(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -379,6 +385,7 @@ class TestCuntz:
     def test_d_too_small(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "1", "s1")
         assert code == 1
+        assert err == "error: number of isometries must be an int >= 2, got 1\n"
 
     def test_expression_may_start_with_minus_s(self, capsys):
         assert run_cli(capsys, "cuntz", "--d", "2", "-s1") == (0, "-s1\n", "")

@@ -23,6 +23,7 @@ from oracles import (
     parse_expression_tokens,
     random_cuntz_element,
     random_homogeneous_element,
+    render_element,
     time_limit,
 )
 from spherecp.cuntz_words import (
@@ -32,7 +33,7 @@ from spherecp.cuntz_words import (
     generator,
     parse_expression,
 )
-from spherecp.fgab import LITERAL_DIGITS_BUDGET
+from spherecp.fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError
 
 
 def s(i, base=2):
@@ -584,10 +585,13 @@ class TestExpressionText:
         with pytest.raises(ExpressionParseError, match="empty term before operator") as err:
             parse_expression(2, "+ - s3*")
         assert err.value.position == 2
-        # the parser refuses a bad number of isometries, as the constructor does
+        # the parser refuses a bad number of isometries, as the constructor
+        # does, with the input error the command line maps to exit code 1
         for bad in (1, True, 2.0):
-            with pytest.raises(ValueError, match="number of isometries"):
+            with pytest.raises(SpherecpInputError, match="number of isometries"):
                 parse_expression(bad, "s1")
+            with pytest.raises(SpherecpInputError, match="number of isometries"):
+                CuntzElement(bad)
 
     def test_literal_budget(self):
         # coefficients and generator indices past the budget are parse errors
@@ -691,6 +695,13 @@ class TestExpressionText:
         assert str(-CuntzElement.unit(2)) == "-1"
         x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
         assert str(x) == "2 - 1/2 s1"
+
+    @given(st.one_of(elements(), elements(max_len=0), st.sampled_from((2, 3)).map(CuntzElement.zero)))
+    @settings(max_examples=400, deadline=None)
+    def test_property_rendering_matches_the_format(self, x):
+        # negative, fractional and unit coefficients, bare scalars and zero
+        assert str(x) == render_element(x)
+        assert str(-x) == render_element(-x)
 
     @given(expressions())
     @settings(max_examples=200, deadline=None)

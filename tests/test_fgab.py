@@ -808,6 +808,21 @@ class TestMatrixText:
         with pytest.raises(AssertionError, match="reached the token scan"):
             parse_matrix("1,x")  # the patch is live: refused text does reach it
 
+    def test_ragged_text_never_reaches_the_scan(self, monkeypatch):
+        # every entry reads, so parse_matrix names the first ragged row itself
+        def no_scan(text):
+            raise AssertionError(f"ragged text {text!r} reached the token scan")
+
+        monkeypatch.setattr(spherecp.fgab, "_raise_matrix_text_error", no_scan)
+        for text, message in [
+            ("1,2;3", "row 2 has 1 entries, expected 2"),
+            ("[[1],[2,3],[4]]", "row 2 has 2 entries, expected 1"),
+            ("1;2;3,4;5,6,7", "row 3 has 2 entries, expected 1"),
+        ]:
+            with pytest.raises(MatrixParseError) as err:
+                parse_matrix(text)
+            assert (str(err.value), err.value.position) == (message, None)
+
     def test_refused_text_stays_linear(self):
         cases = [
             (",".join(["7"] * 100_000) + "x", "unexpected character 'x'", 199_999),
