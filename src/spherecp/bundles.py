@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,11 +100,19 @@ def k_class(spec: SphereBundleSpec) -> TruncPoly:
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
+def _fields(pairs: list[tuple[str, object]]) -> dict:
+    """The fields of a JSON object as a dict; a field that comes twice is refused."""
+    repeated = [key for key, times in Counter(key for key, _ in pairs).items() if times > 1]
+    if repeated:
+        raise SpecFormatError(f"repeated bundle spec fields: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def parse_spec(text: str) -> SphereBundleSpec:
     """Parse a JSON bundle spec: {"sphere_dim": n, "rank": d, "euler": c}.
 
-    ``euler`` is optional and defaults to 0.  Unknown fields are rejected
-    to catch typos early.  An integer longer than
+    ``euler`` is optional and defaults to 0.  Unknown fields, and a field
+    given twice, are rejected to catch typos early.  An integer longer than
     :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is refused.
     Building the spec validates it, so a spec that violates the domain
     restrictions raises here.  A spec is one flat object, so text with a
@@ -114,7 +123,8 @@ def parse_spec(text: str) -> SphereBundleSpec:
     if bare.count("{") + bare.count("[") > 1:
         raise SpecFormatError("bundle spec nests deeper than one flat JSON object")
     try:
-        raw = json.loads(text, parse_int=lambda lit: _literal_int(lit, None, SpecFormatError))
+        raw = json.loads(text, object_pairs_hook=_fields,
+                         parse_int=lambda lit: _literal_int(lit, None, SpecFormatError))
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"bundle spec is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

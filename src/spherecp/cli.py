@@ -76,16 +76,14 @@ def _spec_from_args(args, suffix: str = "", fallback: SphereBundleSpec | None = 
         if sphere is not None or rank is not None or euler is not None:
             raise CliError(f"--spec{suffix} cannot be combined with numeric bundle flags")
         return load_spec(path)
-    if sphere is None and fallback is not None:
-        sphere = fallback.sphere_dim
-    if rank is None and fallback is not None:
-        rank = fallback.rank
+    if fallback is not None:
+        sphere = fallback.sphere_dim if sphere is None else sphere
+        rank = fallback.rank if rank is None else rank
+        euler = fallback.euler_param if euler is None else euler
     if sphere is None or rank is None:
         which = f"--sphere{suffix} and --rank{suffix}" if suffix else "--sphere and --rank"
         raise CliError(f"need {which} (or --spec{suffix} FILE)")
-    if euler is None:
-        euler = 0 if fallback is None else fallback.euler_param
-    return SphereBundleSpec(sphere, rank, euler)
+    return SphereBundleSpec(sphere, rank, 0 if euler is None else euler)
 
 
 @functools.cache
@@ -128,6 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies -------------------------------------------------------
 
 
+def _head(spec: SphereBundleSpec, kclass, groups) -> list[str]:
+    """The report lines ``kgroups`` and ``classify`` share: the spec, its K-class and its K-groups."""
+    return [f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
+            f"k_class: {kclass}", f"K0 = {groups.k0}", f"K1 = {groups.k1}"]
+
+
 def _cmd_kgroups(args) -> tuple[list[str], dict]:
     spec = _spec_from_args(args)
     pair = k_groups(spec)
@@ -136,24 +140,13 @@ def _cmd_kgroups(args) -> tuple[list[str], dict]:
         f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
         f"presentation matrix [{pimsner_matrix(spec).to_text()}] (identity minus tensor endomorphism)"
     )
-    human = [
-        f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
-        f"k_class: {k_class(spec)}",
-        f"K0 = {pair.k0}",
-        f"K1 = {pair.k1}",
-        f"note: {note}",
-    ]
-    structured = {"K0": str(pair.k0), "K1": str(pair.k1), "note": note}
-    return human, structured
+    human = _head(spec, k_class(spec), pair) + [f"note: {note}"]
+    return human, {"K0": str(pair.k0), "K1": str(pair.k1), "note": note}
 
 
 def _cmd_classify_single(spec: SphereBundleSpec) -> tuple[list[str], dict]:
     rep = classify_report(spec)
-    human = [
-        f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
-        f"k_class: {rep.k_class}",
-        f"K0 = {rep.k_groups.k0}",
-        f"K1 = {rep.k_groups.k1}",
+    human = _head(spec, rep.k_class, rep.k_groups) + [
         f"delta1 matrix: {rep.delta1.to_text()} base={spec.rank}",
         f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
         f"distinguishable from trivial by K-theory: {'yes' if rep.k_distinguishable_from_trivial else 'no'}",

@@ -48,12 +48,18 @@ __all__ = [
     "ExpressionParseError",
     "generator",
     "parse_expression",
+    "NORMAL_FORM_TERMS_BUDGET",
 ]
 
 #: A path: finite sequence of generator indices, each in 1..d.
 Word = tuple[int, ...]
 
 Scalar = Union[int, Fraction]
+
+#: The most terms :meth:`CuntzElement.normal_form` writes for its input's
+#: terms outside the Leavitt basis, k·(d-1) for a term ending in k shared
+#: letters d; an element whose expansion would pass it is refused.
+NORMAL_FORM_TERMS_BUDGET = 100_000
 
 
 class BaseMismatchError(SpherecpInputError):
@@ -284,9 +290,13 @@ class CuntzElement:
         S_mu S_nu* minus the sum of S_{mu d^j i} S_{nu d^j i}* over j < k
         and i < d: one pass, at most 1 + k·(d-1) terms per input term.
         Two elements are equal in the algebra exactly when their normal
-        forms are structurally equal.
+        forms are structurally equal.  Before it expands the term that
+        takes the sum of k·(d-1) past :data:`NORMAL_FORM_TERMS_BUDGET`,
+        it raises :class:`~spherecp.fgab.SpherecpInputError`, so a short
+        input over a huge d is refused without allocating.
         """
         d = self._base
+        terms = 0  # the sum of k·(d-1) over the terms expanded so far
         out: dict[tuple[Word, Word], int] = {}
         for (mu, nu), c in self._coeffs.items():
             m, n = len(mu), len(nu)
@@ -294,6 +304,9 @@ class CuntzElement:
             while k < m and k < n and mu[m - 1 - k] == d and nu[n - 1 - k] == d:
                 k += 1
             if k:
+                if (terms := terms + k * (d - 1)) > NORMAL_FORM_TERMS_BUDGET:
+                    raise SpherecpInputError(
+                        f"the normal form passes NORMAL_FORM_TERMS_BUDGET ({NORMAL_FORM_TERMS_BUDGET} terms)")
                 mu, nu = mu[: m - k], nu[: n - k]
                 for j in range(k):
                     a, b = mu + (d,) * j, nu + (d,) * j

@@ -11,14 +11,15 @@ do the work.  A Hermite sweep, modulo a nonzero minor M, puts a lattice
 in triangular form with no entry reaching M.  An exact loop diagonalizes
 the leading block of a work matrix, and whatever is stored beside or
 below that block rides along with its row and column operations.
-:func:`smith_normal_form` has one route for every shape: Hermite forms
-of two square nonsingular matrices built from A compress it to an
-r x r core, r = rank A, whose transforms ride along as the loop
-diagonalizes it.  The size of U and V is measured, not proven;
-:func:`smith_normal_form` states the envelope.  :func:`invariant_factors`,
-behind :func:`cokernel`, needs no transforms.  It reads the factors off
-determinantal divisors when the gcd of the entries and the minors decide
-them.  A matrix with at most one row or column, or a 2 x 2, is decided
+:func:`smith_normal_form` has one route for every shape: one Hermite
+form per side, each of a square nonsingular matrix built from A,
+compresses it to an r x r core, r = rank A, whose transforms ride
+along as the loop diagonalizes it; at full column rank the column side
+has nothing to compress and is skipped.  The size of U and V is
+measured, not proven; :func:`smith_normal_form` states the envelope.
+:func:`invariant_factors`, behind :func:`cokernel`, needs no
+transforms.  It reads the factors off determinantal divisors when the
+gcd of the entries and the minors decide them.  A matrix with at most one row or column, or a 2 x 2, is decided
 with no elimination at all, since every minor is an entry or the
 determinant; larger ones take their minors from Bareiss elimination.
 Otherwise it runs only the sweep, on A modulo a nonzero minor M and then
@@ -554,8 +555,12 @@ def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
     return _bareiss([list(col) + [int(i == j) for j in range(width)] for i, col in enumerate(columns)], len(a))
 
 
-def _hermite_and_transform(a: Sequence[Sequence[int]], eliminated=None) -> list[list[int]]:
-    """Rows of [H | W] with H = W A the Hermite form of square nonsingular ``a``.
+def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], eliminated=None) -> list[list[int]]:
+    """Rows of [H | W] with H = W A the Hermite form of A = [X | e_i for each row i of X not in ``pivots``].
+
+    X has full column rank r and its rows ``pivots`` are independent, so
+    the square A is nonsingular, and W X = [H_11; 0] with H_11 the
+    leading r x r block of H.  When every row is a pivot, A is X itself.
 
     One Bareiss elimination of the rows of [A^T | I] (``eliminated``, if
     the caller has run it) gives det A and [T | F] with F A^T = T upper
@@ -564,6 +569,8 @@ def _hermite_and_transform(a: Sequence[Sequence[int]], eliminated=None) -> list[
     rows lie in the row lattice of A), so back substitution divides
     exactly.  W is unimodular because H and A span the same lattice.
     """
+    others = sorted(set(range(len(x))) - set(pivots))
+    a = [[*row, *(int(i == j) for j in others)] for i, row in enumerate(x)]
     n = len(a)
     _, det, tf, _ = eliminated or _transposed_bareiss(a, n)
     h = _hermite_mod(a, abs(det))
@@ -576,28 +583,17 @@ def _hermite_and_transform(a: Sequence[Sequence[int]], eliminated=None) -> list[
                 acc = [s + y * f for s, f in zip(acc, col)]
         fh.append(acc)
     fh_rows = list(zip(*fh))
-    x: list[list[int]] = [[]] * n  # rows of W^T, solved from the last up
+    wt: list[list[int]] = [[]] * n  # rows of W^T, solved from the last up
     for i in range(n - 1, -1, -1):
         b = fh_rows[i]
         ti = tf[i]
         for j in range(i + 1, n):
             t = ti[j]
             if t:
-                b = [s - t * y for s, y in zip(b, x[j])]
+                b = [s - t * y for s, y in zip(b, wt[j])]
         p = ti[i]
-        x[i] = [s // p for s in b]
-    return [hi + list(wi) for hi, wi in zip(h, zip(*x))]
-
-
-def _compress(x: Sequence[Sequence[int]], pivots: list[int]) -> list[list[int]]:
-    """Rows of [H | W] for the square [X | e_i for each row i of X not in ``pivots``].
-
-    X has full column rank r and its rows ``pivots`` are independent, so
-    the square matrix is nonsingular, and W X = [H_11; 0] with H_11 the
-    leading r x r block of H.
-    """
-    others = sorted(set(range(len(x))) - set(pivots))
-    return _hermite_and_transform([[*row, *(int(i == j) for j in others)] for i, row in enumerate(x)])
+        wt[i] = [s // p for s in b]
+    return [hi + list(wi) for hi, wi in zip(h, zip(*wt))]
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -605,19 +601,25 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
     One route serves every shape.  Bareiss elimination of the rows of
     [A^T | I] finds the rank r and a nonzero r x r minor M of A, on its
-    pivot rows P and columns Q.  Two compressions to a nonsingular core
-    follow (Storjohann, ETH thesis 2000), each a Hermite form of a square
-    nonsingular matrix (:func:`_hermite_and_transform`):
+    pivot rows P and columns Q.  One compression per side to a nonsingular
+    core follows (Storjohann, ETH thesis 2000), each one call of
+    :func:`_hermite_and_transform`, the Hermite form of a square
+    nonsingular matrix:
 
-    * if r < n, the columns of A^T at P beside the unit columns e_j,
-      j not in Q, give W' with A W'^T = [B | 0];
-    * B beside the unit rows e_i, i not in P, gives W with W B = [H_11; 0].
+    * columns, only if r < n: the columns of A^T at P beside the unit
+      columns e_j, j not in Q, give W' with A W'^T = [B | 0]; at r = n,
+      W' = I and B = A;
+    * rows: B beside the unit rows e_i, i not in P, gives W with
+      W B = [H_11; 0].
 
     An exact loop then diagonalizes the r x r block H_11, U_H H_11 V_H = D_11,
     with W's first r rows beside it and W'^T's first r columns below it,
     so U = diag(U_H, I) W and V = W'^T diag(V_H, I) come out with no
-    separate product.  A square nonsingular A is the case r = m = n: both
-    paddings are empty and the first elimination is the Hermite form's own.
+    separate product.  A square nonsingular A is the case r = m = n: the
+    row side pads nothing and reuses the first elimination, so the route
+    runs one Bareiss elimination and one Hermite form.  A tall A of full
+    column rank runs two eliminations and one Hermite form; every other
+    shape runs three and two.
 
     Each Hermite form runs modulo its determinant, a divisor of M, so no
     entry of H reaches M.  The size of U and V is measured, not proven.
@@ -635,15 +637,13 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     m, n = a.rows, a.cols
     r, _, _, (q, p) = eliminated = _transposed_bareiss(a.entries, n)  # A's pivot columns q, rows p
     wt = [[int(i == j) for j in range(n)] for i in range(n)]  # W'^T
-    if r == m == n:
-        hw = _hermite_and_transform(a.entries, eliminated)
-    else:
-        b = a.entries
-        if r < n:  # the last n - r columns of W'^T span the kernel of A
-            w = [row[n:] for row in _compress([[a.entries[i][j] for i in p[:r]] for j in range(n)], q[:r])]
-            wt = [list(col) for col in zip(*w)]
-            b = [[sum(x * y for x, y in zip(row, wk)) for wk in w[:r]] for row in a.entries]
-        hw = _compress(b, p[:r])
+    b = a.entries
+    if r < n:  # the last n - r columns of W'^T span the kernel of A
+        w = [row[n:] for row in _hermite_and_transform([[b[i][j] for i in p[:r]] for j in range(n)], q[:r])]
+        wt = [list(col) for col in zip(*w)]
+        b = [[sum(x * y for x, y in zip(row, wk)) for wk in w[:r]] for row in a.entries]
+    # a square nonsingular A has nothing to pad, so its first elimination is the Hermite form's own
+    hw = _hermite_and_transform(b, p[:r], eliminated if r == m == n else None)
     mat = [h[:r] + h[m:] for h in hw[:r]] + [row[:r] for row in wt]
     _diagonalize(mat, r)
     u = [row[r:] for row in mat[:r]] + [h[m:] for h in hw[r:]]

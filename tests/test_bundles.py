@@ -106,6 +106,13 @@ class TestSpecFiles:
         with pytest.raises(SpecFormatError, match="chern"):
             parse_spec('{"sphere_dim": 4, "rank": 3, "chern": 1}')
 
+    def test_repeated_field_rejected(self):
+        # json keeps the last value, which would read this spec as S^2
+        with pytest.raises(SpecFormatError, match="repeated bundle spec fields: sphere_dim$"):
+            parse_spec('{"sphere_dim": 4, "rank": 3, "euler": 1, "sphere_dim": 2}')
+        with pytest.raises(SpecFormatError, match="repeated bundle spec fields: rank, euler$"):
+            parse_spec('{"rank": 3, "euler": 1, "sphere_dim": 4, "euler": 1, "rank": 3}')
+
     def test_missing_field_rejected(self):
         with pytest.raises(SpecFormatError, match="rank"):
             parse_spec('{"sphere_dim": 4}')

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_cuntz_element
+from oracles import random_cuntz_element, time_limit
 
 from spherecp import cli
 from spherecp.bundles import BundleSpecError, SpecFormatError, SphereBundleSpec
@@ -133,6 +133,14 @@ class TestKGroups:
         code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {field}")
+
+    def test_spec_repeated_field(self, capsys, tmp_path):
+        # the last value used to win, and this printed the S^2 answer with exit 0
+        p = tmp_path / "b.json"
+        p.write_text('{"sphere_dim": 4, "rank": 3, "euler": 1, "sphere_dim": 2}')
+        for argv in (["kgroups", "--spec", p], ["classify", "--sphere", "4", "--rank", "3", "--spec2", p]):
+            code, out, err = run_cli(capsys, *map(str, argv))
+            assert (code, out, err) == (1, "", "error: repeated bundle spec fields: sphere_dim\n")
 
     def test_spec_file_not_text(self, capsys, tmp_path):
         p = tmp_path / "b.json"
@@ -381,6 +389,15 @@ class TestCuntz:
     def test_index_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "2", "s5")
         assert code == 1 and "out of range" in err
+
+    def test_normal_form_past_the_budget_is_refused_at_once(self, capsys):
+        # s_d s_d* expands to d terms; at d = 10^9 that would exhaust memory
+        d = 10**9
+        for extra in ([], ["--equal", "1"]):
+            with time_limit(1):
+                code, out, err = run_cli(capsys, "cuntz", "--d", str(d), f"s{d} s{d}*", *extra)
+            assert code == 1 and out == ""
+            assert err == "error: the normal form passes NORMAL_FORM_TERMS_BUDGET (100000 terms)\n"
 
     def test_d_too_small(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "1", "s1")

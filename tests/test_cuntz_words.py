@@ -27,6 +27,7 @@ from oracles import (
     time_limit,
 )
 from spherecp.cuntz_words import (
+    NORMAL_FORM_TERMS_BUDGET,
     BaseMismatchError,
     CuntzElement,
     ExpressionParseError,
@@ -295,6 +296,32 @@ class TestNormalForm:
         assert not u.equals(resolved + resolved)
         for z in (u, resolved):
             assert len(z.normal_form().terms()) <= len(z.terms()) * (1 + (depth + 1) * (4 - 1))
+
+    def test_terms_budget(self, monkeypatch):
+        # the budget counts k·(d-1) per term ending in k shared letters d
+        monkeypatch.setattr(spherecp.cuntz_words, "NORMAL_FORM_TERMS_BUDGET", 10)
+        at_budget = CuntzElement(3, {((1, 3, 3, 3), (3, 3, 3)): 1, ((3, 3), (2, 3, 3)): 1})  # 3·2 + 2·2
+        assert len(at_budget.normal_form().terms()) == 2 + 10
+        # basis terms pay nothing
+        basis = CuntzElement(3, {((i,), (3, j)): 1 for i in (1, 2, 3) for j in (1, 2)})
+        assert (at_budget + basis).normal_form() == at_budget.normal_form() + basis
+        over = at_budget + CuntzElement.monomial(3, (3,), (3,))
+        with pytest.raises(SpherecpInputError, match=r"NORMAL_FORM_TERMS_BUDGET \(10 terms\)"):
+            over.normal_form()
+        with pytest.raises(SpherecpInputError, match="NORMAL_FORM_TERMS_BUDGET"):
+            over.equals(at_budget)
+
+    def test_terms_budget_refuses_a_huge_base_at_once(self):
+        d = 10**9
+        x = CuntzElement.monomial(d, (d,), (d,))
+        with time_limit(1), pytest.raises(SpherecpInputError, match="NORMAL_FORM_TERMS_BUDGET"):
+            x.normal_form()
+        assert NORMAL_FORM_TERMS_BUDGET == 100_000
+        # s_d s_d* expands to d terms, so d = budget + 1 is the largest base it takes
+        d = NORMAL_FORM_TERMS_BUDGET + 1
+        assert len(CuntzElement.monomial(d, (d,), (d,)).normal_form().terms()) == d
+        with pytest.raises(SpherecpInputError):
+            CuntzElement.monomial(d + 1, (d + 1,), (d + 1,)).normal_form()
 
 
 
@@ -702,6 +729,19 @@ class TestExpressionText:
         # negative, fractional and unit coefficients, bare scalars and zero
         assert str(x) == render_element(x)
         assert str(-x) == render_element(-x)
+
+    @given(st.one_of(elements(), elements(max_len=0), st.sampled_from((2, 3)).map(CuntzElement.zero)))
+    @settings(max_examples=200, deadline=None)
+    def test_repr_evaluates_to_the_element(self, x):
+        # negative, fractional and unit coefficients, bare scalars and zero
+        namespace = {"CuntzElement": CuntzElement, "Fraction": Fraction}
+        for y in (x, -x, x + CuntzElement(x.base, {((1,), (2,)): Fraction(-5, 4)})):
+            assert eval(repr(y), namespace) == y
+
+    def test_repr_names_its_terms(self):
+        x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
+        assert repr(x) == "CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): Fraction(2, 1)})"
+        assert repr(CuntzElement.zero(3)) == "CuntzElement(3, {})"
 
     @given(expressions())
     @settings(max_examples=200, deadline=None)

@@ -579,10 +579,30 @@ class TestBoundedTransforms:
             assert all(x == 0 for x in h[i][:i])
             assert all(0 <= h[k][i] < h[i][i] for k in range(i))
         # H = W A with W unimodular: both span the same row lattice
-        hw = spherecp.fgab._hermite_and_transform(a.entries)
+        hw = spherecp.fgab._hermite_and_transform(a.entries, range(a.rows))
         w = IntMatrix.from_rows([row[n:] for row in hw])
         assert w @ a == IntMatrix.from_rows(h)
         assert abs(w.det()) == 1
+
+    @pytest.mark.parametrize("rows, runs", [
+        ([[2, 1], [1, 3]], (1, 1)),  # square nonsingular: the first elimination is reused
+        ([[5]], (1, 1)),
+        ([[1, 2], [3, 4], [5, 6]], (2, 1)),  # tall, full column rank: no column side
+        ([[1, 2, 3], [4, 5, 6]], (3, 2)),  # wide, full row rank
+        ([[1, 2], [2, 4]], (3, 2)),  # singular square
+        ([[1, 2], [2, 4], [3, 6]], (3, 2)),  # tall, rank deficient
+        ([[0, 0], [0, 0]], (3, 2)),
+    ], ids=["square", "1x1", "tall", "wide", "singular", "tall-deficient", "zero"])
+    def test_elimination_work_per_shape(self, monkeypatch, rows, runs):
+        # Bareiss runs and Hermite forms: one compression call per side, none
+        # for the columns at full column rank, and none padded for a square
+        bareiss = mock.Mock(wraps=spherecp.fgab._transposed_bareiss)
+        hermite = mock.Mock(wraps=spherecp.fgab._hermite_mod)
+        monkeypatch.setattr(spherecp.fgab, "_transposed_bareiss", bareiss)
+        monkeypatch.setattr(spherecp.fgab, "_hermite_mod", hermite)
+        a = IntMatrix.from_rows(rows)
+        snf_is_valid(a, smith_normal_form(a))
+        assert (bareiss.call_count, hermite.call_count) == runs
 
     def test_hermite_form_with_bezout_pivot(self):
         # modulo 12 neither 4 nor 6 is a unit, so column 0 takes a Bezout step
