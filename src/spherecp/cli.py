@@ -35,7 +35,7 @@ from .classify import (
     report_to_dict,
 )
 from .cuntz_words import parse_expression
-from .fgab import SpherecpInputError, parse_matrix, smith_normal_form
+from .fgab import SpherecpInputError, _int_text, parse_matrix, smith_normal_form
 from .pimsner import k_groups, pimsner_matrix
 
 __all__ = ["main", "build_parser"]
@@ -238,7 +238,7 @@ def _cmd_snf(args) -> tuple[list[str], dict]:
         f"U = {u}",
         f"D = {d}",
         f"V = {v}",
-        f"diagonal: {', '.join(str(x) for x in snf.diagonal)}",
+        f"diagonal: {', '.join(map(_int_text, snf.diagonal))}",
     ]
     return human, {"U": u, "D": d, "V": v}
 

@@ -19,11 +19,14 @@ has nothing to compress and is skipped.  The size of U and V is
 measured, not proven; :func:`smith_normal_form` states the envelope.
 :func:`invariant_factors`, behind :func:`cokernel`, needs no
 transforms.  It reads the factors off determinantal divisors when the
-gcd of the entries and the minors decide them.  A matrix with at most one row or column, or a 2 x 2, is decided
-with no elimination at all, since every minor is an entry or the
-determinant; larger ones take their minors from Bareiss elimination.
-Otherwise it runs only the sweep, on A modulo a nonzero minor M and then
-on transposes.
+gcd of the entries and the minors decide them.  A matrix with at most
+one row or column, or a 2 x 2, is decided with no elimination at all,
+since every minor is an entry or the determinant; larger ones take
+their minors from Bareiss elimination.  Otherwise it runs only the
+sweep, on A and then on transposes: a nonsingular square modulo a
+multiple c of its next-to-last determinantal divisor, which one linear
+solve beside that elimination exposes, and any other shape modulo a
+nonzero minor M.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -39,7 +42,7 @@ import re
 import sys
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -192,7 +195,10 @@ class IntMatrix:
 
     def to_text(self) -> str:
         """Render in the compact text format: rows joined by ';', entries by ','."""
-        return ";".join(",".join(str(e) for e in row) for row in self.entries)
+        try:
+            return ";".join(",".join(str(e) for e in row) for row in self.entries)
+        except ValueError:  # an entry past the interpreter's int -> str limit
+            return ";".join(",".join(map(_int_text, row)) for row in self.entries)
 
 
 #: The longest integer literal, in digits, that either text parser accepts.
@@ -201,6 +207,32 @@ class IntMatrix:
 #: and is never changed here.
 LITERAL_DIGITS_BUDGET = 4300
 
+_LEAF_DIGITS = 512  # below 640, the least int -> str limit an interpreter accepts
+
+
+def _int_text(x: int) -> str:
+    """Decimal text of ``x``, exact at any size.
+
+    Within the interpreter's int -> str limit this is ``str(x)``.  Past
+    it, divide and conquer: x = high·10**k + low with k = 512·2**j the
+    least such that x < 10**(2k), so both halves have at most k digits,
+    and low is padded with zeros to k of them.  Pieces of at most 512
+    digits convert under any limit, which itself is never changed.
+
+    >>> _int_text(-10**5000) == "-1" + "0" * 5000
+    True
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _int_text(-x)
+    k = _LEAF_DIGITS
+    while 10 ** (2 * k) <= x:
+        k *= 2
+    high, low = divmod(x, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
 
 def _literal_int(text: str, position: int | None, error: type[ValueError]) -> int:
     """``int`` of the integer literal ``text``, found at ``position``.
@@ -696,20 +728,37 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
 
     Rank 0 and M = 1 are cases of this exit.  A square nonsingular n x n
     ``a`` has a second exit, by the same divisors D_k = d_1 ... d_k.
-    D_n = M, and g**(n-1) divides D_(n-1), which divides gcd(c, M) for c
-    the gcd of any (n-1) x (n-1) minors.  At n = 2 the entries are all the
-    1 x 1 minors, so c = g; at n >= 3, c is the gcd of the two minors that
-    Bareiss elimination leaves in its row n-2.  When gcd(c, M) = g**(n-1),
+    D_n = M, and g**(n-1) divides D_(n-1), which divides c, the gcd of M
+    and of any integer combinations of (n-1) x (n-1) minors.  At n = 2
+    the entries are all the 1 x 1 minors, so c = g.  At n >= 3 the
+    Bareiss pass carries one more column v = (1, ..., n); c takes the two
+    minors that the elimination leaves in its row n-2, and, only if they
+    do not decide, the entries of z = ±adj(A)·v, found by back
+    substitution through the triangular rows (:func:`_adjoint_column`).
+    One linear solve exposing a large divisor of the determinant is the
+    idea of Abbott, Bronstein, Mulders (ISSAC 1999).  When c = g**(n-1),
     the factors are g, n-1 times, then M / g**(n-1).  So a matrix read
     with no elimination never reaches the sweep: at rank r <= 1, M = g**r,
-    and at rank 2, c = g divides M.  Otherwise, since every d_i divides
-    M, the rows of ``a`` plus M*Z^cols span a lattice with invariant
-    factors d_1..d_r and cols - r copies of M (Domich, Kannan, Trotter,
-    Math. Oper. Res. 12 (1987)), which :func:`_echelon_mod` makes
-    triangular modulo M.  The sweep runs again on the transpose
-    until each diagonal entry divides its row; column operations from
-    the top row down would then clear the rows without touching the
-    diagonal, whose divisor chain, less the copies of M, is the answer.
+    and at rank 2, c = g divides M.
+
+    Otherwise the sweep runs.  Since every d_i divides M, the rows of
+    ``a`` plus M*Z^cols span a lattice with invariant factors d_1..d_r
+    and cols - r copies of M (Domich, Kannan, Trotter, Math. Oper. Res.
+    12 (1987)).  A nonsingular square takes the modulus c instead: the
+    rows plus c*Z^n have the factors gcd(d_i, c), and each d_i with
+    i < n divides D_(n-1), hence c, so the first n-1 of them are
+    d_1..d_(n-1) exactly, and d_n = M / (d_1 ... d_(n-1)).
+    :func:`_echelon_mod` makes the lattice triangular modulo its
+    modulus.  The sweep runs again on the transpose until each diagonal
+    entry divides its row; column operations from the top row down
+    would then clear the rows without touching the diagonal, whose
+    divisor chain is the lattice's.
+
+    >>> invariant_factors(IntMatrix.from_rows([[1, 0, 0], [1, 2, 0], [-1, -3, 3]]))
+    ((6,), 3)
+
+    That 3 x 3 has g = 1 and M = 6; its minors in Bareiss row 1 leave
+    c = 2, and the adjoint column brings c down to 1, so no sweep runs.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), 2)
@@ -737,21 +786,51 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
         rank, minor = (2, minor) if minor else (1, g) if g else (0, 1)
     elif min(n, cols) <= 1:  # the minors are the entries
         rank, minor = (1, g) if g else (0, 1)
-    else:
-        rank, minor, eliminated, _ = _bareiss(entries, cols)
+    else:  # a square carries v = (1, ..., n) as one more column, for the adjoint solve
+        rows = [(*row, i) for i, row in enumerate(entries, 1)] if n == cols else entries
+        rank, minor, eliminated, _ = _bareiss(rows, cols)
         minor = abs(minor)
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
-    if rank == n == cols:  # c: the gcd of the (n-1)-minors in hand
-        c = gcd(*eliminated[n - 2][n - 2:]) if n > 2 else g
-        if gcd(c, minor) == g ** (n - 1):
-            return ((g,) * (n - 1) if g > 1 else ()) + (minor // g ** (n - 1),), n
-    h = _echelon_mod(entries, cols, minor)
+    modulus = minor
+    if rank == n == cols:  # D_(n-1) divides c, and c divides M
+        floor = g ** (n - 1)
+        c = gcd(*eliminated[n - 2][n - 2:n], minor) if n > 2 else g
+        if c != floor:  # the two (n-1)-minors in Bareiss row n-2 leave D_(n-1) open
+            for z in _adjoint_column(eliminated):
+                c = gcd(c, z)
+                if c == floor:
+                    break
+        if c == floor:
+            return ((g,) * (n - 1) if g > 1 else ()) + (minor // floor,), n
+        modulus = c
+    h = _echelon_mod(entries, cols, modulus)
     # the gcd of a row is its diagonal entry exactly when that entry divides the row
     while (diagonal := [row[k] for k, row in enumerate(h)]) != [gcd(*row) for row in h]:
-        h = _echelon_mod(list(zip(*h)), cols, minor)
+        h = _echelon_mod(list(zip(*h)), cols, modulus)
     chain = _divisor_chain(diagonal)
+    if rank == n == cols:  # the first n-1 factors are exact, and their product and M give d_n
+        return (*chain[:-1], minor // prod(chain[:-1])), n
     return tuple(chain[: len(chain) - (cols - rank)]), rank
+
+
+def _adjoint_column(eliminated: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The entries of z = det(A) A^(-1) v, last first, from the Bareiss rows of [A | v].
+
+    ``eliminated`` is upper triangular in its first n columns with the
+    determinant last on that diagonal, and its rows solve the system
+    A x = v up to the pivot swaps.  Back substitution with z = det·x then
+    divides exactly, because z = ±adj(A)·v, permuted, is integral
+    (Cramer's rule).  Each entry is an integer combination of
+    (n-1) x (n-1) minors of A.
+    """
+    n = len(eliminated)
+    det = eliminated[-1][n - 1]
+    z = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = eliminated[i]
+        z[i] = (det * row[n] - sum(x * y for x, y in zip(row[i + 1:n], z[i + 1:]))) // row[i]
+        yield z[i]
 
 
 @dataclass(frozen=True)
@@ -805,7 +884,7 @@ class FgAbGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
+        parts.extend(["Z/" + _int_text(t) for t in self.torsion])
         return " + ".join(parts) if parts else "0"
 
 

@@ -102,6 +102,21 @@ class TestKGroups:
         assert data["K0"] == "Z/4"
         assert data["K1"] == "0"
 
+    @pytest.mark.parametrize("k", [4300, 2200])
+    def test_order_past_the_int_str_limit_is_exact(self, capsys, k):
+        # d = 10^k - 1 is within the literal budget, but K0's order
+        # (d - 1)^2 = 10^2k - 4·10^k + 4 has 2k digits, past the
+        # interpreter's 4300-digit int -> str limit
+        d, d1 = "9" * k, "9" * (k - 1) + "8"
+        order = "9" * (k - 1) + "6" + "0" * (k - 1) + "4"
+        note = ("even sphere S^4: K0 = coker, K1 = ker of the presentation matrix "
+                f"[-{d1},0;-1,-{d1}] (identity minus tensor endomorphism)")
+        flags = ["kgroups", "--sphere", "4", "--rank", d, "--euler", "1"]
+        human = f"spec: sphere_dim=4 rank={d} euler=1\nk_class: {d} + λ\nK0 = Z/{order}\nK1 = 0\nnote: {note}\n"
+        structured = f'{{\n  "K0": "Z/{order}",\n  "K1": "0",\n  "note": "{note}"\n}}\n'
+        assert run_cli(capsys, *flags) == (0, human, "")
+        assert run_cli(capsys, *flags, "--format", "structured") == (0, structured, "")
+
     def test_spec_file(self, capsys, tmp_path):
         p = tmp_path / "b.json"
         p.write_text('{"sphere_dim": 5, "rank": 4}')
@@ -330,6 +345,18 @@ class TestSnf:
         a = parse_matrix("-2,0;-1,-2")
         assert u @ a @ v == d
         assert abs(u.det()) == 1 and abs(v.det()) == 1
+
+    def test_determinant_past_the_int_str_limit_is_exact(self, capsys):
+        # A = [[N, 1], [1, N]], N = 10^3000 - 1: each entry is within the literal
+        # budget, but D holds det A = N^2 - 1 = 10^6000 - 2·10^3000, 6000 digits;
+        # U A V = [[1, N], [0, N^2 - 1]] V = D
+        n = "9" * 3000
+        det = "9" * 2999 + "8" + "0" * 3000
+        u, d, v = f"0,1;-1,{n}", f"1,0;0,{det}", f"1,-{n};0,1"
+        human = f"A = {n},1;1,{n}\nU = {u}\nD = {d}\nV = {v}\ndiagonal: 1, {det}\n"
+        structured = f'{{\n  "D": "{d}",\n  "U": "{u}",\n  "V": "{v}"\n}}\n'
+        assert run_cli(capsys, "snf", f"{n},1;1,{n}") == (0, human, "")
+        assert run_cli(capsys, "snf", f"{n},1;1,{n}", "--format", "structured") == (0, structured, "")
 
     def test_bad_matrix_text(self, capsys):
         code, _, err = run_cli(capsys, "snf", "1,2;x")

@@ -11,7 +11,7 @@ import json
 import random
 import sys
 import time
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import pytest
@@ -282,6 +282,24 @@ def small_presentations(draw):
 
 
 @st.composite
+def planted_squares(draw):
+    """n x n matrices U diag(t_1, ..., t_n) V, n = 3..7, with D_(n-1) > g**(n-1), and their chain t.
+
+    U and V are random unimodular, so g = t_1 and D_k = t_1 ... t_k.  The
+    chain t_1 | t_2 | ... grows by a drawn step at each place, and by at
+    least 2 at one drawn place below n, so some t_i with i < n exceeds t_1.
+    """
+    n = draw(st.integers(3, 7))
+    steps = [draw(st.sampled_from([1, 2, 3]))]
+    steps += draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 6]), min_size=n - 1, max_size=n - 1))
+    steps[draw(st.integers(1, n - 2))] *= draw(st.sampled_from([2, 3, 4]))
+    chain = list(itertools.accumulate(steps, lambda x, y: x * y))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return random_unimodular(rng, n, steps=3 * n) @ d @ random_unimodular(rng, n, steps=3 * n), chain
+
+
+@st.composite
 def elimination_free_shapes(draw):
     """0 x n, n x 0, 1 x n and n x 1 matrices (n <= 6) and 2 x 2s, some zero and some singular.
 
@@ -391,6 +409,71 @@ class TestInvariantFactors:
         assert invariant_factors(a) == expected == ((2, 2), 3)
         assert calls
 
+    # U diag(1, 2, 2, 6) V: M = 24 and D_3 = 4, which the two minors in
+    # Bareiss row 2 and the adjoint column leave as the modulus
+    PLANTED_4X4 = [[-11, -4, 12, -11], [0, 0, 0, 2], [6, 2, -6, 6], [5, 2, 0, -1]]
+
+    def test_square_sweeps_modulo_a_multiple_of_the_next_to_last_divisor(self):
+        # a nonsingular square sweeps modulo c with D_(n-1) | c | M, which keeps
+        # d_1 ... d_(n-1) exact, and M / (d_1 ... d_(n-1)) gives d_n
+        rng = random.Random(27)
+        squares = [self.PLANTED_4X4]
+        for n in (3, 4):
+            ones = [1] * (n - 2)
+            for chain in (ones + [2, 6], ones + [3, 9], [2] * (n - 1) + [4], ones[1:] + [2, 2, 4]):
+                d = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+                for _ in range(10):
+                    u, v = random_unimodular(rng, n, steps=3 * n), random_unimodular(rng, n, steps=3 * n)
+                    squares.append([list(row) for row in (u @ d @ v).entries])
+            squares += [[[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)] for _ in range(60)]
+        swept = {}
+        for rows in squares:
+            a = IntMatrix.from_rows(rows)
+            det = abs(a.det())
+            if not det:
+                continue
+            divisors = determinantal_divisors(rows)
+            with mock.patch.object(spherecp.fgab, "_echelon_mod", wraps=spherecp.fgab._echelon_mod) as sweep:
+                factors = invariant_factors(a)
+            factors_expected = tuple(y // x for x, y in zip((1, *divisors), divisors))
+            assert factors == (tuple(f for f in factors_expected if f > 1), len(rows))
+            for call in sweep.call_args_list:
+                modulus = call.args[2]
+                assert det % modulus == 0 and modulus % divisors[-2] == 0
+                swept.setdefault(a.entries, []).append((modulus, det))
+        assert len(swept) >= 10
+        moduli = swept[IntMatrix.from_rows(self.PLANTED_4X4).entries]
+        assert all(modulus == 4 < det == 24 for modulus, det in moduli)
+
+    def test_adjoint_column_exits_with_no_sweep(self, monkeypatch):
+        # g = 1 and M = 6; the 2-minors in Bareiss row 1 leave gcd(c, M) = 2,
+        # and the entries of adj(A) v bring it down to 1 = g**2
+        a = IntMatrix.from_rows([[1, 0, 0], [1, 2, 0], [-1, -3, 3]])
+        rows = [(*row, i) for i, row in enumerate(a.entries, 1)]
+        eliminated = spherecp.fgab._bareiss(rows, 3)[2]
+        assert gcd(*eliminated[1][1:3], 6) == 2
+        expected = self.expected_from_snf(a)
+
+        def no_sweep(*args):
+            raise AssertionError("the adjoint column should have answered")
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
+        assert invariant_factors(a) == expected == ((6,), 3)
+
+    @given(planted_squares())
+    @settings(max_examples=150, deadline=None)
+    def test_property_planted_squares_past_the_gcd_power(self, drawn):
+        # D_(n-1) > g**(n-1), so neither the gcd-power exit nor the minors
+        # in hand decide; the answer must still be the planted chain
+        a, chain = drawn
+        n = a.rows
+        diagonal = smith_normal_form(a).diagonal
+        if n <= 4:  # the brute-force oracle's reach; past it the planted chain gives D_k = t_1 ... t_k
+            divisors = determinantal_divisors([list(row) for row in a.entries])
+            assert divisors == tuple(itertools.accumulate(chain, lambda x, y: x * y))
+        expected = tuple(t for t in chain if t > 1)
+        assert invariant_factors(a) == (expected, n) == (tuple(x for x in diagonal if x > 1), n)
+
     @given(small_presentations())
     @settings(max_examples=300, deadline=None)
     def test_property_matches_determinantal_divisors(self, a):
@@ -423,6 +506,22 @@ class TestInvariantFactors:
         assert invariant_factors(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]])) == ((2,), 2)
         assert invariant_factors(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 6]])) == ((6, 6), 3)
         assert len(calls) == 2
+        # a nonsingular square carries the adjoint column in that one elimination,
+        # whether it sweeps or not, and a low-rank square is not eliminated again
+        rng = random.Random(12)
+        b = [[rng.randint(-7, 7) for _ in range(9)] for _ in range(12)]
+        c = [[rng.randint(-7, 7) for _ in range(12)] for _ in range(9)]
+        squares = [
+            [[1, 0, 0], [0, 2, 0], [0, 0, 2]],
+            [[1, 0, 0], [1, 2, 0], [-1, -3, 3]],
+            [[rng.randint(-50, 50) for _ in range(12)] for _ in range(12)],
+            [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b],
+        ]
+        for rows in squares:
+            calls.clear()
+            cokernel(IntMatrix.from_rows(rows))
+            assert len(calls) == 1
+        assert kernel(IntMatrix.from_rows(squares[-1])).free_rank == 3
 
     def test_pivot_dividing_the_entry_takes_the_plain_branch(self):
         # rank 2 with minor 2: modulo 2 every nonzero pivot divides the entries
@@ -737,6 +836,33 @@ class TestFgAbGroup:
         assert str(FgAbGroup(free_rank=3)) == "Z^3"
         assert str(FgAbGroup(torsion=(4,))) == "Z/4"
         assert str(FgAbGroup(free_rank=2, torsion=(2, 6))) == "Z^2 + Z/2 + Z/6"
+
+    def test_rendering_past_the_int_str_limit(self):
+        # a factor past the interpreter's 4300-digit limit still renders exactly
+        assert str(FgAbGroup(free_rank=1, torsion=(10**6000,))) == "Z + Z/1" + "0" * 6000
+        assert IntMatrix.from_rows([[-(10**5000), 7]]).to_text() == "-1" + "0" * 5000 + ",7"
+
+
+class TestIntText:
+    @given(st.integers(-(10**12000), 10**12000), st.sampled_from([640, 4300]))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_str_with_no_limit(self, x, limit):
+        # pieces of 512 digits convert under the least limit an interpreter takes
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(x)
+            sys.set_int_max_str_digits(limit)
+            assert spherecp.fgab._int_text(x) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize("k", [511, 512, 513, 1024, 4300, 4301, 9000])
+    def test_powers_of_ten_keep_their_zeros(self, k):
+        # each piece but the leading one is padded to its full width
+        assert spherecp.fgab._int_text(10**k - 1) == "9" * k
+        assert spherecp.fgab._int_text(-(10**k)) == "-1" + "0" * k
+        assert spherecp.fgab._int_text(10**k + 1) == "1" + "0" * (k - 1) + "1"
 
 
 MATRIX_ALPHABET = list("0123456789+-,;[] \t\r\n") + ["],[", "] ,\n[", "[[[", "]]]"]
