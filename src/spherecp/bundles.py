@@ -9,6 +9,12 @@ spheres the reduced K-group vanishes, so c must be 0 there.
 The name ``euler_param`` is deliberate: c parametrizes the K-class, and
 nothing here decides whether an honest geometric bundle realizes that
 class over the given sphere.  Reports downstream repeat this caveat.
+
+Building a :class:`SphereBundleSpec` runs :func:`validate`, the one
+place its fields are checked: every later stage (the K-class in
+:mod:`spherecp.ktheory`, the K-groups in :mod:`spherecp.pimsner`, the
+reports in :mod:`spherecp.classify`) reads them unchecked.  This module
+imports nothing from those stages.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fgab import SpherecpInputError, _literal_int, _require_int
-from .ktheory import TruncPoly
 
 __all__ = [
     "SphereBundleSpec",
@@ -30,7 +35,6 @@ __all__ = [
     "OddSphereNonzeroClass",
     "SpecFormatError",
     "validate",
-    "k_class",
     "parse_spec",
     "load_spec",
     "spec_to_dict",
@@ -86,15 +90,6 @@ def validate(spec: SphereBundleSpec) -> SphereBundleSpec:
             f"bundle is its rank; euler parameter must be 0, got {spec.euler_param}"
         )
     return spec
-
-
-def k_class(spec: SphereBundleSpec) -> TruncPoly:
-    """K-class ``rank + euler_param·λ`` of the bundle.
-
-    For odd spheres the λ coefficient is forced to 0 by validation, so the
-    class degenerates to the bare rank.
-    """
-    return TruncPoly(spec.rank, spec.euler_param)
 
 
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import SphereBundleSpec, k_class, spec_to_dict
+from .bundles import SphereBundleSpec, spec_to_dict
 from .fgab import IntMatrix, SpherecpInputError
-from .ktheory import TruncPoly, _class_rows, delta1_class
+from .ktheory import TruncPoly, _class_rows, delta1_class, k_class
 from .pimsner import KGroupPair, _k0, k_groups, k_groups_trivial
 
 __all__ = [
@@ -145,7 +145,7 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
     kg = k_groups(spec)
     inv = delta1_class(spec)
     if spec.sphere_dim % 2 == 0:
-        trivial = k_groups_trivial(spec.sphere_dim, spec.rank)
+        trivial = k_groups_trivial(spec)
         parity_caveat = CAVEAT_REALIZABILITY if spec.euler_param else CAVEAT_TRIVIAL_CLASS
     else:
         trivial = kg

@@ -26,7 +26,7 @@ import re
 import sys
 from math import gcd
 
-from .bundles import SphereBundleSpec, k_class, load_spec, spec_to_dict
+from .bundles import SphereBundleSpec, load_spec, spec_to_dict
 from .classify import (
     classify_report,
     delta1_equal,
@@ -36,6 +36,7 @@ from .classify import (
 )
 from .cuntz_words import parse_expression
 from .fgab import SpherecpInputError, _int_text, parse_matrix, smith_normal_form
+from .ktheory import k_class
 from .pimsner import k_groups, pimsner_matrix
 
 __all__ = ["main", "build_parser"]

@@ -39,7 +39,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Union
 
-from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _signed_sum, _trusted
+from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
+from .fgab import _int_text, _signed_sum
 
 __all__ = [
     "Word",
@@ -349,7 +350,7 @@ class CuntzElement:
             word = " ".join([f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)])
             g = gcd(n, den)
             m, q = abs(n) // g, den // g
-            mag = str(m) if q == 1 else f"{m}/{q}"
+            mag = _int_text(m) if q == 1 else f"{_int_text(m)}/{_int_text(q)}"
             terms.append((n < 0, mag if not word else word if mag == "1" else f"{mag} {word}"))
         return _signed_sum(terms)
 

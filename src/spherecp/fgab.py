@@ -371,8 +371,10 @@ def _bareiss(entries: Sequence[Sequence[int]],
     return min(m, cols), sign * prev, a, (row_order, col_order)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
+def _egcd(a: int, b: int) -> tuple[int, int, int, int, int]:
+    """Extended gcd: returns (g, s, t, u, v) with g = s*a + t*b, g >= 0,
+    u = -(b/g) and v = a/g, so [[s, t], [u, v]] is unimodular and sends
+    (a, b) to (g, 0)."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -383,7 +385,7 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
         old_t, t = t, old_t - q * t
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    return old_r, old_s, old_t, -(b // old_r), a // old_r
 
 
 def _echelon_mod(entries: Sequence[Sequence[int]], cols: int, modulus: int) -> list[list[int]]:
@@ -423,8 +425,7 @@ def _echelon_mod(entries: Sequence[Sequence[int]], cols: int, modulus: int) -> l
                 q = b // a
                 rows[i] = [y - q * x for x, y in zip(top, row)]
             else:
-                g, s, t = _egcd(a, b)
-                u, v = -(b // g), a // g
+                g, s, t, u, v = _egcd(a, b)
                 top, rows[i] = (
                     [(s * x + t * y) % modulus for x, y in zip(top, row)],
                     [(u * x + v * y) % modulus for x, y in zip(top, row)],
@@ -533,8 +534,7 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                     mat[i] = [x + q * y for x, y in zip(mat[i], mat[t])]
                 else:
                     # (R_t, R_i) <- (s0 R_t + s1 R_i, r0 R_t + r1 R_i), det s0*r1 - s1*r0 = 1
-                    g, s0, s1 = _egcd(p, b)
-                    r0, r1 = -(b // g), p // g
+                    _, s0, s1, r0, r1 = _egcd(p, b)
                     rt, ri = mat[t], mat[i]
                     mat[t] = [s0 * x + s1 * y for x, y in zip(rt, ri)]
                     mat[i] = [r0 * x + r1 * y for x, y in zip(rt, ri)]
@@ -548,8 +548,7 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                     for row in mat[t:]:
                         row[j] -= q * row[t]
                 else:  # the same Bezout pair on columns t and j
-                    g, s0, s1 = _egcd(p, b)
-                    r0, r1 = -(b // g), p // g
+                    _, s0, s1, r0, r1 = _egcd(p, b)
                     for row in mat[t:]:
                         ct, cj = row[t], row[j]
                         row[t], row[j] = s0 * ct + s1 * cj, r0 * ct + r1 * cj

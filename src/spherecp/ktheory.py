@@ -2,6 +2,8 @@
 
 * :class:`TruncPoly` -- a K-class ``z + z1*λ`` in Z[λ]/(λ²), the K-ring
   of an even sphere: two integer coordinates, compared with ``==``;
+* :func:`k_class` -- the K-class ``rank + euler·λ`` of a validated
+  bundle spec, built from its fields with no second check;
 * :func:`delta1_class` -- the grade-one invariant of the algebra of a
   bundle E: the :class:`~spherecp.fgab.IntMatrix` of multiplication by
   [E] on the sphere K-group.  :func:`_class_rows` lays it out, and also
@@ -13,15 +15,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .fgab import IntMatrix, _require_int, _signed_sum, _trusted
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
-    from .bundles import SphereBundleSpec
+from .bundles import SphereBundleSpec
+from .fgab import IntMatrix, _int_text, _require_int, _signed_sum, _trusted
 
 __all__ = [
     "TruncPoly",
+    "k_class",
     "delta1_class",
 ]
 
@@ -44,10 +44,10 @@ class TruncPoly:
         _require_int("z and z1", self.z, self.z1)
 
     def __str__(self) -> str:
-        terms = [(self.z < 0, str(abs(self.z)))] if self.z else []
+        terms = [(self.z < 0, _int_text(abs(self.z)))] if self.z else []
         if self.z1:
             mag = abs(self.z1)
-            terms.append((self.z1 < 0, "λ" if mag == 1 else f"{mag}·λ"))
+            terms.append((self.z1 < 0, "λ" if mag == 1 else f"{_int_text(mag)}·λ"))
         return _signed_sum(terms)
 
 
@@ -80,7 +80,20 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     return _trusted(IntMatrix, rows=len(entries), cols=len(entries), entries=entries)
 
 
-def delta1_class(spec: "SphereBundleSpec") -> IntMatrix:
+def k_class(spec: SphereBundleSpec) -> TruncPoly:
+    """K-class ``rank + euler_param·λ`` of a validated bundle spec.
+
+    For odd spheres the λ coefficient is forced to 0 by validation, so the
+    class degenerates to the bare rank.  The spec's fields were checked
+    when it was built, so the class is built unchecked.
+
+    >>> str(k_class(SphereBundleSpec(4, 3, -1)))
+    '3 - λ'
+    """
+    return _trusted(TruncPoly, z=spec.rank, z1=spec.euler_param)
+
+
+def delta1_class(spec: SphereBundleSpec) -> IntMatrix:
     """Grade-one invariant of the algebra attached to a validated bundle spec.
 
     The matrix of multiplication by [E] = ``rank + euler·λ``: over an even
@@ -89,7 +102,6 @@ def delta1_class(spec: "SphereBundleSpec") -> IntMatrix:
     times the identity.  The spec was validated once, when it was built,
     so nothing is checked again here.
 
-    >>> from spherecp.bundles import SphereBundleSpec
     >>> delta1_class(SphereBundleSpec(4, 3, 1)).to_text()
     '3,0;1,3'
     >>> delta1_class(SphereBundleSpec(5, 4)).to_text()

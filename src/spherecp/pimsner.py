@@ -14,6 +14,8 @@ value shared by every result.
 For the trivial bundle over an even sphere there is a second, closed-form
 route (a Künneth-style product formula) exposed as
 :func:`k_groups_trivial`; the test-suite insists the two routes agree.
+Both routes take a validated :class:`~spherecp.bundles.SphereBundleSpec`
+and read its fields without checking them again.
 """
 
 from __future__ import annotations
@@ -78,19 +80,20 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     return KGroupPair(k0=_trusted(FgAbGroup, free_rank=free_rank, torsion=torsion), k1=_TRIVIAL)
 
 
-def k_groups_trivial(sphere_dim: int, rank: int) -> KGroupPair:
-    """Closed form for the trivial rank-d bundle over an even sphere.
+def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
+    """Closed form for the trivial bundle of the spec's sphere and rank.
 
-    The algebra is then a product of the sphere with a fixed fiber
-    algebra, and a Künneth-style formula gives
+    Over an even sphere the algebra is then a product of the sphere with
+    a fixed fiber algebra, and a Künneth-style formula gives
     K0 = Z/(d-1) + Z/(d-1), K1 = 0 directly -- no normal form involved.
-    This is the cross-check route for ``k_groups`` at euler 0.
+    This is the cross-check route for ``k_groups`` at euler 0.  The
+    spec's euler parameter is not read, and the spec was validated when
+    it was built, so only the sphere's parity is checked here.
     """
-    SphereBundleSpec(sphere_dim, rank)  # refuses what a spec would refuse
-    if sphere_dim % 2 == 1:
+    if spec.sphere_dim % 2 == 1:
         raise EvenSphereRequired(
-            f"closed-form trivial-bundle K-groups need an even sphere, got S^{sphere_dim}"
+            f"closed-form trivial-bundle K-groups need an even sphere, got S^{spec.sphere_dim}"
         )
-    t = rank - 1
+    t = spec.rank - 1
     k0 = _trusted(FgAbGroup, free_rank=0, torsion=(t, t) if t > 1 else ())
     return KGroupPair(k0=k0, k1=_TRIVIAL)

@@ -18,7 +18,7 @@ from oracles import (
     random_int_matrix,
 )
 
-from spherecp.bundles import OddSphereNonzeroClass, SphereBundleSpec, k_class, validate
+from spherecp.bundles import OddSphereNonzeroClass, SphereBundleSpec, validate
 from spherecp.classify import delta1_equal, graded_stably_isomorphic, k_distinguishable
 from spherecp.cuntz_words import CuntzElement, generator
 from spherecp.fgab import (
@@ -29,6 +29,7 @@ from spherecp.fgab import (
     kernel,
     smith_normal_form,
 )
+from spherecp.ktheory import k_class
 from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
 
 EVEN_SPHERES = (2, 4, 6)
@@ -70,8 +71,9 @@ def test_criterion_2_trivial_bundle_two_routes():
     for sphere_dim in EVEN_SPHERES:
         for d in range(2, 13):
             cases += 1
-            via_matrix = k_groups(SphereBundleSpec(sphere_dim, d, 0))
-            via_product = k_groups_trivial(sphere_dim, d)
+            spec = SphereBundleSpec(sphere_dim, d, 0)
+            via_matrix = k_groups(spec)
+            via_product = k_groups_trivial(spec)
             expected = FgAbGroup.from_factors([d - 1, d - 1])
             if not (via_matrix.k0 == via_product.k0 == expected
                     and via_matrix.k1.is_trivial and via_product.k1.is_trivial):

@@ -10,14 +10,13 @@ from spherecp.bundles import (
     RankTooSmall,
     SpecFormatError,
     SphereBundleSpec,
-    k_class,
     load_spec,
     parse_spec,
     spec_to_dict,
     validate,
 )
 from spherecp.fgab import LITERAL_DIGITS_BUDGET
-from spherecp.ktheory import TruncPoly
+from spherecp.ktheory import TruncPoly, k_class
 
 
 class TestValidate:

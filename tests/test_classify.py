@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spherecp.bundles
 import spherecp.classify
+import spherecp.cli
 import spherecp.pimsner
-from spherecp.bundles import RankTooSmall, SphereBundleSpec, k_class
+from spherecp.bundles import RankTooSmall, SphereBundleSpec
 from spherecp.classify import (
     CAVEAT_DELTA0,
     CAVEAT_INCONCLUSIVE,
@@ -27,7 +29,7 @@ from spherecp.classify import (
     report_to_dict,
 )
 from spherecp.fgab import FgAbGroup, cokernel
-from spherecp.ktheory import delta1_class
+from spherecp.ktheory import delta1_class, k_class
 from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
 
 
@@ -177,11 +179,12 @@ class TestClassifyReport:
             return closed_form(*args)
 
         monkeypatch.setattr(spherecp.classify, "k_groups_trivial", counting)
-        rep = classify_report(SphereBundleSpec(6, 5, 2))
-        assert calls == [(6, 5)]
-        assert rep.trivial_comparison == closed_form(6, 5)
+        spec = SphereBundleSpec(6, 5, 2)
+        rep = classify_report(spec)
+        assert calls == [(spec,)]
+        assert rep.trivial_comparison == closed_form(spec)
         classify_report(SphereBundleSpec(5, 4, 0))
-        assert calls == [(6, 5)]
+        assert calls == [(spec,)]
 
     def test_structured_fields(self):
         d = report_to_dict(classify_report(SphereBundleSpec(4, 3, 1)))
@@ -248,9 +251,38 @@ class TestReadsFromRows:
         for n in self.SPHERES:
             for spec in self._grid(n):
                 assert k_groups(spec).k1 is trivial
-        assert k_groups_trivial(4, 3).k1 is trivial
+        assert k_groups_trivial(SphereBundleSpec(4, 3)).k1 is trivial
         with pytest.raises(dataclasses.FrozenInstanceError):
             trivial.free_rank = 1
+
+
+class TestValidatedOnce:
+    """A spec's fields are checked when it is built, and never again downstream."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        checked = spherecp.bundles.validate
+
+        def counting(spec):
+            calls.append(spec)
+            return checked(spec)
+
+        monkeypatch.setattr(spherecp.bundles, "validate", counting)
+        return calls
+
+    def test_report_validates_nothing(self, validations):
+        spec = SphereBundleSpec(4, 3, 1)
+        odd = SphereBundleSpec(5, 4)
+        assert validations == [spec, odd]
+        classify_report(spec)
+        classify_report(odd)
+        assert validations == [spec, odd]
+
+    def test_table_validates_each_row_once(self, validations, capsys):
+        assert spherecp.cli.main(["table", "--sphere", "4", "--d-max", "5", "--c-max", "3"]) == 0
+        capsys.readouterr()
+        assert len(validations) == (5 - 1) * (3 + 1)
 
 
 _RANKS = st.one_of(st.integers(2, 40), st.integers(2, 10**30))

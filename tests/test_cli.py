@@ -409,6 +409,19 @@ class TestCuntz:
         code, out, _ = run_cli(capsys, "cuntz", "--d", "2", f"2 + {deep}", "--equal", rhs)
         assert code == 0 and out.strip() == "equal: no"
 
+    @pytest.mark.parametrize("words", [("", "s1"), ("s1", "s2")])
+    def test_coefficient_past_the_int_str_limit_is_exact(self, capsys, words):
+        # N = 10^3000 - 1 is within the literal budget, but the coefficient
+        # N^2 = 10^6000 - 2·10^3000 + 1 has 6000 digits, past the
+        # interpreter's 4300-digit int -> str limit
+        n = "9" * 3000
+        square = "9" * 2999 + "8" + "0" * 2999 + "1"
+        word = " ".join(w for w in words if w)
+        text = f"{n} {words[0]} {n} {words[1]}"
+        structured = f'{{\n  "canonical": "{square} {word}",\n  "degree": {len(word.split())}\n}}\n'
+        assert run_cli(capsys, "cuntz", "--d", "2", text) == (0, f"{square} {word}\n", "")
+        assert run_cli(capsys, "cuntz", "--d", "2", text, "--format", "structured") == (0, structured, "")
+
     def test_parse_error_position(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "2", "s1 ? s2")
         assert code == 1 and "position 3" in err

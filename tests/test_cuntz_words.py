@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spherecp.cuntz_words
@@ -332,6 +332,21 @@ def elements(draw, base=None, max_len=3):
     word = st.lists(st.integers(1, d), max_size=max_len).map(tuple)
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
     return CuntzElement(d, draw(st.dictionaries(st.tuples(word, word), coeff, max_size=4)))
+
+
+_LONG = st.integers(10**640, 10**1300)
+
+
+@st.composite
+def long_elements(draw):
+    """Elements with a numerator or denominator of more than 640 digits."""
+    d = draw(st.sampled_from((2, 3)))
+    word = st.lists(st.integers(1, d), max_size=2).map(tuple)
+    numerator = st.one_of(st.integers(-3, 3).filter(bool), _LONG, _LONG.map(lambda n: -n))
+    coeff = st.builds(Fraction, numerator, st.one_of(st.integers(1, 3), _LONG))
+    x = CuntzElement(d, draw(st.dictionaries(st.tuples(word, word), coeff, min_size=1, max_size=4)))
+    assume(any(max(abs(c.numerator), c.denominator) >= 10**640 for c in x.terms().values()))
+    return x
 
 
 @st.composite
@@ -729,6 +744,22 @@ class TestExpressionText:
         # negative, fractional and unit coefficients, bare scalars and zero
         assert str(x) == render_element(x)
         assert str(-x) == render_element(-x)
+
+    @given(long_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_property_renders_past_a_lowered_int_str_limit(self, x):
+        # numerators and denominators past 640 digits, the least int -> str
+        # limit an interpreter takes, render as with no limit; the limit is
+        # set here, not in a fixture, because hypothesis runs every example
+        # inside one test call
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(x)
+            sys.set_int_max_str_digits(640)
+            assert str(x) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     @given(st.one_of(elements(), elements(max_len=0), st.sampled_from((2, 3)).map(CuntzElement.zero)))
     @settings(max_examples=200, deadline=None)

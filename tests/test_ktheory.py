@@ -1,9 +1,10 @@
 """Tests for sphere K-classes and the grade-one invariant."""
 
 import doctest
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spherecp.ktheory
@@ -12,16 +13,18 @@ from spherecp.bundles import (
     OddSphereNonzeroClass,
     RankTooSmall,
     SphereBundleSpec,
-    k_class,
 )
 from spherecp.fgab import IntMatrix
 from spherecp.ktheory import (
     TruncPoly,
     delta1_class,
+    k_class,
 )
 from spherecp.pimsner import pimsner_matrix
 
 ints = st.integers(-50, 50)
+_LONG = st.integers(10**640, 10**1300)
+long_ints = st.one_of(st.integers(-3, 3), _LONG, _LONG.map(lambda n: -n))
 
 
 def test_doctests():
@@ -46,6 +49,24 @@ class TestTruncPoly:
     def test_non_int_rejected(self):
         with pytest.raises(TypeError):
             TruncPoly(1.5, 0)  # type: ignore[arg-type]
+
+    @given(long_ints, long_ints)
+    @settings(max_examples=100, deadline=None)
+    def test_property_renders_past_a_lowered_int_str_limit(self, z, z1):
+        # coefficients past 640 digits, the least int -> str limit an
+        # interpreter takes, render as with no limit; the limit is set here,
+        # not in a fixture, because hypothesis runs every example inside
+        # one test call
+        assume(max(abs(z), abs(z1)) >= 10**640)
+        x = TruncPoly(z, z1)
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(x)
+            sys.set_int_max_str_digits(640)
+            assert str(x) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestDelta1Class:

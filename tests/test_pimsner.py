@@ -13,7 +13,6 @@ import pytest
 import spherecp.fgab
 from oracles import snf_2x2_oracle
 from spherecp.bundles import (
-    NonpositiveDimension,
     OddSphereNonzeroClass,
     RankTooSmall,
     SphereBundleSpec,
@@ -136,29 +135,25 @@ class TestKGroups:
 
 class TestTrivialBundleFormula:
     def test_square_of_cyclic(self):
-        pair = k_groups_trivial(4, 3)
+        pair = k_groups_trivial(SphereBundleSpec(4, 3))
         assert pair.k0 == FgAbGroup(torsion=(2, 2))
         assert pair.k1.is_trivial
 
     def test_rank_two_gives_trivial_group(self):
-        assert k_groups_trivial(4, 2).k0.is_trivial
+        assert k_groups_trivial(SphereBundleSpec(4, 2)).k0.is_trivial
+
+    def test_euler_parameter_not_read(self):
+        assert k_groups_trivial(SphereBundleSpec(4, 5, 3)) == k_groups_trivial(SphereBundleSpec(4, 5))
 
     def test_agrees_with_presentation_route(self):
         for n in (2, 4, 6):
             for d in range(2, 12):
-                via_matrix = k_groups(SphereBundleSpec(n, d, 0))
-                closed = k_groups_trivial(n, d)
+                spec = SphereBundleSpec(n, d, 0)
+                via_matrix = k_groups(spec)
+                closed = k_groups_trivial(spec)
                 assert via_matrix.k0 == closed.k0
                 assert via_matrix.k1 == closed.k1
 
     def test_parity_enforced(self):
         with pytest.raises(EvenSphereRequired):
-            k_groups_trivial(5, 3)
-
-    def test_rank_enforced(self):
-        with pytest.raises(RankTooSmall):
-            k_groups_trivial(4, 1)
-
-    def test_dimension_enforced(self):
-        with pytest.raises(NonpositiveDimension):
-            k_groups_trivial(0, 3)
+            k_groups_trivial(SphereBundleSpec(5, 3))

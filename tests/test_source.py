@@ -80,6 +80,28 @@ def test_one_unchecked_constructor():
     assert defined == ["fgab.py"]
 
 
+def test_module_imports_form_no_cycle():
+    # the pipeline runs one way, so no module imports one that imports it back;
+    # imports under TYPE_CHECKING count, since they mark a cycle all the same
+    modules = {path.stem: path for path in SOURCES if path.name != "__init__.py"}
+    imports = {
+        name: {node.module for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules}
+        for name, path in modules.items()
+    }
+    done: set = set()
+
+    def visit(name, path):
+        assert name not in path, f"import cycle: {' -> '.join(path + (name,))}"
+        if name not in done:
+            for imported in sorted(imports[name]):
+                visit(imported, path + (name,))
+            done.add(name)
+
+    for name in sorted(modules):
+        visit(name, ())
+
+
 MEMOISERS = {"cache", "lru_cache", "cached_property"}
 
 

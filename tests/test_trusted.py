@@ -16,7 +16,7 @@ from oracles import expand, random_cuntz_element
 from spherecp.bundles import SphereBundleSpec
 from spherecp.cuntz_words import CuntzElement, parse_expression
 from spherecp.fgab import IntMatrix, cokernel, kernel, smith_normal_form
-from spherecp.ktheory import delta1_class
+from spherecp.ktheory import delta1_class, k_class
 from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
 
 
@@ -64,10 +64,11 @@ def test_matrix_results_pass_the_checks(a):
 @settings(max_examples=200, deadline=None)
 def test_spec_results_pass_the_checks(spec):
     assert_valid(pimsner_matrix(spec))
+    assert_valid(k_class(spec))
     assert_valid(delta1_class(spec))
     assert_valid(k_groups(spec))
     if spec.sphere_dim % 2 == 0:
-        assert_valid(k_groups_trivial(spec.sphere_dim, spec.rank))
+        assert_valid(k_groups_trivial(spec))
 
 
 @st.composite
