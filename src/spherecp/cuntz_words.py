@@ -50,6 +50,7 @@ __all__ = [
     "generator",
     "parse_expression",
     "NORMAL_FORM_TERMS_BUDGET",
+    "NORMAL_FORM_LETTERS_BUDGET",
 ]
 
 #: A path: finite sequence of generator indices, each in 1..d.
@@ -61,6 +62,11 @@ Scalar = Union[int, Fraction]
 #: terms outside the Leavitt basis, k·(d-1) for a term ending in k shared
 #: letters d; an element whose expansion would pass it is refused.
 NORMAL_FORM_TERMS_BUDGET = 100_000
+
+#: The most letters the words of those terms hold together: a term ending
+#: in k shared letters d writes words of length about k for each of them,
+#: so k·(d-1) terms can hold about k²·(d-1) letters.
+NORMAL_FORM_LETTERS_BUDGET = 10_000_000
 
 
 class BaseMismatchError(SpherecpInputError):
@@ -293,11 +299,16 @@ class CuntzElement:
         Two elements are equal in the algebra exactly when their normal
         forms are structurally equal.  Before it expands the term that
         takes the sum of k·(d-1) past :data:`NORMAL_FORM_TERMS_BUDGET`,
-        it raises :class:`~spherecp.fgab.SpherecpInputError`, so a short
-        input over a huge d is refused without allocating.
+        or the letters of the words it writes past
+        :data:`NORMAL_FORM_LETTERS_BUDGET`, it raises
+        :class:`~spherecp.fgab.SpherecpInputError`, so a short input over
+        a huge d, or with a long run of shared letters, is refused
+        without allocating.  The letters are counted in O(1) per term:
+        the words for j < k have |mu| + |nu| - 2k + 2(j + 1) letters, so
+        the term writes k·(d-1)·(|mu| + |nu| - k + 1) of them.
         """
         d = self._base
-        terms = 0  # the sum of k·(d-1) over the terms expanded so far
+        terms = letters = 0  # the sums of k·(d-1) and of the letters over the terms expanded so far
         out: dict[tuple[Word, Word], int] = {}
         for (mu, nu), c in self._coeffs.items():
             m, n = len(mu), len(nu)
@@ -308,6 +319,9 @@ class CuntzElement:
                 if (terms := terms + k * (d - 1)) > NORMAL_FORM_TERMS_BUDGET:
                     raise SpherecpInputError(
                         f"the normal form passes NORMAL_FORM_TERMS_BUDGET ({NORMAL_FORM_TERMS_BUDGET} terms)")
+                if (letters := letters + k * (d - 1) * (m + n - k + 1)) > NORMAL_FORM_LETTERS_BUDGET:
+                    raise SpherecpInputError(
+                        f"the normal form passes NORMAL_FORM_LETTERS_BUDGET ({NORMAL_FORM_LETTERS_BUDGET} letters)")
                 mu, nu = mu[: m - k], nu[: n - k]
                 for j in range(k):
                     a, b = mu + (d,) * j, nu + (d,) * j

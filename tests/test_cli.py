@@ -358,6 +358,21 @@ class TestSnf:
         assert run_cli(capsys, "snf", f"{n},1;1,{n}") == (0, human, "")
         assert run_cli(capsys, "snf", f"{n},1;1,{n}", "--format", "structured") == (0, structured, "")
 
+    def test_entries_budget(self, capsys, monkeypatch):
+        # the benchmark's largest matrix, 25 x 25, and every test input are within it
+        assert cli.SNF_ENTRIES_BUDGET == 10_000 > 25 * 25
+        monkeypatch.setattr(cli, "SNF_ENTRIES_BUDGET", 4)
+        assert run_cli(capsys, "snf", "-2,0;-1,-2")[0] == 0
+        monkeypatch.setattr(cli, "SNF_ENTRIES_BUDGET", 3)
+
+        def refuse(a):
+            raise AssertionError("an over-budget matrix reached the elimination")
+
+        monkeypatch.setattr(cli, "smith_normal_form", refuse)
+        for fmt in ("human", "structured"):
+            assert run_cli(capsys, "snf", "-2,0;-1,-2", "--format", fmt) == (
+                1, "", "error: the matrix has 4 entries, over SNF_ENTRIES_BUDGET (3 entries)\n")
+
     def test_bad_matrix_text(self, capsys):
         code, _, err = run_cli(capsys, "snf", "1,2;x")
         assert code == 1 and "position" in err
@@ -438,6 +453,15 @@ class TestCuntz:
                 code, out, err = run_cli(capsys, "cuntz", "--d", str(d), f"s{d} s{d}*", *extra)
             assert code == 1 and out == ""
             assert err == "error: the normal form passes NORMAL_FORM_TERMS_BUDGET (100000 terms)\n"
+
+    def test_long_shared_run_is_refused_at_once(self, capsys):
+        # s2^k s2*^k at k = 20 000 is 20 000 terms, but about 4·10^8 letters
+        text = " ".join(["s2"] * 20_000 + ["s2*"] * 20_000)
+        for extra in ([], ["--equal", "1"]):
+            with time_limit(1):
+                code, out, err = run_cli(capsys, "cuntz", "--d", "2", text, *extra)
+            assert code == 1 and out == ""
+            assert err == "error: the normal form passes NORMAL_FORM_LETTERS_BUDGET (10000000 letters)\n"
 
     def test_d_too_small(self, capsys):
         code, _, err = run_cli(capsys, "cuntz", "--d", "1", "s1")

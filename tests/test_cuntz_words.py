@@ -27,6 +27,7 @@ from oracles import (
     time_limit,
 )
 from spherecp.cuntz_words import (
+    NORMAL_FORM_LETTERS_BUDGET,
     NORMAL_FORM_TERMS_BUDGET,
     BaseMismatchError,
     CuntzElement,
@@ -322,6 +323,42 @@ class TestNormalForm:
         assert len(CuntzElement.monomial(d, (d,), (d,)).normal_form().terms()) == d
         with pytest.raises(SpherecpInputError):
             CuntzElement.monomial(d + 1, (d + 1,), (d + 1,)).normal_form()
+
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.integers(1, d), max_size=4),
+        st.lists(st.integers(1, d), max_size=4),
+        st.integers(1, 6),
+    )))
+    @settings(max_examples=100, deadline=None)
+    def test_letters_count_the_expanded_words(self, drawn):
+        # a term ending in k shared letters d writes k·(d-1)·(|mu| + |nu| - k + 1) letters
+        d, mu, nu, k = drawn
+        if mu and nu and mu[-1] == nu[-1] == d:
+            nu[-1] = 1  # so the shared run is exactly k long
+        mu, nu = (*mu, *[d] * k), (*nu, *[d] * k)
+        written = sum(len(a) + len(b) for a, b in CuntzElement.monomial(d, mu, nu).normal_form().terms())
+        stem = len(mu) + len(nu) - 2 * k  # the one term that keeps its stem
+        assert written - stem == k * (d - 1) * (len(mu) + len(nu) - k + 1)
+
+    def test_letters_budget(self, monkeypatch):
+        x = CuntzElement.monomial(3, (1, 3, 3), (3, 3))  # k = 2: 2·2·(3 + 2 - 2 + 1) = 16 letters
+        monkeypatch.setattr(spherecp.cuntz_words, "NORMAL_FORM_LETTERS_BUDGET", 16)
+        assert len(x.normal_form().terms()) == 1 + 4
+        monkeypatch.setattr(spherecp.cuntz_words, "NORMAL_FORM_LETTERS_BUDGET", 15)
+        with pytest.raises(SpherecpInputError, match=r"NORMAL_FORM_LETTERS_BUDGET \(15 letters\)"):
+            x.normal_form()
+        with pytest.raises(SpherecpInputError, match="NORMAL_FORM_LETTERS_BUDGET"):
+            x.equals(x)
+
+    def test_letters_budget_refuses_a_long_shared_run_at_once(self):
+        # s2^k s2*^k: k terms within the terms budget, but about k² letters
+        k = 20_000
+        x = CuntzElement.monomial(2, (2,) * k, (2,) * k)
+        assert k * (2 - 1) <= NORMAL_FORM_TERMS_BUDGET < k * (k + 1)
+        assert NORMAL_FORM_LETTERS_BUDGET == 10_000_000
+        with time_limit(1), pytest.raises(SpherecpInputError, match="NORMAL_FORM_LETTERS_BUDGET"):
+            x.normal_form()
 
 
 

@@ -326,6 +326,37 @@ def elimination_free_shapes(draw):
     return IntMatrix.from_rows(list(zip(*rows)) if draw(st.booleans()) else rows)
 
 
+@st.composite
+def planted_chains(draw):
+    """n x n matrices U diag(chain) V, n = 2..6, and the chain: cyclic or not.
+
+    The cyclic chains are (1, ..., 1, t); the others end in (2, 2) or
+    (2, 2, 6), so every (n-1) x (n-1) minor is even.
+    """
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["cyclic", "1,2,2", "2,2,6"]))
+    if kind == "cyclic":
+        chain = [1] * (n - 1) + [draw(st.integers(1, 10**6))]
+    else:
+        tail = [2, 2] if kind == "1,2,2" or n == 2 else [2, 2, 6]
+        chain = [1] * (n - len(tail)) + tail
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return random_unimodular(rng, n, steps=4 * n) @ d @ random_unimodular(rng, n, steps=4 * n), chain
+
+
+def adjugate_columns(a):
+    """The columns of adj(A), from the cofactors of A."""
+    n = a.rows
+    if n == 1:
+        return [[1]]
+
+    def minor(i, j):  # A without row i and column j
+        return IntMatrix.from_rows([r[:j] + r[j + 1:] for k, r in enumerate(a.entries) if k != i]).det()
+
+    return [[(-1) ** (i + j) * minor(j, i) for i in range(n)] for j in range(n)]
+
+
 class TestInvariantFactors:
     """The transform-free route, modulo a nonzero minor, against the SNF route."""
 
@@ -710,6 +741,59 @@ class TestBoundedTransforms:
         snf = smith_normal_form(a)
         snf_is_valid(a, snf)
         assert snf.diagonal == (1, 12)
+
+    @given(planted_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_property_adjugate_rule_matches_the_sweep(self, drawn):
+        # every column of adj(A) offered: the rule holds exactly when Z^n/L is cyclic
+        a, chain = drawn
+        modulus = prod(chain)
+        swept = self.sweep_count(lambda: spherecp.fgab._hermite_mod(a.entries, modulus, adjugate_columns(a)))
+        assert swept[0] == spherecp.fgab._hermite_mod(a.entries, modulus)
+        assert swept[1] == (0 if chain[-2] == 1 else 1)
+
+    @staticmethod
+    def sweep_count(call):
+        """The result of ``call()`` and how many times it ran ``_echelon_mod``."""
+        with mock.patch.object(spherecp.fgab, "_echelon_mod", wraps=spherecp.fgab._echelon_mod) as sweep:
+            result = call()
+        return result, sweep.call_count
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],  # det 18, D_2 = 1
+        [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]],
+        [[-6]],
+        [[-1]],
+    ])
+    def test_cyclic_square_runs_no_sweep(self, rows, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a square with a cyclic quotient swept modulo |det|")
+
+        a = IntMatrix.from_rows(rows)
+        assert len(invariant_factors(a)[0]) <= 1
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", refuse)
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert snf.diagonal == (1,) * (a.rows - 1) + (abs(a.det()),)
+        assert cli.main(["snf", a.to_text(), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["D"] == snf.D.to_text()
+
+    def test_non_cyclic_square_still_sweeps(self):
+        rng = random.Random(29)
+        d = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        a = random_unimodular(rng, 3, steps=9) @ d @ random_unimodular(rng, 3, steps=9)
+        snf, swept = self.sweep_count(lambda: smith_normal_form(a))
+        snf_is_valid(a, snf)
+        assert snf.diagonal == (1, 2, 2)
+        assert swept == 1
+
+    def test_rule_at_sizes_zero_and_one(self):
+        hermite, transform = spherecp.fgab._hermite_mod, spherecp.fgab._hermite_and_transform
+        assert hermite([], 1, []) == hermite([], 1) == []
+        assert transform([], []) == []
+        assert hermite([[-6]], 6, [[1]]) == hermite([[-6]], 6) == [[6]]
+        assert hermite([[-6]], 6, [[2], [3]]) == [[6]]  # folded: 2 + 3·3 = 5 modulo 6
+        assert transform([[-6]], [0]) == [[6, -1]]
 
     def test_unimodular_and_singular_squares(self):
         a = IntMatrix.from_rows([[2, 3], [1, 2]])
