@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Union
@@ -95,22 +95,6 @@ def _check_scalar(c: object) -> Fraction:
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
     return Fraction(c)
-
-
-def _mul_keys(mu: Word, nu: Word, alpha: Word, beta: Word) -> tuple[Word, Word] | None:
-    """Reduced form of (S_mu S_nu*)(S_alpha S_beta*), or None when it is 0.
-
-    S_nu* S_alpha collapses by prefix comparison: if alpha = nu·rho it is
-    S_rho, if nu = alpha·rho it is S_rho*, otherwise the isometry
-    relations kill the product.
-    """
-    if len(alpha) >= len(nu):
-        if alpha[: len(nu)] == nu:
-            return mu + alpha[len(nu):], beta
-        return None
-    if nu[: len(alpha)] == alpha:
-        return mu, beta + nu[len(alpha):]
-    return None
 
 
 def _add_term(out: dict[tuple[Word, Word], int], key: tuple[Word, Word], c: int) -> None:
@@ -238,6 +222,8 @@ class CuntzElement:
         return _over_lcm(self._base, [(key, c, x._den) for x in (self, other) for key, c in x._coeffs.items()])
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
+        if not isinstance(other, CuntzElement):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "CuntzElement":
@@ -245,15 +231,22 @@ class CuntzElement:
         return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
 
     def __mul__(self, other: "CuntzElement") -> "CuntzElement":
+        """Each pair of terms in turn, ``self``'s outer: (S_mu S_nu*)(S_alpha
+        S_beta*) collapses S_nu* S_alpha by prefix comparison, to S_rho if
+        alpha = nu·rho, to S_rho* if nu = alpha·rho, and otherwise to 0."""
         if not isinstance(other, CuntzElement):
             return NotImplemented
         self._require_same_base(other)
         out: dict[tuple[Word, Word], int] = {}
+        right = [(alpha, len(alpha), beta, c2) for (alpha, beta), c2 in other._coeffs.items()]
         for (mu, nu), c1 in self._coeffs.items():
-            for (alpha, beta), c2 in other._coeffs.items():
-                key = _mul_keys(mu, nu, alpha, beta)
-                if key is not None:
-                    _add_term(out, key, c1 * c2)
+            n = len(nu)
+            for alpha, a, beta, c2 in right:
+                if a >= n:
+                    if alpha[:n] == nu:
+                        _add_term(out, (mu + alpha[n:], beta), c1 * c2)
+                elif nu[:a] == alpha:
+                    _add_term(out, (mu, beta + nu[a:]), c1 * c2)
         return _reduced(self._base, out, self._den * other._den)
 
     def star(self) -> "CuntzElement":
@@ -356,15 +349,33 @@ class CuntzElement:
     # -- text ----------------------------------------------------------------
 
     def __str__(self) -> str:
+        """The terms in the canonical order, by (|mu|, mu, |nu|, nu), as a
+        signed sum (:func:`~spherecp.fgab._signed_sum`).
+
+        A term is its coefficient's magnitude, an integer or ``p/q`` in
+        lowest terms, then its word: ``sK`` for each letter of mu, then
+        ``sK*`` for each letter of nu from the last.  The magnitude is left
+        out when it is 1 and the word is not empty; no terms give ``0``.
+        The names ``sK`` and ``sK*`` of each letter that occurs, the names
+        of each distinct nu and the text of each distinct numerator's
+        magnitude are written once per call, in dicts local to the call:
+        nothing is cached between calls, and no table is sized by d.
+        """
         den = self._den
+        letters = set(chain.from_iterable(chain.from_iterable(self._coeffs)))
+        names, stars = {i: f"s{i}" for i in letters}, {i: f"s{i}*" for i in letters}
+        rights: dict[Word, list[str]] = {}
+        mags: dict[int, str] = {}
         terms: list[tuple[bool, str]] = []
-        # the canonical order: by (|mu|, mu, |nu|, nu)
-        ordered = sorted(self._coeffs.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]))
-        for (mu, nu), n in ordered:
-            word = " ".join([f"s{i}" for i in mu] + [f"s{i}*" for i in reversed(nu)])
-            g = gcd(n, den)
-            m, q = abs(n) // g, den // g
-            mag = _int_text(m) if q == 1 else f"{_int_text(m)}/{_int_text(q)}"
+        # the keys are distinct, so the sort never compares two numerators
+        for _, mu, _, nu, n in sorted([(len(mu), mu, len(nu), nu, n) for (mu, nu), n in self._coeffs.items()]):
+            if (right := rights.get(nu)) is None:
+                right = rights[nu] = [*map(stars.__getitem__, reversed(nu))]
+            word = " ".join([*map(names.__getitem__, mu), *right])
+            if (mag := mags.get(n)) is None:
+                g = gcd(n, den)
+                m, q = abs(n) // g, den // g
+                mag = mags[n] = _int_text(m) if q == 1 else f"{_int_text(m)}/{_int_text(q)}"
             terms.append((n < 0, mag if not word else word if mag == "1" else f"{mag} {word}"))
         return _signed_sum(terms)
 

@@ -218,9 +218,12 @@ def _nonzero(terms: dict) -> dict:
 def fraction_product(x_terms: dict, y_terms: dict) -> dict:
     """Coefficient map ``{(mu, nu): Fraction}`` of the product of two such maps.
 
-    Multiplies every pair of terms with plain ``Fraction`` arithmetic:
+    The reference product: multiplies every pair of terms with plain
+    ``Fraction`` arithmetic, the left factor's terms outer, where
     S_nu* S_alpha is S_rho when alpha = nu rho, S_rho* when nu = alpha rho,
-    and 0 otherwise.
+    and 0 otherwise.  A key whose sum reaches 0 leaves the map at once, so
+    if it comes back it goes last: the map's key order is the order of
+    the library's product, which ``repr`` and ``terms()`` show.
     """
     out: dict = {}
     for (mu, nu), a in x_terms.items():
@@ -231,8 +234,12 @@ def fraction_product(x_terms: dict, y_terms: dict) -> dict:
                 key = (mu, beta + nu[len(alpha):])
             else:
                 continue
-            out[key] = out.get(key, 0) + a * b
-    return _nonzero(out)
+            total = out.get(key, 0) + a * b
+            if total:
+                out[key] = total  # a key already present keeps its place
+            else:
+                out.pop(key, None)
+    return out
 
 
 def fraction_normal_form(base: int, terms: dict) -> dict:

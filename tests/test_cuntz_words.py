@@ -144,6 +144,14 @@ class TestAlgebraLaws:
             with pytest.raises(TypeError):
                 x * bad
 
+    def test_subtracting_a_non_element_names_the_minus(self):
+        # the operand is refused before it is negated, so Python names -
+        x = CuntzElement.monomial(2, (1,), (2,))
+        for bad in (3, "a"):
+            kind = type(bad).__name__
+            with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for -: 'CuntzElement' and '{kind}'"):
+                x - bad
+
 
 class TestDecidableEquality:
     def test_unit_relation(self):
@@ -387,6 +395,16 @@ def long_elements(draw):
 
 
 @st.composite
+def wide_elements(draw, base=None):
+    """Elements over 10, 12 or 10**9 isometries whose letters, drawn from
+    1, 9, 10, 11 and d, take one digit or several."""
+    d = base if base is not None else draw(st.sampled_from((10, 12, 10**9)))
+    word = st.lists(st.sampled_from(sorted({i for i in (1, 9, 10, 11, d) if i <= d})), max_size=3).map(tuple)
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+    return CuntzElement(d, draw(st.dictionaries(st.tuples(word, word), coeff, max_size=4)))
+
+
+@st.composite
 def rewritten(draw, x):
     """``x`` with one term refined along the unit relation, sometimes perturbed."""
     d = x.base
@@ -488,6 +506,20 @@ class TestNormalFormProperties:
         assert (x + y).normal_form() == (x.normal_form() + y.normal_form()).normal_form()
         assert x.star().equals(x.normal_form().star())
 
+    @given(wide_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_multi_digit_letters(self, x):
+        d = x.base
+        if d == 10**9 and any(mu[-1:] == nu[-1:] == (d,) for mu, nu in x.terms()):
+            # a term ending in the shared letter d would expand to d - 1 terms
+            with pytest.raises(SpherecpInputError, match="NORMAL_FORM_TERMS_BUDGET"):
+                x.normal_form()
+            return
+        nf = x.normal_form()
+        assert nf.normal_form() == nf
+        assert _in_basis(nf)
+        assert nf.terms() == fraction_normal_form(d, x.terms())
+
 
 @st.composite
 def fraction_maps(draw, base):
@@ -545,6 +577,25 @@ class TestCommonDenominator:
             assert result.equals(result + result) == result.is_zero
         # a sum lists the left operand's keys first, then the right's
         assert list((x + y).terms()) == list(total)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_products_follow_the_reference_product(self, data):
+        # values and key order both: repr and terms() list the keys in the
+        # order the pairs of terms reach them, a cancelled key going last
+        # if it comes back; multi-digit letters included
+        x = data.draw(st.one_of(elements(max_len=2), wide_elements()))
+        y = data.draw(elements(base=x.base, max_len=2) if x.base < 10 else wide_elements(base=x.base))
+        expected = fraction_product(x.terms(), y.terms())
+        assert list((x * y).terms().items()) == list(expected.items())
+
+    def test_a_cancelled_key_that_comes_back_goes_last(self):
+        # (2 - 2P)(P - 1) with P = s1 s1*: the pairs reach P with 2, then
+        # -2, so P leaves, then the unit, then P again
+        p, one = ((1,), (1,)), ((), ())
+        x, y = CuntzElement(2, {p: -2, one: 2}), CuntzElement(2, {one: -1, p: 1})
+        assert list(fraction_product(x.terms(), y.terms())) == [one, p]
+        assert repr(x * y) == "CuntzElement(2, {((), ()): Fraction(-2, 1), ((1,), (1,)): Fraction(2, 1)})"
 
     def test_three_hundred_prime_denominators(self):
         # the common denominator of x is the product of the first 300 primes
@@ -775,12 +826,21 @@ class TestExpressionText:
         x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
         assert str(x) == "2 - 1/2 s1"
 
-    @given(st.one_of(elements(), elements(max_len=0), st.sampled_from((2, 3)).map(CuntzElement.zero)))
+    @given(st.one_of(elements(), elements(max_len=0), wide_elements(), st.sampled_from((2, 3)).map(CuntzElement.zero)))
     @settings(max_examples=400, deadline=None)
     def test_property_rendering_matches_the_format(self, x):
-        # negative, fractional and unit coefficients, bare scalars and zero
+        # negative, fractional and unit coefficients, bare scalars, zero and
+        # letters of several digits
         assert str(x) == render_element(x)
         assert str(-x) == render_element(-x)
+
+    def test_rendering_over_a_huge_base_reads_only_its_letters(self):
+        # no table of letter names is sized by d
+        d = 10**9
+        x = parse_expression(d, f"s{d} s1 - 3/7 s{d} s{d}* + 2")
+        with time_limit(1):
+            text = str(x)
+        assert text == "2 - 3/7 s1000000000 s1000000000* + s1000000000 s1"
 
     @given(long_elements())
     @settings(max_examples=100, deadline=None)
