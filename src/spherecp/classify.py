@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import SphereBundleSpec, spec_to_dict
-from .fgab import IntMatrix, SpherecpInputError
+from .fgab import IntMatrix, SpherecpInputError, _trusted
 from .ktheory import TruncPoly, _class_rows, delta1_class, k_class
 from .pimsner import KGroupPair, _k0, k_groups, k_groups_trivial
 
@@ -152,7 +152,8 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
         parity_caveat = CAVEAT_ODD_COLLAPSE
     distinguishable = kg.k0 != trivial.k0
     caveats = (CAVEAT_DELTA0, parity_caveat) + (() if distinguishable else (CAVEAT_INCONCLUSIVE,))
-    return ClassificationReport(
+    return _trusted(
+        ClassificationReport,
         spec=spec,
         k_class=kc,
         k_groups=kg,

@@ -129,6 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand bodies -------------------------------------------------------
+#
+# Each body builds only the format asked for: with ``--format structured``
+# the JSON object, otherwise the human lines.
+
+
+def _structured(args) -> bool:
+    return args.format == "structured"
 
 
 def _head(spec: SphereBundleSpec, kclass, groups) -> list[str]:
@@ -137,7 +144,7 @@ def _head(spec: SphereBundleSpec, kclass, groups) -> list[str]:
             f"k_class: {kclass}", f"K0 = {groups.k0}", f"K1 = {groups.k1}"]
 
 
-def _cmd_kgroups(args) -> tuple[list[str], dict]:
+def _cmd_kgroups(args) -> list[str] | dict:
     spec = _spec_from_args(args)
     pair = k_groups(spec)
     parity = "even" if spec.sphere_dim % 2 == 0 else "odd"
@@ -145,27 +152,34 @@ def _cmd_kgroups(args) -> tuple[list[str], dict]:
         f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
         f"presentation matrix [{pimsner_matrix(spec).to_text()}] (identity minus tensor endomorphism)"
     )
-    human = _head(spec, k_class(spec), pair) + [f"note: {note}"]
-    return human, {"K0": str(pair.k0), "K1": str(pair.k1), "note": note}
+    if _structured(args):
+        return {"K0": str(pair.k0), "K1": str(pair.k1), "note": note}
+    return _head(spec, k_class(spec), pair) + [f"note: {note}"]
 
 
-def _cmd_classify_single(spec: SphereBundleSpec) -> tuple[list[str], dict]:
+def _cmd_classify_single(spec: SphereBundleSpec, structured: bool) -> list[str] | dict:
     rep = classify_report(spec)
+    if structured:
+        return report_to_dict(rep)
     human = _head(spec, rep.k_class, rep.k_groups) + [
         f"delta1 matrix: {rep.delta1.to_text()} base={spec.rank}",
         f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
         f"distinguishable from trivial by K-theory: {'yes' if rep.k_distinguishable_from_trivial else 'no'}",
     ]
-    human += [f"caveat: {c}" for c in rep.caveats]
-    return human, report_to_dict(rep)
+    return human + [f"caveat: {c}" for c in rep.caveats]
 
 
-def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec) -> tuple[list[str], dict]:
+def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec, structured: bool) -> list[str] | dict:
     verdicts = {
         "delta1_equal": delta1_equal(a, b),
         "graded_stably_isomorphic": graded_stably_isomorphic(a, b),
         "k_distinguishable": k_distinguishable(a, b),
     }
+    note = None if verdicts["k_distinguishable"] else (
+        "equal K-groups are inconclusive; the verdict comes from the delta1 invariant")
+    if structured:
+        obj = {"specA": spec_to_dict(a), "specB": spec_to_dict(b), **verdicts}
+        return obj if note is None else {**obj, "note": note}
     human = [
         f"bundle A: sphere_dim={a.sphere_dim} rank={a.rank} euler={a.euler_param}",
         f"bundle B: sphere_dim={b.sphere_dim} rank={b.rank} euler={b.euler_param}",
@@ -173,27 +187,18 @@ def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec) -> tuple[list[s
         f"graded stably isomorphic: {'yes' if verdicts['graded_stably_isomorphic'] else 'no'}",
         f"K-theory distinguishes them: {'yes' if verdicts['k_distinguishable'] else 'no'}",
     ]
-    structured = {
-        "specA": spec_to_dict(a),
-        "specB": spec_to_dict(b),
-        **verdicts,
-    }
-    if not verdicts["k_distinguishable"]:
-        note = "equal K-groups are inconclusive; the verdict comes from the delta1 invariant"
-        human.append(f"note: {note}")
-        structured["note"] = note
-    return human, structured
+    return human if note is None else human + [f"note: {note}"]
 
 
-def _cmd_classify(args) -> tuple[list[str], dict]:
+def _cmd_classify(args) -> list[str] | dict:
     spec_a = _spec_from_args(args)
     second_given = any(
         getattr(args, name) is not None for name in ("sphere2", "rank2", "euler2", "spec2")
     )
     if not second_given:
-        return _cmd_classify_single(spec_a)
+        return _cmd_classify_single(spec_a, _structured(args))
     spec_b = _spec_from_args(args, suffix="2", fallback=spec_a)
-    return _cmd_classify_pair(spec_a, spec_b)
+    return _cmd_classify_pair(spec_a, spec_b, _structured(args))
 
 
 def _table_row(spec: SphereBundleSpec) -> dict:
@@ -208,7 +213,7 @@ def _table_row(spec: SphereBundleSpec) -> dict:
     }
 
 
-def _cmd_table(args) -> tuple[list[str], dict]:
+def _cmd_table(args) -> list[str] | dict:
     if args.sphere < 1 or args.sphere % 2:
         raise CliError("--sphere must be a positive even dimension")
     if args.d_max < 2:
@@ -223,6 +228,8 @@ def _cmd_table(args) -> tuple[list[str], dict]:
         for d in range(2, args.d_max + 1)
         for c in range(0, args.c_max + 1)
     ]
+    if _structured(args):
+        return {"sphere_dim": args.sphere, "rows": rows}
     header = f"{'d':>3} {'c':>4} {'k_class':<12} {'K0':<18} {'gcd':>4}  distinguishable"
     human = [f"survey over S^{args.sphere}", header, "-" * len(header)]
     for r in rows:
@@ -230,36 +237,30 @@ def _cmd_table(args) -> tuple[list[str], dict]:
             f"{r['rank']:>3} {r['euler']:>4} {r['k_class']:<12} {r['K0']:<18} "
             f"{r['gcd']:>4}  {'yes' if r['distinguishable_from_trivial'] else 'no'}"
         )
-    structured = {"sphere_dim": args.sphere, "rows": rows}
-    return human, structured
+    return human
 
 
-def _cmd_snf(args) -> tuple[list[str], dict]:
+def _cmd_snf(args) -> list[str] | dict:
     a = parse_matrix(args.matrix)
     if a.rows * a.cols > SNF_ENTRIES_BUDGET:
         raise CliError(
             f"the matrix has {a.rows * a.cols} entries, over SNF_ENTRIES_BUDGET ({SNF_ENTRIES_BUDGET} entries)")
     snf = smith_normal_form(a)
     u, d, v = snf.U.to_text(), snf.D.to_text(), snf.V.to_text()
-    human = [
-        f"A = {a.to_text()}",
-        f"U = {u}",
-        f"D = {d}",
-        f"V = {v}",
-        f"diagonal: {', '.join(map(_int_text, snf.diagonal))}",
-    ]
-    return human, {"U": u, "D": d, "V": v}
+    if _structured(args):
+        return {"U": u, "D": d, "V": v}
+    return [f"A = {a.to_text()}", f"U = {u}", f"D = {d}", f"V = {v}",
+            f"diagonal: {', '.join(map(_int_text, snf.diagonal))}"]
 
 
-def _cmd_cuntz(args) -> tuple[list[str], dict]:
+def _cmd_cuntz(args) -> list[str] | dict:
     x = parse_expression(args.d, args.expression)
     if args.equal is None:
         nf = x.normal_form()
         canonical = str(nf)
-        return [canonical], {"canonical": canonical, "degree": nf.degree()}
-    y = parse_expression(args.d, args.equal)
-    verdict = x.equals(y)
-    return [f"equal: {'yes' if verdict else 'no'}"], {"equal": verdict}
+        return {"canonical": canonical, "degree": nf.degree()} if _structured(args) else [canonical]
+    verdict = x.equals(parse_expression(args.d, args.equal))
+    return {"equal": verdict} if _structured(args) else [f"equal: {'yes' if verdict else 'no'}"]
 
 
 _COMMANDS = {
@@ -270,27 +271,79 @@ _COMMANDS = {
     "cuntz": _cmd_cuntz,
 }
 
+_encode_str = json.encoder.encode_basestring  # json.dumps(ensure_ascii=False)'s string writer, in C
 
-def render_structured(obj: dict) -> str:
-    """Canonical JSON rendering: parse + re-render is byte-identical."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+
+def render_structured(obj: object) -> str:
+    """Canonical JSON text of ``obj``: parse + re-render is byte-identical.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False)`` wherever that succeeds.  A non-empty dict is ``{``, then one line per
+    key in sorted order, ``"key": value``, indented two spaces deeper
+    than the dict's own line, each but the last ending in ``,``, then
+    ``}`` on a line at the dict's own indent; a non-empty list is the
+    same with ``[``, values and ``]``.  Empty ones are ``{}`` and ``[]``.
+    Strings are written by ``json.encoder.encode_basestring`` (non-ASCII
+    kept, quotes, backslashes and control characters escaped), ints by
+    :func:`~spherecp.fgab._int_text` (exact past the int -> str limit),
+    and ``True``, ``False``, ``None`` as ``true``, ``false``, ``null``.
+    Any other value, or a key that is not a string, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` starts a line at its indent."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(_int_text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, inner, _encode_str(key), ": ")
+            _write(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            out += (sep, inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        human, structured = _COMMANDS[args.subcommand](args)
+        result = _COMMANDS[args.subcommand](args)
     except SpherecpInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - invariant violations only
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        print(render_structured(structured))
-    else:
-        print("\n".join(human))
+    print(render_structured(result) if _structured(args) else "\n".join(result))
     return 0
 
 

@@ -380,7 +380,15 @@ class CuntzElement:
         return _signed_sum(terms)
 
     def __repr__(self) -> str:
-        return f"CuntzElement({self._base}, {self.terms()!r})"
+        """``CuntzElement(base, {(mu, nu): Fraction(n, q), ...})`` over :meth:`terms`.
+
+        Numerators and denominators are written by
+        :func:`~spherecp.fgab._int_text`, so this is ``Fraction``'s own
+        ``repr`` within the interpreter's int -> str limit and exact past it.
+        """
+        terms = ", ".join(f"{key!r}: Fraction({_int_text(c.numerator)}, {_int_text(c.denominator)})"
+                          for key, c in self.terms().items())
+        return f"CuntzElement({self._base}, {{{terms}}})"
 
 
 def generator(base: int, index: int) -> CuntzElement:

@@ -198,7 +198,7 @@ class IntMatrix:
     def to_text(self) -> str:
         """Render in the compact text format: rows joined by ';', entries by ','."""
         try:
-            return ";".join(",".join(str(e) for e in row) for row in self.entries)
+            return ";".join(",".join(map(str, row)) for row in self.entries)
         except ValueError:  # an entry past the interpreter's int -> str limit
             return ";".join(",".join(map(_int_text, row)) for row in self.entries)
 

@@ -77,7 +77,7 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     rank, so the map is injective.
     """
     free_rank, torsion = _k0(spec)
-    return KGroupPair(k0=_trusted(FgAbGroup, free_rank=free_rank, torsion=torsion), k1=_TRIVIAL)
+    return _trusted(KGroupPair, k0=_trusted(FgAbGroup, free_rank=free_rank, torsion=torsion), k1=_TRIVIAL)
 
 
 def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
@@ -96,4 +96,4 @@ def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
         )
     t = spec.rank - 1
     k0 = _trusted(FgAbGroup, free_rank=0, torsion=(t, t) if t > 1 else ())
-    return KGroupPair(k0=k0, k1=_TRIVIAL)
+    return _trusted(KGroupPair, k0=k0, k1=_TRIVIAL)

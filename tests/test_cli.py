@@ -14,7 +14,7 @@ from spherecp.bundles import BundleSpecError, SpecFormatError, SphereBundleSpec
 from spherecp.classify import ComparisonError, classify_report
 from spherecp.cli import TABLE_ROWS_BUDGET, _table_row, main, render_structured
 from spherecp.cuntz_words import BaseMismatchError, ExpressionParseError
-from spherecp.fgab import MatrixParseError, SpherecpInputError, parse_matrix
+from spherecp.fgab import IntMatrix, MatrixParseError, SpherecpInputError, parse_matrix
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +38,18 @@ def zero_sum_rewrites(draw):
     zero = " - ".join([f"{c} {_word_text(mu, nu)}"]
                       + [f"{c} {_word_text(mu + (i,), nu + (i,))}" for i in range(1, d + 1)])
     return d, str(x), f"{x} + {zero}"
+
+
+# JSON values: strings with non-ASCII, control, quote and backslash
+# characters; ints of several hundred digits, both signs; bools, None and
+# empty containers.
+_json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f\u2028é·λ\U0001f600'), st.characters()),
+                     max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
 
 
 # Exact kgroups output, human and structured.  The note is formatted by the
@@ -281,6 +293,21 @@ class TestTable:
         lines = out.strip().splitlines()
         # 2 ranks x 3 euler values = 6 rows after the 3 header lines
         assert len(lines) == 9
+
+    def test_pinned_human_grid(self, capsys):
+        # the human lines are written from the same row dicts the structured form holds
+        human = (
+            "survey over S^4\n"
+            "  d    c k_class      K0                  gcd  distinguishable\n"
+            "--------------------------------------------------------------\n"
+            "  2    0 2            0                     1  no\n"
+            "  2    1 2 + λ        0                     1  no\n"
+            "  2    2 2 + 2·λ      0                     1  no\n"
+            "  3    0 3            Z/2 + Z/2             2  no\n"
+            "  3    1 3 + λ        Z/4                   1  yes\n"
+            "  3    2 3 + 2·λ      Z/2 + Z/2             2  no\n"
+        )
+        assert run_cli(capsys, "table", "--d-max", "3", "--c-max", "2") == (0, human, "")
 
     def test_structured_rows(self, capsys):
         code, out, _ = run_cli(
@@ -534,15 +561,49 @@ class TestHarness:
         assert str(SpherecpInputError("bad", 3)) == "bad (at position 3)"
 
     def test_structured_round_trip_byte_identical(self, capsys):
+        # the oracle is the json module's own indenting encoder, not render_structured
         cases = [
             ["kgroups", "--sphere", "4", "--rank", "3", "--euler", "1"],
             ["classify", "--sphere", "4", "--rank", "3", "--euler", "1"],
+            ["classify", "--sphere", "5", "--rank", "4"],
             ["classify", "--sphere", "4", "--rank", "2", "--euler", "1", "--euler2", "0"],
+            ["classify", "--sphere", "4", "--rank", "3", "--euler", "1", "--euler2", "0"],
             ["table", "--d-max", "3", "--c-max", "2"],
             ["snf", "-2,0;-1,-2"],
+            ["snf", "1,2,3;4,5,6"],
             ["cuntz", "--d", "2", "s1 s2*"],
+            ["cuntz", "--d", "2", "s1 s1* + s2 s2*", "--equal", "1"],
+            ["cuntz", "--d", "2", "s1", "--equal", "s2"],
         ]
         for argv in cases:
             code, out, _ = run_cli(capsys, *argv, "--format", "structured")
             assert code == 0
-            assert render_structured(json.loads(out)) + "\n" == out
+            assert json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n" == out
+
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_render_structured_matches_json_dumps(self, value):
+        assert render_structured(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+
+    def test_render_structured_writes_ints_past_the_int_str_limit(self):
+        # json.dumps would raise here; every integer prints through fgab._int_text
+        n = 10**5000 - 1
+        assert render_structured({"n": [-n]}) == '{\n  "n": [\n    -' + "9" * 5000 + '\n  ]\n}'
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "x"}, {"a": {None: 1}}, b"x", [{1, 2}]], ids=repr)
+    def test_render_structured_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            render_structured(value)
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["snf", "-2,0;-1,-2", "--format", "structured"], 3),  # U, D, V
+        (["snf", "-2,0;-1,-2"], 4),  # A, U, D, V
+        (["classify", "--sphere", "4", "--rank", "3", "--euler", "1", "--format", "structured"], 1),
+        (["classify", "--sphere", "4", "--rank", "3", "--euler", "1"], 1),
+    ])
+    def test_builds_only_the_format_it_prints(self, capsys, monkeypatch, argv, calls):
+        rendered = []
+        to_text = IntMatrix.to_text
+        monkeypatch.setattr(IntMatrix, "to_text", lambda self: rendered.append(self) or to_text(self))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(rendered) == calls

@@ -866,6 +866,30 @@ class TestExpressionText:
         for y in (x, -x, x + CuntzElement(x.base, {((1,), (2,)): Fraction(-5, 4)})):
             assert eval(repr(y), namespace) == y
 
+    def test_repr_past_the_int_str_limit_is_exact(self):
+        # the coefficient N^2, N = 10^3000 - 1, has 6000 digits; Fraction's
+        # own repr calls str on it and raised ValueError
+        n = "9" * 3000
+        square = "9" * 2999 + "8" + "0" * 2999 + "1"
+        x = parse_expression(2, f"{n} {n} s1")
+        assert repr(x) == f"CuntzElement(2, {{((1,), ()): Fraction({square}, 1)}})"
+        y = parse_expression(2, f"-{n} {n}/10 s1")
+        assert repr(y) == f"CuntzElement(2, {{((1,), ()): Fraction(-{square}, 10)}})"
+
+    @given(long_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_property_repr_past_a_lowered_int_str_limit(self, x):
+        # as test_property_renders_past_a_lowered_int_str_limit, for repr
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = repr(x)
+            assert eval(expected, {"CuntzElement": CuntzElement, "Fraction": Fraction}) == x
+            sys.set_int_max_str_digits(640)
+            assert repr(x) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_repr_names_its_terms(self):
         x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
         assert repr(x) == "CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): Fraction(2, 1)})"

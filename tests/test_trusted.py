@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import expand, random_cuntz_element
 
 from spherecp.bundles import SphereBundleSpec
+from spherecp.classify import classify_report
 from spherecp.cuntz_words import CuntzElement, parse_expression
 from spherecp.fgab import IntMatrix, cokernel, kernel, smith_normal_form
 from spherecp.ktheory import delta1_class, k_class
@@ -69,6 +70,7 @@ def test_spec_results_pass_the_checks(spec):
     assert_valid(k_groups(spec))
     if spec.sphere_dim % 2 == 0:
         assert_valid(k_groups_trivial(spec))
+    assert_valid(classify_report(spec))  # rebuilt recurses into its KGroupPairs
 
 
 @st.composite
