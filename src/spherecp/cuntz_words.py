@@ -360,10 +360,16 @@ class CuntzElement:
         of each distinct nu and the text of each distinct numerator's
         magnitude are written once per call, in dicts local to the call:
         nothing is cached between calls, and no table is sized by d.
+        Only when a letter is past the interpreter's int -> str limit are the
+        names written by :func:`~spherecp.fgab._int_text` instead.
         """
         den = self._den
         letters = set(chain.from_iterable(chain.from_iterable(self._coeffs)))
-        names, stars = {i: f"s{i}" for i in letters}, {i: f"s{i}*" for i in letters}
+        try:
+            names, stars = {i: f"s{i}" for i in letters}, {i: f"s{i}*" for i in letters}
+        except ValueError:  # a letter past the interpreter's int -> str limit
+            names = {i: "s" + _int_text(i) for i in letters}
+            stars = {i: name + "*" for i, name in names.items()}
         rights: dict[Word, list[str]] = {}
         mags: dict[int, str] = {}
         terms: list[tuple[bool, str]] = []
@@ -382,13 +388,20 @@ class CuntzElement:
     def __repr__(self) -> str:
         """``CuntzElement(base, {(mu, nu): Fraction(n, q), ...})`` over :meth:`terms`.
 
-        Numerators and denominators are written by
-        :func:`~spherecp.fgab._int_text`, so this is ``Fraction``'s own
-        ``repr`` within the interpreter's int -> str limit and exact past it.
+        The base, the letters, the numerators and the denominators are
+        written by :func:`~spherecp.fgab._int_text`, so this is the built-in
+        ``repr`` of the base, the word tuples and each ``Fraction`` within
+        the interpreter's int -> str limit, and exact past it.
         """
-        terms = ", ".join(f"{key!r}: Fraction({_int_text(c.numerator)}, {_int_text(c.denominator)})"
-                          for key, c in self.terms().items())
-        return f"CuntzElement({self._base}, {{{terms}}})"
+        terms = ", ".join(f"({_word_text(mu)}, {_word_text(nu)}): "
+                          f"Fraction({_int_text(c.numerator)}, {_int_text(c.denominator)})"
+                          for (mu, nu), c in self.terms().items())
+        return f"CuntzElement({_int_text(self._base)}, {{{terms}}})"
+
+
+def _word_text(word: Word) -> str:
+    """``repr(word)``, with its letters written by :func:`~spherecp.fgab._int_text`."""
+    return f"({', '.join(map(_int_text, word))}{',' if len(word) == 1 else ''})"
 
 
 def generator(base: int, index: int) -> CuntzElement:

@@ -17,18 +17,22 @@ operations.
 form per side, each of a square nonsingular matrix built from A,
 compresses it to an r x r core, r = rank A, whose transforms ride
 along as the loop diagonalizes it; at full column rank the column side
-has nothing to compress and is skipped.  The size of U and V is
-measured, not proven; :func:`smith_normal_form` states the envelope.
+has nothing to compress and is skipped, and a wide A is decomposed
+through its transpose.  The Bareiss elimination of [A^T | I] updates
+only the part of the unit block that can be nonzero.  The size of U and
+V is measured, not proven; :func:`smith_normal_form` states the
+envelope.
 :func:`invariant_factors`, behind :func:`cokernel`, needs no
 transforms.  It reads the factors off determinantal divisors when the
 gcd of the entries and the minors decide them.  A matrix with at most
 one row or column, or a 2 x 2, is decided with no elimination at all,
 since every minor is an entry or the determinant; larger ones take
-their minors from Bareiss elimination.  Otherwise it runs only the
-sweep, on A and then on transposes: a nonsingular square modulo a
-multiple c of its next-to-last determinantal divisor, which one linear
-solve beside that elimination exposes, and any other shape modulo a
-nonzero minor M.
+their minors from Bareiss elimination, of the transpose when A is
+tall.  Otherwise it runs only the sweep, on A and then on transposes:
+a nonsingular square modulo a multiple c of its next-to-last
+determinantal divisor, which up to two linear solves beside that
+elimination expose, and any other shape modulo c_r, the gcd of the
+r x r minors in the elimination's last pivot row.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -259,15 +263,19 @@ _MATRIX_TOKEN = re.compile(  # "],[" ends a row like ";"; "bad" matches where no
 # a character no token takes, or a literal past the budget
 _REFUSED = re.compile(rf"[^\d \t\r\n\[\],;+-]|(?<!\d)\d{{{LITERAL_DIGITS_BUDGET + 1}}}")
 _NO_BRACKETS = str.maketrans("[]", "  ")
+_ACCEPTED = str.maketrans("", "", "0123456789 \t\r\n[],;+-")  # every ASCII character a token takes
 
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse matrix text like ``-2,0;-1,-2`` or ``[[-2,0],[-1,-2]]``.
 
     Rows are separated by ``;`` or ``],[``; other brackets and whitespace
-    are ignored.  Well-formed text is read by one regex search, ``str``
-    methods and ``int``, with no Python loop over its tokens; any other
-    text is scanned token by token only to name its error.
+    are ignored.  Well-formed text is read by ``str`` methods and
+    ``int``, with no Python loop over its tokens: one ``str.translate``
+    checks its alphabet, and one regex search runs only if a character
+    is left (a non-ASCII digit, which ``int`` takes, or an error) or the
+    text is longer than the budget below.  Any other text is scanned
+    token by token only to name its error.
     :class:`MatrixParseError` reports the leftmost error with its
     character position.  An entry longer than
     :data:`LITERAL_DIGITS_BUDGET` digits is such an error.
@@ -277,7 +285,8 @@ def parse_matrix(text: str) -> IntMatrix:
     """
     # the scan, too, reads "],[" as a row break wherever a "]" starts one
     flat = _ROW_BREAK.sub(";", text)
-    if not _REFUSED.search(flat):
+    # short text of accepted ASCII only needs no scan; what is left may be a non-ASCII digit
+    if (len(flat) <= LITERAL_DIGITS_BUDGET and not flat.translate(_ACCEPTED)) or not _REFUSED.search(flat):
         # with "_" and other whitespace refused, int() takes an entry exactly
         # when it is a signed digit run padded with the whitespace left
         try:
@@ -320,8 +329,8 @@ def _raise_matrix_text_error(text: str) -> NoReturn:
     raise AssertionError(f"the scan accepted text that the search and int() refused: {text!r}")
 
 
-def _bareiss(entries: Sequence[Sequence[int]],
-             cols: int) -> tuple[int, int, list[list[int]], tuple[list[int], list[int]]]:
+def _bareiss(entries: Sequence[Sequence[int]], cols: int,
+             unit: bool = False) -> tuple[int, int, list[list[int]], tuple[list[int], list[int]]]:
     """Rank r, one nonzero r x r minor, the eliminated rows and the pivot order, by Bareiss elimination.
 
     Fraction-free elimination with row and column swaps: after step k the
@@ -330,18 +339,28 @@ def _bareiss(entries: Sequence[Sequence[int]],
     follows the swaps, so for a nonsingular square matrix the minor is
     the determinant.  Rank 0 gives the empty minor 1.  The pivot order
     is the input's row indices and column indices as the swaps left them;
-    the first r of each name the rows and columns of the minor.
+    the first r of each name the rows and columns of the minor.  Row
+    r - 1 holds r x r minors from column r - 1 to ``cols`` - 1: its
+    pivot rows, the first r - 1 pivot columns and one more column.
 
     Pivots are sought in the first ``cols`` columns only, but row
     operations act on whole rows: each eliminated row is one integer
     combination of the input rows, applied to the entries past column
     ``cols`` too, and every division stays exact there.
+
+    With ``unit``, the m rows end in the m x m identity, and only its
+    nonzero part is updated.  A row swap swaps the two unit columns too,
+    so at step k a row's unit part is nonzero only in columns 0..k-1 and
+    its own; the other columns are zero in it and in the pivot row.  The
+    unit columns are put back in input-row order before returning, so the
+    rows are those of the full update.
     """
     a = [list(row) for row in entries]
     m = len(a)
     row_order, col_order = list(range(m)), list(range(cols))
     sign = prev = 1
-    for k in range(min(m, cols)):
+    rank = min(m, cols)
+    for k in range(rank):
         for j in range(k, cols):  # the first nonzero entry, column by column
             for i in range(k, m):
                 if a[i][j]:
@@ -350,11 +369,15 @@ def _bareiss(entries: Sequence[Sequence[int]],
                 continue
             break
         else:
-            return k, sign * prev, a, (row_order, col_order)
+            rank = k
+            break
         if i != k:
             a[k], a[i] = a[i], a[k]
             row_order[k], row_order[i] = row_order[i], row_order[k]
             sign = -sign
+            if unit:  # only rows k and i are nonzero in unit columns k and i
+                for row in a[k], a[i]:
+                    row[cols + k], row[cols + i] = row[cols + i], row[cols + k]
         if j != k:
             for row in a:
                 row[k], row[j] = row[j], row[k]
@@ -362,15 +385,21 @@ def _bareiss(entries: Sequence[Sequence[int]],
             sign = -sign
         pivot_row = a[k]
         p = pivot_row[k]
-        width = len(pivot_row)
+        width = cols + k + 1 if unit else len(pivot_row)
         for i in range(k + 1, m):
             row = a[i]
             x = row[k]
             for j in range(k + 1, width):
                 row[j] = (row[j] * p - x * pivot_row[j]) // prev
+            if unit:  # the row's own unit column, where the pivot row is zero
+                row[cols + i] = row[cols + i] * p // prev
             row[k] = 0
         prev = p
-    return min(m, cols), sign * prev, a, (row_order, col_order)
+    if unit:  # unit column j belongs to input row row_order[j]
+        inverse = sorted(range(m), key=row_order.__getitem__)
+        for row in a:
+            row[cols:] = [row[cols + j] for j in inverse]
+    return rank, sign * prev, a, (row_order, col_order)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int, int, int]:
@@ -619,7 +648,8 @@ def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
     """
     columns = list(zip(*a)) or [()] * n  # with no rows, A still has n columns
     width = n if len(a) == n else 0
-    return _bareiss([list(col) + [int(i == j) for j in range(width)] for i, col in enumerate(columns)], len(a))
+    return _bareiss([list(col) + [int(i == j) for j in range(width)] for i, col in enumerate(columns)], len(a),
+                    unit=width > 0)
 
 
 def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], eliminated=None) -> list[list[int]]:
@@ -709,8 +739,11 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     separate product.  A square nonsingular A is the case r = m = n: the
     row side pads nothing and reuses the first elimination, so the route
     runs one Bareiss elimination and one Hermite form.  A tall A of full
-    column rank runs two eliminations and one Hermite form; every other
-    shape runs three and two.
+    column rank runs two eliminations and one Hermite form.  A wide A
+    (m < n) is decomposed through A^T: U' A^T V' = D' gives
+    V'^T A U'^T = D'^T, so it returns (V'^T, D'^T, U'^T), and at full row
+    rank it too runs two eliminations and one Hermite form.  Every other
+    shape (singular, rank-deficient or zero) runs three and two.
 
     Each Hermite form runs modulo its determinant, a divisor of M, so no
     entry of H reaches M.  When the quotient of Z^n by its lattice is
@@ -733,6 +766,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     :func:`invariant_factors` finds the same diagonal without transforms.
     """
     m, n = a.rows, a.cols
+    if m < n:  # U' A^T V' = D' gives V'^T A U'^T = D'^T
+        t = smith_normal_form(_transpose(a))
+        return SnfDecomposition(U=_transpose(t.V), D=_transpose(t.D), V=_transpose(t.U))
     r, _, _, (q, p) = eliminated = _transposed_bareiss(a.entries, n)  # A's pivot columns q, rows p
     wt = [[int(i == j) for j in range(n)] for i in range(n)]  # W'^T
     b = a.entries
@@ -752,6 +788,11 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         D=_trusted(IntMatrix, rows=m, cols=n, entries=tuple(map(tuple, d))),
         V=_trusted(IntMatrix, rows=n, cols=n, entries=tuple(map(tuple, v))),
     )
+
+
+def _transpose(a: IntMatrix) -> IntMatrix:
+    """A^T, built unchecked; a 0 x n matrix gives n empty rows."""
+    return _trusted(IntMatrix, rows=a.cols, cols=a.rows, entries=tuple(zip(*a.entries)) or ((),) * a.cols)
 
 
 def _divisor_chain(orders: Iterable[int]) -> list[int]:
@@ -783,36 +824,47 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     When every minor is an entry or the determinant, as for at most one
     row or column and for a 2 x 2, the rank r and M = D_r are read with
     no elimination: M = |det| at rank 2, g at rank 1, and the empty
-    minor 1 at rank 0.  Any other shape runs Bareiss elimination, which
-    finds r and a nonzero r x r minor M, a multiple of D_r.  When
-    g**r = M every invariant factor d_i (i <= r) is g, and no sweep runs;
-    the proof is Smith's determinantal divisors (Phil. Trans. 151 (1861)):
+    minor 1 at rank 0; there c_r below is M.  Any other shape runs
+    Bareiss elimination, which finds r and a nonzero r x r minor M, a
+    multiple of D_r.  A tall ``a`` (more rows than columns) is eliminated
+    through its transpose, which has the same factors and rank.  Row r-1
+    of the elimination holds M and, in the columns after it, other
+    r x r minors: the pivot rows, the first r-1 pivot columns and one
+    more column.  So D_r divides c_r, the gcd of M and those minors, and
+    c_r divides M.  A tall matrix's transpose holds rows - r + 1 of them
+    there, where the matrix itself would hold one; a nonsingular square
+    holds M alone, so c_n = M.  When g**r = c_r every invariant factor
+    d_i (i <= r) is g, and no sweep runs; the proof is Smith's
+    determinantal divisors (Phil. Trans. 151 (1861)):
 
     * g divides every d_i, so g**r divides d_1 ... d_r;
-    * d_1 ... d_r = D_r divides M;
-    * so g**r = M forces d_1 ... d_r = g**r, and each d_i = g.
+    * d_1 ... d_r = D_r divides c_r;
+    * so g**r = c_r forces d_1 ... d_r = g**r, and each d_i = g.
 
-    Rank 0 and M = 1 are cases of this exit.  A square nonsingular n x n
+    Rank 0 and c_r = 1 are cases of this exit.  A square nonsingular n x n
     ``a`` has a second exit, by the same divisors D_k = d_1 ... d_k.
     D_n = M, and g**(n-1) divides D_(n-1), which divides c, the gcd of M
     and of any integer combinations of (n-1) x (n-1) minors.  At n = 2
     the entries are all the 1 x 1 minors, so c = g.  At n >= 3 the
-    Bareiss pass carries one more column v = (1, ..., n); c takes the two
-    minors that the elimination leaves in its row n-2, and, only if they
-    do not decide, the entries of z = ±adj(A)·v, found by back
-    substitution through the triangular rows (:func:`_adjoint_column`).
-    One linear solve exposing a large divisor of the determinant is the
-    idea of Abbott, Bronstein, Mulders (ISSAC 1999).  When c = g**(n-1),
+    Bareiss pass carries two more columns, v = (1, ..., n) and
+    w = ((-1)^i); c takes the two minors that the elimination leaves in
+    its row n-2, and, only if they do not decide, the entries of
+    z = ±adj(A)·v, found by back substitution through the triangular
+    rows (:func:`_adjoint_column`), and only if those do not decide
+    either, the entries of ±adj(A)·w.  A small prime p of d_n divides
+    every entry of adj(A)·v in about one square in p; w decides most of
+    those.  One linear solve exposing a large divisor of the determinant
+    is the idea of Abbott, Bronstein, Mulders (ISSAC 1999).  When c = g**(n-1),
     the factors are g, n-1 times, then M / g**(n-1).  So a matrix read
     with no elimination never reaches the sweep: at rank r <= 1, M = g**r,
     and at rank 2, c = g divides M.
 
-    Otherwise the sweep runs.  Since every d_i divides M, the rows of
-    ``a`` plus M*Z^cols span a lattice with invariant factors d_1..d_r
-    and cols - r copies of M (Domich, Kannan, Trotter, Math. Oper. Res.
-    12 (1987)).  A nonsingular square takes the modulus c instead: the
-    rows plus c*Z^n have the factors gcd(d_i, c), and each d_i with
-    i < n divides D_(n-1), hence c, so the first n-1 of them are
+    Otherwise the sweep runs.  Since every d_i divides c_r, the rows of
+    ``a`` plus c_r*Z^cols span a lattice with invariant factors d_1..d_r
+    and cols - r copies of c_r (Domich, Kannan, Trotter, Math. Oper. Res.
+    12 (1987)).  A nonsingular square, where c_n = M, takes the modulus
+    c instead: the rows plus c*Z^n have the factors gcd(d_i, c), and each
+    d_i with i < n divides D_(n-1), hence c, so the first n-1 of them are
     d_1..d_(n-1) exactly, and d_n = M / (d_1 ... d_(n-1)).
     :func:`_echelon_mod` makes the lattice triangular modulo its
     modulus.  The sweep runs again on the transpose until each diagonal
@@ -852,10 +904,16 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
         rank, minor = (2, minor) if minor else (1, g) if g else (0, 1)
     elif min(n, cols) <= 1:  # the minors are the entries
         rank, minor = (1, g) if g else (0, 1)
-    else:  # a square carries v = (1, ..., n) as one more column, for the adjoint solve
-        rows = [(*row, i) for i, row in enumerate(entries, 1)] if n == cols else entries
-        rank, minor, eliminated, _ = _bareiss(rows, cols)
-        minor = abs(minor)
+    else:  # a tall matrix is eliminated through its transpose, whose row r-1 holds more minors
+        width = max(n, cols)
+        if n == cols:  # a square carries v = (1, ..., n) and w = ((-1)^i), for the adjoint solves
+            rows = [(*row, i, 1 - 2 * (i & 1)) for i, row in enumerate(entries, 1)]
+        else:
+            rows = entries if n < cols else list(zip(*entries))
+        rank, minor, eliminated, _ = _bareiss(rows, width)
+        # c_r, the gcd of M and the other r x r minors in Bareiss row r-1: D_r | c_r | M, and a
+        # nonsingular square has none, so c_n = M; at rank 0 the empty minor 1 leaves c_0 = 1
+        minor = gcd(minor, *eliminated[rank - 1][rank:width])
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
     modulus = minor
@@ -863,7 +921,7 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
         floor = g ** (n - 1)
         c = gcd(*eliminated[n - 2][n - 2:n], minor) if n > 2 else g
         if c != floor:  # the two (n-1)-minors in Bareiss row n-2 leave D_(n-1) open
-            for z in _adjoint_column(eliminated):
+            for z in itertools.chain(_adjoint_column(eliminated, n), _adjoint_column(eliminated, n + 1)):
                 c = gcd(c, z)
                 if c == floor:
                     break
@@ -880,9 +938,10 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
     return tuple(chain[: len(chain) - (cols - rank)]), rank
 
 
-def _adjoint_column(eliminated: Sequence[Sequence[int]]) -> Iterator[int]:
-    """The entries of z = det(A) A^(-1) v, last first, from the Bareiss rows of [A | v].
+def _adjoint_column(eliminated: Sequence[Sequence[int]], column: int) -> Iterator[int]:
+    """The entries of z = det(A) A^(-1) v, last first, from the Bareiss rows of [A | ... v ...].
 
+    v is the input's ``column``, one of the columns carried past A's n.
     ``eliminated`` is upper triangular in its first n columns with the
     determinant last on that diagonal, and its rows solve the system
     A x = v up to the pivot swaps.  Back substitution with z = det·x then
@@ -895,7 +954,7 @@ def _adjoint_column(eliminated: Sequence[Sequence[int]]) -> Iterator[int]:
     z = [0] * n
     for i in range(n - 1, -1, -1):
         row = eliminated[i]
-        z[i] = (det * row[n] - sum(x * y for x, y in zip(row[i + 1:n], z[i + 1:]))) // row[i]
+        z[i] = (det * row[column] - sum(x * y for x, y in zip(row[i + 1:n], z[i + 1:]))) // row[i]
         yield z[i]
 
 

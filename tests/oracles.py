@@ -177,6 +177,40 @@ def random_unimodular(rng, n: int, steps: int = 12):
     return IntMatrix.from_rows(m, cols=n)
 
 
+def plain_bareiss(entries, cols: int):
+    """Bareiss elimination updating every entry of every row, as ``(rank, minor, rows, (row order, column order))``.
+
+    The same pivot search, swaps and exact divisions as
+    ``spherecp.fgab._bareiss``, with no sparse update of any block: after
+    step k each row below k is ``(row * pivot - row[k] * pivot row) / previous pivot``
+    across its whole width.
+    """
+    a = [list(row) for row in entries]
+    m = len(a)
+    row_order, col_order = list(range(m)), list(range(cols))
+    sign = prev = 1
+    for k in range(min(m, cols)):
+        found = next(((i, j) for j in range(k, cols) for i in range(k, m) if a[i][j]), None)
+        if found is None:
+            return k, sign * prev, a, (row_order, col_order)
+        i, j = found
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            row_order[k], row_order[i] = row_order[i], row_order[k]
+            sign = -sign
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            col_order[k], col_order[j] = col_order[j], col_order[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, m):
+            x = a[i][k]
+            a[i] = a[i][:k] + [0] + [(y * p - x * z) // prev for y, z in zip(a[i][k + 1:], a[k][k + 1:])]
+        prev = p
+    return min(m, cols), sign * prev, a, (row_order, col_order)
+
+
 def is_divisor_chain(diagonal: tuple[int, ...]) -> bool:
     """True when the diagonal is nonnegative, zeros trail, and each nonzero
     entry divides the next."""

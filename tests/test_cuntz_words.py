@@ -890,6 +890,33 @@ class TestExpressionText:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    def test_letters_past_the_int_str_limit_are_named_exactly(self):
+        # the constructor takes this element; its letter names, base and
+        # word tuples used to raise ValueError in str and repr
+        d = 10**5000
+        x = CuntzElement(d, {((d,), ()): 1})
+        text = "1" + "0" * 5000
+        assert str(x) == f"s{text}"
+        assert repr(x) == f"CuntzElement({text}, {{(({text},), ()): Fraction(1, 1)}})"
+        assert str(CuntzElement(d, {((), (d, 1)): -2})) == f"-2 s1* s{text}*"
+
+    @given(st.integers(641, 2000).flatmap(lambda k: wide_elements(base=10**k + 3)))
+    @settings(max_examples=50, deadline=None)
+    def test_property_huge_letters_past_a_lowered_int_str_limit(self, x):
+        # with no limit, str is the f"s{i}" names' text and repr the built-in
+        # repr of the base, the word tuples and each Fraction; under a
+        # 640-digit limit both are the same text
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(x), repr(x)
+            terms = ", ".join(f"{key!r}: {c!r}" for key, c in x.terms().items())
+            assert expected[1] == f"CuntzElement({x.base!r}, {{{terms}}})"
+            sys.set_int_max_str_digits(640)
+            assert (str(x), repr(x)) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_repr_names_its_terms(self):
         x = CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): 2})
         assert repr(x) == "CuntzElement(2, {((1,), ()): Fraction(-1, 2), ((), ()): Fraction(2, 1)})"

@@ -28,6 +28,7 @@ from oracles import (
     is_divisor_chain,
     kernel_rank_by_enumeration,
     parse_matrix_tokens,
+    plain_bareiss,
     random_int_matrix,
     random_unimodular,
     snf_2x2_oracle,
@@ -150,10 +151,10 @@ class TestSmithNormalForm:
             # rank 2
             ("1,2,3;4,5,6;7,8,9", "1,0,0;-1,1,0;1,-2,1", "1,0,0;0,3,0;0,0,0",
              "-1,2,1;1,-1,-2;0,0,1"),
-            # the divides-pivot matrix of TestInvariantFactors
-            ("-2,0,-8,5,-4;-4,-1,5,-9,-1;-4,0,-16,10,-8", "1,0,0;0,1,0;-2,0,1",
+            # the divides-pivot matrix of TestInvariantFactors; wide, so decomposed through its transpose
+            ("-2,0,-8,5,-4;-4,-1,5,-9,-1;-4,0,-16,10,-8", "-1,0,0;2,-1,0;-2,0,1",
              "1,0,0,0,0;0,1,0,0,0;0,0,0,0,0",
-             "2,0,-4,5,-2;-17,-1,21,-38,7;0,0,1,0,0;1,0,0,2,0;0,0,0,0,1"),
+             "3,0,-4,5,-2;-19,1,21,-38,7;0,0,1,0,0;1,0,0,2,0;0,0,0,0,1"),
         ],
     )
     def test_exact_transforms(self, text, u, d, v):
@@ -279,6 +280,29 @@ def small_presentations(draw):
     bound = draw(st.sampled_from([2, 12, 10**6]))
     entry = st.integers(-bound, bound)
     return IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+@st.composite
+def deficient_or_rectangular(draw):
+    """m x n matrices, at most 4 rows or columns and at most 6 of the other, that are not nonsingular squares.
+
+    Half are U D V with D holding a divisor chain on its first r diagonal
+    places, r <= min(m, n) drawn, and zeros elsewhere, U and V random
+    unimodular: wide, tall or square, of full or deficient rank, save the
+    square of full rank.  The rest are dense and wide or tall, with
+    entries in ±12, where M has more factors than D_r.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m, n = n, m
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if m != n and draw(st.booleans()):
+        return IntMatrix.from_rows([[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)])
+    rank = draw(st.integers(0, min(m, n) - (m == n)))
+    chain = list(itertools.accumulate(draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6]), min_size=rank,
+                                                    max_size=rank)), lambda x, y: x * y))
+    d = IntMatrix.from_rows([[chain[i] if i == j < rank else 0 for j in range(n)] for i in range(m)])
+    return random_unimodular(rng, m, steps=3 * m) @ d @ random_unimodular(rng, n, steps=3 * n)
 
 
 @st.composite
@@ -490,6 +514,47 @@ class TestInvariantFactors:
 
         monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
         assert invariant_factors(a) == expected == ((6,), 3)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[-1, 0, 2], [0, 4, 0], [4, 1, -4]], ((16,), 3)),
+        ([[-2, -2, 3, -3], [-4, -4, 1, -1], [4, -3, 3, 4], [-4, 1, 1, 1]], ((490,), 4)),
+    ], ids=["3x3", "4x4"])
+    def test_second_adjoint_column_exits_with_no_sweep(self, rows, expected, monkeypatch):
+        # g = D_(n-1) = 1, but the minors in Bareiss row n-2 and adj(A)·v,
+        # v = (1, ..., n), leave c > 1; adj(A)·w, w_i = (-1)^i, brings it to 1
+        n = len(rows)
+        carried = [(*row, i, (-1) ** i) for i, row in enumerate(rows, 1)]
+        rank, det, eliminated, _ = spherecp.fgab._bareiss(carried, n)
+        c = gcd(*eliminated[n - 2][n - 2:n], det, *spherecp.fgab._adjoint_column(eliminated, n))
+        assert rank == n and c > 1
+        assert gcd(c, *spherecp.fgab._adjoint_column(eliminated, n + 1)) == 1
+        a = IntMatrix.from_rows(rows)
+        assert self.expected_from_snf(a) == expected
+
+        def no_sweep(*args):
+            raise AssertionError("the second adjoint column should have answered")
+
+        monkeypatch.setattr(spherecp.fgab, "_echelon_mod", no_sweep)
+        assert invariant_factors(a) == expected
+
+    @given(deficient_or_rectangular())
+    @settings(max_examples=200, deadline=None)
+    def test_property_sweep_modulus_lies_between_d_r_and_the_minor(self, a):
+        # a shape other than a nonsingular square sweeps modulo c_r, the gcd of
+        # M and the other r x r minors in Bareiss row r-1 (of A^T when A is
+        # tall), so D_r | c_r | M; the factors must still be D_k / D_(k-1)
+        rows = [list(row) for row in a.entries]
+        divisors = determinantal_divisors(rows)
+        rank = sum(1 for x in divisors if x)
+        eliminated = [list(col) for col in zip(*rows)] if a.rows > a.cols else rows
+        minor = spherecp.fgab._bareiss(eliminated, len(eliminated[0]))[1]
+        with mock.patch.object(spherecp.fgab, "_echelon_mod", wraps=spherecp.fgab._echelon_mod) as sweep:
+            factors = invariant_factors(a)
+        chain = [1, *divisors[:rank]]
+        assert factors == (tuple(f for f in (y // x for x, y in zip(chain, chain[1:])) if f > 1), rank)
+        for call in sweep.call_args_list:
+            modulus = call.args[2]
+            assert modulus % divisors[rank - 1] == 0 and minor % modulus == 0
 
     @given(planted_squares())
     @settings(max_examples=150, deadline=None)
@@ -718,7 +783,7 @@ class TestBoundedTransforms:
         ([[2, 1], [1, 3]], (1, 1)),  # square nonsingular: the first elimination is reused
         ([[5]], (1, 1)),
         ([[1, 2], [3, 4], [5, 6]], (2, 1)),  # tall, full column rank: no column side
-        ([[1, 2, 3], [4, 5, 6]], (3, 2)),  # wide, full row rank
+        ([[1, 2, 3], [4, 5, 6]], (2, 1)),  # wide, full row rank: its transpose is tall
         ([[1, 2], [2, 4]], (3, 2)),  # singular square
         ([[1, 2], [2, 4], [3, 6]], (3, 2)),  # tall, rank deficient
         ([[0, 0], [0, 0]], (3, 2)),
@@ -1239,6 +1304,28 @@ class TestBareissPivotSearch:
         assert abs(leibniz_det([[rows[i][j] for j in q[:r]] for i in p[:r]])) == minor
         if rows and len(rows) == cols:
             assert IntMatrix.from_rows(rows).det() == leibniz_det(rows)
+
+    def test_unit_block_matches_the_plain_elimination(self):
+        # [A | I] updated only where its unit block can be nonzero, against
+        # the full update; sparse entries make row swaps common, and
+        # products of thin factors make the rank deficient
+        rng = random.Random(32)
+        swapped = deficient = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            if rng.random() < 0.3:
+                k = rng.randint(0, n - 1)  # the rank is at most k
+                b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+                c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(b[i][l] * c[l][j] for l in range(k)) for j in range(n)] for i in range(n)]
+            else:
+                rows = [[rng.choice((0, 0, 0, 1, -1, 2, -5, 50)) for _ in range(n)] for _ in range(n)]
+            padded = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+            expected = plain_bareiss(padded, n)
+            assert spherecp.fgab._bareiss(padded, n, unit=True) == expected
+            swapped += expected[3][0] != list(range(n))
+            deficient += expected[0] < n
+        assert swapped > 50 and deficient > 50
 
     def test_det_sign_against_leibniz(self):
         # sparse entries make zero pivots, and so both kinds of swap, common
