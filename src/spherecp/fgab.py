@@ -30,9 +30,11 @@ since every minor is an entry or the determinant; larger ones take
 their minors from Bareiss elimination, of the transpose when A is
 tall.  Otherwise it runs only the sweep, on A and then on transposes:
 a nonsingular square modulo a multiple c of its next-to-last
-determinantal divisor, which up to two linear solves beside that
-elimination expose, and any other shape modulo c_r, the gcd of the
-r x r minors in the elimination's last pivot row.
+determinantal divisor, which one linear solve beside that elimination,
+for two right-hand sides at once, exposes, and any other shape modulo
+c_r, the gcd of the r x r minors in the elimination's last pivot row.
+Every triangular solve, here and in the Hermite forms, is the one back
+substitution :func:`_back_substitute`.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> snf.diagonal
@@ -402,6 +404,29 @@ def _bareiss(entries: Sequence[Sequence[int]], cols: int,
     return rank, sign * prev, a, (row_order, col_order)
 
 
+def _back_substitute(t: Sequence[Sequence[int]], rhs: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+    """The rows of X with T X = B, last first, for T the leading n x n block of the n rows ``t``.
+
+    ``t`` is what :func:`_bareiss` leaves of [A | C] for a nonsingular
+    n x n A, so T is upper triangular with nonzero diagonal.  ``rhs``
+    gives the rows of B, last first, and one is read per row yielded.
+    Row i of X is (B_i - sum_(j>i) T_ij X_j) / T_ii; the caller vouches
+    that X is integral, so every division is exact.  With B = det A times
+    the rows' entries past column n, X is adj(A)·C with its rows in
+    pivot-column order (Cramer's rule).
+    """
+    n = len(t)
+    x: list[list[int]] = []  # rows n-1, n-2, ... of X
+    for i, b in zip(range(n - 1, -1, -1), rhs):
+        ti = t[i]
+        for tij, xj in zip(ti[n - 1:i:-1], x):
+            if tij:
+                b = [s - tij * y for s, y in zip(b, xj)]
+        p = ti[i]
+        x.append([s // p for s in b])
+        yield x[-1]
+
+
 def _egcd(a: int, b: int) -> tuple[int, int, int, int, int]:
     """Extended gcd: returns (g, s, t, u, v) with g = s*a + t*b, g >= 0,
     u = -(b/g) and v = a/g, so [[s, t], [u, v]] is unimodular and sends
@@ -486,9 +511,11 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     until its entries share no factor with M: with g = gcd(M, entries
     of y), the next column enters times the largest divisor of M prime
     to g, which keeps y nonzero modulo every prime that does not divide
-    g.  Such a y maps Z^n onto Z/M by u -> u·y, so that map's kernel
-    has index M, as L does, and contains L; the two are equal, and the
-    quotient Z^n/L is cyclic (Micciancio, Warinschi, ISSAC 2001).  With
+    g.  ``columns`` is read lazily, and no column is taken past the one
+    that brings g to 1, so a solve that yields them costs only the
+    columns used.  Such a y maps Z^n onto Z/M by u -> u·y, so that map's
+    kernel has index M, as L does, and contains L; the two are equal, and
+    the quotient Z^n/L is cyclic (Micciancio, Warinschi, ISSAC 2001).  With
     g_n = M, g_k = gcd(y_k, g_(k+1)) and b a vector with
     sum_(j>k) b_j y_j = g_(k+1) modulo M, kept by one Bezout step per
     column, row k of the basis is (g_(k+1)/g_k) e_k - (y_k/g_k) b.  These
@@ -500,13 +527,13 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     n = len(entries)
     y, g = [0] * n, modulus  # g = gcd(M, entries of y)
     for column in columns:
-        if g == 1:
-            break
         c = modulus  # the largest divisor of M prime to g, so y + c·column keeps y modulo its primes
         while (e := gcd(c, g)) > 1:
             c //= e
         y = [(u + c * v) % modulus for u, v in zip(y, column)]
         g = gcd(modulus, *y)
+        if g == 1:
+            break
     if g > 1:
         h = _echelon_mod(entries, n, modulus)
     else:
@@ -662,23 +689,21 @@ def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], el
     One Bareiss elimination of the rows of [A^T | I] (``eliminated``, if
     the caller has run it) gives det A and [T | F] with F A^T = T upper
     triangular.  :func:`_hermite_mod` then finds H modulo |det A|, and
-    W^T solves A^T W^T = H^T, that is T W^T = F H^T; W is integral (H's
-    rows lie in the row lattice of A), so back substitution divides
-    exactly.  W is unimodular because H and A span the same lattice.
+    W^T solves A^T W^T = H^T, that is T W^T = F H^T, by
+    :func:`_back_substitute`; W is integral (H's rows lie in the row
+    lattice of A).  W is unimodular because H and A span the same lattice.
 
-    The same rows hand :func:`_hermite_mod` four columns of adj(A) for
-    its rule on cyclic quotients: L = Z^n A lies in the kernel of
-    u -> u·y modulo |det A| for every combination y of them, and when y's
-    entries share no factor with |det A| that kernel has index |det A|,
-    as L does, so the two are equal.  T's last row is ±det·e_(n-1), so F's
-    last row is ±adj(A)·e_(n-1); back substitution through rows j..n-1,
-    (±det·F_j - sum_(l>j) T_jl y_l) / T_jj, gives y_j = ±adj(A)·e_j for
-    the three j before it, dividing exactly since y_j is integral.
-    Modulo a prime p of a cyclic quotient, column j of adj(A) is v_j
-    times one vector, where v spans the relations v A = 0 modulo p; v
-    vanishes on the padded rows, so A lists its pivot rows last.  The
-    lattice does not depend on the order of its generators, so H is the
-    same, and W's columns are put back in the order of X's rows.
+    The same solve, with right-hand side det·F, hands :func:`_hermite_mod`
+    up to four columns of adj(A), last first and one at a time, for its
+    rule on cyclic quotients: L = Z^n A lies in the kernel of u -> u·y
+    modulo |det A| for every combination y of them, and when y's entries
+    share no factor with |det A| that kernel has index |det A|, as L
+    does, so the two are equal.  Modulo a prime p of a cyclic quotient,
+    column j of adj(A) is v_j times one vector, where v spans the
+    relations v A = 0 modulo p; v vanishes on the padded rows, so A lists
+    its pivot rows last.  The lattice does not depend on the order of its
+    generators, so H is the same, and W's columns are put back in the
+    order of X's rows.
     """
     pivots = set(pivots)
     others = [i for i in range(len(x)) if i not in pivots]
@@ -686,14 +711,8 @@ def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], el
     a = [[*x[i], *(int(i == j) for j in others)] for i in order]
     n = len(a)
     _, det, tf, _ = eliminated or _transposed_bareiss(a, n)
-    columns: list[list[int]] = []  # ±adj(A)·e_j for the last four j, last first
-    for j in range(n - 1, max(n - 5, -1), -1):
-        tj = tf[j]
-        acc = [tf[-1][n - 1] * f for f in tj[n:]]
-        for t, y in zip(tj[j + 1:n], reversed(columns)):
-            acc = [u - t * v for u, v in zip(acc, y)]
-        columns.append([u // tj[j] for u in acc])
-    h = _hermite_mod(a, abs(det), columns)
+    adjugate = _back_substitute(tf, ([det * f for f in row[n:]] for row in reversed(tf)))
+    h = _hermite_mod(a, abs(det), itertools.islice(adjugate, 4))
     f_cols = list(zip(*tf))[n:]
     fh = []  # columns of F H^T, one per row of H
     for hc in h:
@@ -702,17 +721,7 @@ def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], el
             if y:
                 acc = [s + y * f for s, f in zip(acc, col)]
         fh.append(acc)
-    fh_rows = list(zip(*fh))
-    wt: list[list[int]] = [[]] * n  # rows of W^T, solved from the last up
-    for i in range(n - 1, -1, -1):
-        b = fh_rows[i]
-        ti = tf[i]
-        for j in range(i + 1, n):
-            t = ti[j]
-            if t:
-                b = [s - t * y for s, y in zip(b, wt[j])]
-        p = ti[i]
-        wt[i] = [s // p for s in b]
+    wt = list(_back_substitute(tf, reversed(list(zip(*fh)))))[::-1]  # T W^T = F H^T
     wt = [w for _, w in sorted(zip(order, wt))]  # W's columns back in the order of X's rows
     return [hi + list(wi) for hi, wi in zip(h, zip(*wt))]
 
@@ -849,12 +858,13 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     Bareiss pass carries two more columns, v = (1, ..., n) and
     w = ((-1)^i); c takes the two minors that the elimination leaves in
     its row n-2, and, only if they do not decide, the entries of
-    z = ±adj(A)·v, found by back substitution through the triangular
-    rows (:func:`_adjoint_column`), and only if those do not decide
-    either, the entries of ±adj(A)·w.  A small prime p of d_n divides
-    every entry of adj(A)·v in about one square in p; w decides most of
-    those.  One linear solve exposing a large divisor of the determinant
-    is the idea of Abbott, Bronstein, Mulders (ISSAC 1999).  When c = g**(n-1),
+    ±adj(A)·v and ±adj(A)·w, one linear solve with the two as its
+    right-hand sides, back-substituted a row at a time through the
+    triangular rows (:func:`_back_substitute`) until c decides.  A small
+    prime p of d_n divides every entry of adj(A)·v in about one square
+    in p; w decides most of those.  One linear solve exposing a large
+    divisor of the determinant is the idea of Abbott, Bronstein, Mulders
+    (ISSAC 1999).  When c = g**(n-1),
     the factors are g, n-1 times, then M / g**(n-1).  So a matrix read
     with no elimination never reaches the sweep: at rank r <= 1, M = g**r,
     and at rank 2, c = g divides M.
@@ -876,7 +886,8 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     ((6,), 3)
 
     That 3 x 3 has g = 1 and M = 6; its minors in Bareiss row 1 leave
-    c = 2, and the adjoint column brings c down to 1, so no sweep runs.
+    c = 2, and the first row of the solve, the last entries of
+    ±adj(A)·v and ±adj(A)·w, brings c down to 1, so no sweep runs.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), 2)
@@ -921,8 +932,9 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
         floor = g ** (n - 1)
         c = gcd(*eliminated[n - 2][n - 2:n], minor) if n > 2 else g
         if c != floor:  # the two (n-1)-minors in Bareiss row n-2 leave D_(n-1) open
-            for z in itertools.chain(_adjoint_column(eliminated, n), _adjoint_column(eliminated, n + 1)):
-                c = gcd(c, z)
+            vw = ([minor * row[n], minor * row[n + 1]] for row in reversed(eliminated))
+            for z in _back_substitute(eliminated, vw):  # rows of ±[adj(A)·v | adj(A)·w], permuted
+                c = gcd(c, *z)
                 if c == floor:
                     break
         if c == floor:
@@ -936,26 +948,6 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
     if rank == n == cols:  # the first n-1 factors are exact, and their product and M give d_n
         return (*chain[:-1], minor // prod(chain[:-1])), n
     return tuple(chain[: len(chain) - (cols - rank)]), rank
-
-
-def _adjoint_column(eliminated: Sequence[Sequence[int]], column: int) -> Iterator[int]:
-    """The entries of z = det(A) A^(-1) v, last first, from the Bareiss rows of [A | ... v ...].
-
-    v is the input's ``column``, one of the columns carried past A's n.
-    ``eliminated`` is upper triangular in its first n columns with the
-    determinant last on that diagonal, and its rows solve the system
-    A x = v up to the pivot swaps.  Back substitution with z = det·x then
-    divides exactly, because z = ±adj(A)·v, permuted, is integral
-    (Cramer's rule).  Each entry is an integer combination of
-    (n-1) x (n-1) minors of A.
-    """
-    n = len(eliminated)
-    det = eliminated[-1][n - 1]
-    z = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = eliminated[i]
-        z[i] = (det * row[column] - sum(x * y for x, y in zip(row[i + 1:n], z[i + 1:]))) // row[i]
-        yield z[i]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from math import gcd, isqrt, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spherecp.fgab
@@ -381,6 +381,11 @@ def adjugate_columns(a):
     return [[(-1) ** (i + j) * minor(j, i) for i in range(n)] for j in range(n)]
 
 
+def adjugate_times(a, b):
+    """adj(A)·b for a vector b, from the cofactors of A."""
+    return [sum(x * col[i] for x, col in zip(b, adjugate_columns(a))) for i in range(a.rows)]
+
+
 class TestInvariantFactors:
     """The transform-free route, modulo a nonzero minor, against the SNF route."""
 
@@ -523,12 +528,12 @@ class TestInvariantFactors:
         # g = D_(n-1) = 1, but the minors in Bareiss row n-2 and adj(A)·v,
         # v = (1, ..., n), leave c > 1; adj(A)·w, w_i = (-1)^i, brings it to 1
         n = len(rows)
+        a = IntMatrix.from_rows(rows)
         carried = [(*row, i, (-1) ** i) for i, row in enumerate(rows, 1)]
         rank, det, eliminated, _ = spherecp.fgab._bareiss(carried, n)
-        c = gcd(*eliminated[n - 2][n - 2:n], det, *spherecp.fgab._adjoint_column(eliminated, n))
+        c = gcd(*eliminated[n - 2][n - 2:n], det, *adjugate_times(a, [row[n] for row in carried]))
         assert rank == n and c > 1
-        assert gcd(c, *spherecp.fgab._adjoint_column(eliminated, n + 1)) == 1
-        a = IntMatrix.from_rows(rows)
+        assert gcd(c, *adjugate_times(a, [row[n + 1] for row in carried])) == 1
         assert self.expected_from_snf(a) == expected
 
         def no_sweep(*args):
@@ -842,6 +847,28 @@ class TestBoundedTransforms:
         assert snf.diagonal == (1,) * (a.rows - 1) + (abs(a.det()),)
         assert cli.main(["snf", a.to_text(), "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["D"] == snf.D.to_text()
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+        [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]],
+    ])
+    def test_first_adjugate_column_decides_after_one_solved_row(self, rows, monkeypatch):
+        # the Hermite form reads its adjugate columns lazily: one row of the
+        # solve decides it, and W^T then takes all n rows of a second solve
+        solve, taken = spherecp.fgab._back_substitute, []
+
+        def counted(t, rhs):
+            taken.append(0)
+            for row in solve(t, rhs):
+                taken[-1] += 1
+                yield row
+
+        monkeypatch.setattr(spherecp.fgab, "_back_substitute", counted)
+        a = IntMatrix.from_rows(rows)
+        snf, swept = self.sweep_count(lambda: smith_normal_form(a))
+        snf_is_valid(a, snf)
+        assert swept == 0
+        assert taken == [1, a.rows]
 
     def test_non_cyclic_square_still_sweeps(self):
         rng = random.Random(29)
@@ -1334,3 +1361,50 @@ class TestBareissPivotSearch:
             n = rng.randint(1, 4)
             rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
             assert IntMatrix.from_rows(rows).det() == leibniz_det(rows)
+
+
+@st.composite
+def nonsingular_squares(draw):
+    """Nonsingular n x n matrices, n = 1..6, entries in ±50, and whether a zero corner forces a row swap.
+
+    With A[0][0] = 0, the Bareiss elimination of A and of A^T both find
+    their first pivot below row 0.
+    """
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n))
+    swapped = draw(st.booleans())
+    if swapped:
+        rows[0][0] = 0
+    assume(IntMatrix.from_rows(rows).det())
+    return rows, swapped
+
+
+class TestBackSubstitution:
+    """The one triangular solve, against adj(A) from cofactors."""
+
+    @staticmethod
+    def solve(t, rhs):
+        """All rows of X, first first."""
+        return list(spherecp.fgab._back_substitute(t, reversed(rhs)))[::-1]
+
+    @given(nonsingular_squares())
+    @settings(max_examples=200, deadline=None)
+    def test_property_solves_give_adjugate_columns(self, drawn):
+        rows, swapped = drawn
+        n = len(rows)
+        a = IntMatrix.from_rows(rows)
+        v, w = range(1, n + 1), [(-1) ** i for i in range(1, n + 1)]
+        adj_v, adj_w = adjugate_times(a, v), adjugate_times(a, w)
+        # over [A | v | w]: X = ±[adj(A)·v | adj(A)·w], its rows in pivot-column order q
+        _, det, t, (p, q) = spherecp.fgab._bareiss([[*row, v[i], w[i]] for i, row in enumerate(rows)], n)
+        x = self.solve(t, [[abs(det) * row[n], abs(det) * row[n + 1]] for row in t])
+        expected = [[adj_v[j], adj_w[j]] for j in q]
+        assert x in (expected, [[-y for y in row] for row in expected])
+        assert not swapped or p != list(range(n))  # the rows of A swapped
+        # over [A^T | I]: row j of X = ±column p[j] of adj(A), p the pivot columns of A^T
+        _, det, tf, (q, p) = spherecp.fgab._transposed_bareiss(rows, n)
+        x = self.solve(tf, [[det * f for f in row[n:]] for row in tf])
+        adj = adjugate_columns(a)
+        expected = [adj[j] for j in p]
+        assert x in (expected, [[-y for y in col] for col in expected])
+        assert not swapped or q != list(range(n))  # the rows of A^T swapped
