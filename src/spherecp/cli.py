@@ -48,6 +48,11 @@ TABLE_ROWS_BUDGET = 10_000
 #: before any elimination (an 80 x 80 with entries in ±50 takes about 0.6 s).
 SNF_ENTRIES_BUDGET = 10_000
 
+#: The most bits, summed over the entries' bit lengths, of a matrix ``snf``
+#: takes; a larger one is refused before any elimination (at this size a
+#: 100 x 100 with 10-bit entries takes about 1.2 s, at four times it about 9 s).
+SNF_BITS_BUDGET = 100_000
+
 
 class CliError(SpherecpInputError):
     """User-facing input problem found by the command line itself."""
@@ -245,6 +250,9 @@ def _cmd_snf(args) -> list[str] | dict:
     if a.rows * a.cols > SNF_ENTRIES_BUDGET:
         raise CliError(
             f"the matrix has {a.rows * a.cols} entries, over SNF_ENTRIES_BUDGET ({SNF_ENTRIES_BUDGET} entries)")
+    bits = sum(sum(map(int.bit_length, row)) for row in a.entries)
+    if bits > SNF_BITS_BUDGET:
+        raise CliError(f"the matrix entries have {bits} bits in all, over SNF_BITS_BUDGET ({SNF_BITS_BUDGET} bits)")
     snf = smith_normal_form(a)
     u, d, v = snf.U.to_text(), snf.D.to_text(), snf.V.to_text()
     if _structured(args):

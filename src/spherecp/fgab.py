@@ -9,10 +9,12 @@ Everything runs on Python's arbitrary-precision integers; no floating
 point (and no numerical library) is involved anywhere.  Two eliminations
 do the work.  A Hermite sweep, modulo a nonzero minor M, puts a lattice
 in triangular form with no entry reaching M; a lattice with a cyclic
-quotient is read off adjugate columns instead.  An exact loop
+quotient is read off adjugate columns instead, in O(n) modular products
+per diagonal entry of its Hermite form above 1.  An exact loop
 diagonalizes the leading block of a work matrix, and whatever is stored
 beside or below that block rides along with its row and column
-operations.
+operations; a column operation by a multiple of the pivot column skips
+the rows that are zero there.
 :func:`smith_normal_form` has one route for every shape: one Hermite
 form per side, each of a square nonsingular matrix built from A,
 compresses it to an r x r core, r = rank A, whose transforms ride
@@ -50,6 +52,7 @@ import re
 import sys
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 __all__ = [
@@ -111,6 +114,13 @@ def _trusted(cls, **fields):
     return self
 
 
+def _set_unit(rows: list[list[int]], start: int = 0) -> list[list[int]]:
+    """``rows``, with 1 written in row i at column start + i: the one writer of unit blocks."""
+    for i, row in enumerate(rows, start):
+        row[i] = 1
+    return rows
+
+
 def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
     """Text of a sum of ``terms``, each a (negative, magnitude text) pair.
 
@@ -169,7 +179,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(n, n, _set_unit([[0] * n for _ in range(n)]))
 
     def __getitem__(self, pos: tuple[int, int]) -> int:
         i, j = pos
@@ -503,7 +513,9 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
 
     H is upper triangular with positive diagonal and each entry above the
     diagonal in [0, diagonal of its column).  A bottom-up pass reduces
-    above the diagonal of a triangular basis, found one of two ways.
+    above the diagonal of a triangular basis, found one of two ways; it
+    divides only at nonzero entries, and each reduction touches only the
+    nonzero entries of the reduced row below.
 
     Write M = ``modulus``, L = Z^n A, and let ``columns`` hold integer
     combinations of the columns of adj(A); every u in L has
@@ -520,9 +532,13 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     sum_(j>k) b_j y_j = g_(k+1) modulo M, kept by one Bezout step per
     column, row k of the basis is (g_(k+1)/g_k) e_k - (y_k/g_k) b.  These
     rows lie in the kernel and their diagonal multiplies to M, so they
-    span L, in O(n^2) steps.  Otherwise, as on every lattice whose
-    quotient is not cyclic, L contains M*Z^n and :func:`_echelon_mod`
-    sweeps it.  The Hermite form is unique, so both ways give the same H.
+    span L.  b gains an entry only in a column where g falls, that is
+    where the diagonal exceeds 1, so it is kept by its nonzero entries,
+    and the rows take O(n·|b|) modular products; a Bezout factor of 1
+    leaves b as it is, since only b modulo M matters.  Otherwise, as on
+    every lattice whose quotient is not cyclic, L contains M*Z^n and
+    :func:`_echelon_mod` sweeps it.  The Hermite form is unique, so both
+    ways give the same H.
     """
     n = len(entries)
     y, g = [0] * n, modulus  # g = gcd(M, entries of y)
@@ -537,19 +553,24 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     if g > 1:
         h = _echelon_mod(entries, n, modulus)
     else:
-        h, g, b = [[]] * n, modulus, [0] * n
+        h, g, b = [[]] * n, modulus, []  # b by its nonzero entries, (column, value)
         for k in range(n - 1, -1, -1):
             gk, s, t, _, _ = _egcd(y[k], g)
-            h[k] = [0] * k + [g // gk] + [-(y[k] // gk) * x % modulus for x in b[k + 1:]]
-            b[k:] = [s] + [t * x % modulus for x in b[k + 1:]]
-            g = gk
+            h[k] = row = [0] * n
+            row[k], c, g = g // gk, -(y[k] // gk), gk
+            for j, x in b:
+                row[j] = c * x % modulus
+            if t != 1:  # b matters only modulo M
+                b = [(j, t * x % modulus) for j, x in b]
+            if s:
+                b.append((k, s))
     # reduce above the diagonal from the bottom up; a reduced row is sparse
     # past its diagonal, so each reduction touches only its nonzero entries
     support: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         hi = h[i]
         for j in range(i + 1, n):
-            q = hi[j] // h[j][j]
+            q = hi[j] and hi[j] // h[j][j]
             if q:
                 for c, y in support[j]:
                     hi[c] -= q * y
@@ -604,7 +625,9 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
     Row operations act on whole rows and column operations on every row
     from the pivot down, so whatever ``mat`` holds past column n of the
     first n rows, or in rows past n, rides along with the elimination;
-    :func:`smith_normal_form` keeps U and V there.
+    :func:`smith_normal_form` keeps U and V there.  Subtracting a multiple
+    of the pivot column changes only the rows nonzero in it: below the
+    pivot row, after the row pass, just those of the rows past n.
     """
     t = 0  # the pivot position; rows above t are zero from column t on
     while t < n:
@@ -635,10 +658,11 @@ def _diagonalize(mat: list[list[int]], n: int) -> None:
                 if not b:
                     continue
                 p = mat[t][t]
-                if b % p == 0:
+                if b % p == 0:  # only rows nonzero in the pivot column change
                     q = b // p
                     for row in mat[t:]:
-                        row[j] -= q * row[t]
+                        if row[t]:
+                            row[j] -= q * row[t]
                 else:  # the same Bezout pair on columns t and j
                     _, s0, s1, r0, r1 = _egcd(p, b)
                     for row in mat[t:]:
@@ -674,9 +698,8 @@ def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
     past column m, are the same.
     """
     columns = list(zip(*a)) or [()] * n  # with no rows, A still has n columns
-    width = n if len(a) == n else 0
-    return _bareiss([list(col) + [int(i == j) for j in range(width)] for i, col in enumerate(columns)], len(a),
-                    unit=width > 0)
+    rows = _set_unit([[*col] + [0] * n for col in columns], n) if len(a) == n else columns
+    return _bareiss(rows, len(a), unit=len(a) == n)
 
 
 def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], eliminated=None) -> list[list[int]]:
@@ -708,18 +731,19 @@ def _hermite_and_transform(x: Sequence[Sequence[int]], pivots: Iterable[int], el
     pivots = set(pivots)
     others = [i for i in range(len(x)) if i not in pivots]
     order = others + [i for i in range(len(x)) if i in pivots]  # the pivot rows last
-    a = [[*x[i], *(int(i == j) for j in others)] for i in order]
+    a = [[*x[i]] + [0] * len(others) for i in order]
+    _set_unit(a[:len(others)], len(pivots))  # X has r = len(pivots) columns
     n = len(a)
     _, det, tf, _ = eliminated or _transposed_bareiss(a, n)
     adjugate = _back_substitute(tf, ([det * f for f in row[n:]] for row in reversed(tf)))
     h = _hermite_mod(a, abs(det), itertools.islice(adjugate, 4))
     f_cols = list(zip(*tf))[n:]
-    fh = []  # columns of F H^T, one per row of H
+    fh = []  # columns of F H^T, one per row of H, each summed over the row's nonzeros
     for hc in h:
         acc = [0] * n
-        for y, col in zip(hc, f_cols):
-            if y:
-                acc = [s + y * f for s, f in zip(acc, col)]
+        for c in itertools.compress(range(n), hc):
+            y = hc[c]
+            acc = [s + y * f for s, f in zip(acc, f_cols[c])]
         fh.append(acc)
     wt = list(_back_substitute(tf, reversed(list(zip(*fh)))))[::-1]  # T W^T = F H^T
     wt = [w for _, w in sorted(zip(order, wt))]  # W's columns back in the order of X's rows
@@ -756,8 +780,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
     Each Hermite form runs modulo its determinant, a divisor of M, so no
     entry of H reaches M.  When the quotient of Z^n by its lattice is
-    cyclic, as for most dense squares, the form is read in O(n^2) steps
-    off columns of the adjugate that its elimination already holds: a
+    cyclic, as for most dense squares, the form is read off columns of
+    the adjugate that its elimination already holds, in O(n·k) modular
+    products for k diagonal entries of H above 1 (one to three there): a
     lattice of index |det| inside the kernel of u -> u·y modulo |det|,
     for a y whose entries share no factor with |det|, is that kernel
     (:func:`_hermite_mod`).  Any other lattice takes the sweep modulo
@@ -779,18 +804,18 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         t = smith_normal_form(_transpose(a))
         return SnfDecomposition(U=_transpose(t.V), D=_transpose(t.D), V=_transpose(t.U))
     r, _, _, (q, p) = eliminated = _transposed_bareiss(a.entries, n)  # A's pivot columns q, rows p
-    wt = [[int(i == j) for j in range(n)] for i in range(n)]  # W'^T
+    wt = _set_unit([[0] * n for _ in range(n)])  # W'^T
     b = a.entries
     if r < n:  # the last n - r columns of W'^T span the kernel of A
         w = [row[n:] for row in _hermite_and_transform([[b[i][j] for i in p[:r]] for j in range(n)], q[:r])]
         wt = [list(col) for col in zip(*w)]
-        b = [[sum(x * y for x, y in zip(row, wk)) for wk in w[:r]] for row in a.entries]
+        b = [[sum(map(mul, row, wk)) for wk in w[:r]] for row in a.entries]
     # a square nonsingular A has nothing to pad, so its first elimination is the Hermite form's own
     hw = _hermite_and_transform(b, p[:r], eliminated if r == m == n else None)
     mat = [h[:r] + h[m:] for h in hw[:r]] + [row[:r] for row in wt]
     _diagonalize(mat, r)
     u = [row[r:] for row in mat[:r]] + [h[m:] for h in hw[r:]]
-    d = [[mat[i][i] if i == j < r else 0 for j in range(n)] for i in range(m)]
+    d = [[0] * i + [mat[i][i]] + [0] * (n - i - 1) if i < r else [0] * n for i in range(m)]
     v = [row + w[r:] for row, w in zip(mat[r:], wt)]
     return SnfDecomposition(
         U=_trusted(IntMatrix, rows=m, cols=m, entries=tuple(map(tuple, u))),

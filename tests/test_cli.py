@@ -400,6 +400,21 @@ class TestSnf:
             assert run_cli(capsys, "snf", "-2,0;-1,-2", "--format", fmt) == (
                 1, "", "error: the matrix has 4 entries, over SNF_ENTRIES_BUDGET (3 entries)\n")
 
+    def test_bits_budget(self, capsys, monkeypatch):
+        # the benchmark's largest matrix, 25 x 25 in ±50, and the two 3000-digit entries above are within it
+        assert cli.SNF_BITS_BUDGET == 100_000 > 2 * (10**3000).bit_length() + 2 > 25 * 25 * (50).bit_length()
+        monkeypatch.setattr(cli, "SNF_BITS_BUDGET", 5)  # -2, 0, -1, -2 have 2 + 0 + 1 + 2 bits
+        assert run_cli(capsys, "snf", "-2,0;-1,-2")[0] == 0
+        monkeypatch.setattr(cli, "SNF_BITS_BUDGET", 4)
+
+        def refuse(a):
+            raise AssertionError("an over-budget matrix reached the elimination")
+
+        monkeypatch.setattr(cli, "smith_normal_form", refuse)
+        for fmt in ("human", "structured"):
+            assert run_cli(capsys, "snf", "-2,0;-1,-2", "--format", fmt) == (
+                1, "", "error: the matrix entries have 5 bits in all, over SNF_BITS_BUDGET (4 bits)\n")
+
     def test_bad_matrix_text(self, capsys):
         code, _, err = run_cli(capsys, "snf", "1,2;x")
         assert code == 1 and "position" in err

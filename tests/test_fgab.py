@@ -6,6 +6,7 @@ enumeration, solution enumeration) -- see the comments next to each.
 """
 
 import doctest
+import hashlib
 import itertools
 import json
 import random
@@ -15,7 +16,7 @@ from math import gcd, isqrt, prod
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spherecp.fgab
@@ -674,6 +675,17 @@ def dense(rng, n):
     return IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
 
 
+def fixed_dense(n):
+    """The benchmark's fixed dense n x n, 16 <= n <= 25, drawn after those of the smaller sizes."""
+    rng = random.Random(20071123)
+    return [dense(rng, k) for k in range(16, n + 1)][-1]
+
+
+def cyclic_drawn(a):
+    """``a`` with the invariant factors of a nonsingular square whose quotient is cyclic."""
+    return a, [1] * (a.rows - 1) + [abs(a.det())]
+
+
 def max_bits(*matrices):
     return max(abs(x).bit_length() for m in matrices for row in m.entries for x in row)
 
@@ -813,6 +825,10 @@ class TestBoundedTransforms:
         assert snf.diagonal == (1, 12)
 
     @given(planted_chains())
+    # cyclic, but g falls in more than one step, so b is rescaled (t != 1) and some
+    # row has s = 0 before g reaches 1: Hermite diagonals 2, 7, M' and 3, M'
+    @example(cyclic_drawn(fixed_dense(24)))
+    @example(cyclic_drawn(fixed_dense(21)))
     @settings(max_examples=150, deadline=None)
     def test_property_adjugate_rule_matches_the_sweep(self, drawn):
         # every column of adj(A) offered: the rule holds exactly when Z^n/L is cyclic
@@ -901,18 +917,22 @@ class TestBoundedTransforms:
         # the benchmark's fixed dense set, drawn in the same order; the
         # transforms of the 23x23 and 25x25 used to print past the digit
         # limit, and those of its seeded rank-deficient and rectangular
-        # matrices reached 4933 bits
-        rng = random.Random(20071123)
-        fixed = [dense(rng, n) for n in range(16, 26)]
+        # matrices reached 4933 bits; the digest of all the outputs pins U, D and V
+        fixed = [fixed_dense(n) for n in range(16, 26)]
+        digest = hashlib.blake2b(digest_size=16)
         for a in fixed + snf_dense_seeded(1):
             assert cli.main(["snf", a.to_text(), "--format", "structured"]) == 0
-            out = json.loads(capsys.readouterr().out)
+            text = capsys.readouterr().out
+            digest.update(text.encode())
+            out = json.loads(text)
             u, d, v = (parse_matrix(out[k]) for k in ("U", "D", "V"))  # within the literal budget
             assert u @ a @ v == d
             if a in fixed:
                 assert max_bits(u, v) <= twice_det_bits(a)
             else:
                 assert within_four_minor_bits(a, u, v)
+        # a deliberate change of the transforms updates this digest
+        assert digest.hexdigest() == "940b6b048def3dc14973aa98e1edb424"
 
     @pytest.mark.parametrize("m, n, zero_last_column", [(21, 20, False), (22, 22, True)])
     def test_rectangular_and_singular_draws_print_as_valid_input(self, capsys, m, n, zero_last_column):
@@ -1113,8 +1133,7 @@ class TestMatrixText:
             raise AssertionError(f"well-formed text {text!r} reached the token scan")
 
         monkeypatch.setattr(spherecp.fgab, "_raise_matrix_text_error", no_scan)
-        rng = random.Random(20071123)  # the benchmark's fixed dense set; its 25x25 is last
-        fixed = [dense(rng, n) for n in range(16, 26)][-1]
+        fixed = fixed_dense(25)  # the largest of the benchmark's fixed dense set
         big = "9" * LITERAL_DIGITS_BUDGET
         cases = [
             ("-2,0;-1,-2", [[-2, 0], [-1, -2]]),
