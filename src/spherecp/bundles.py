@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .fgab import SpherecpInputError, _literal_int, _require_int
+from .fgab import SpherecpInputError, _Checked, _literal_int, _require_int
 
 __all__ = [
     "SphereBundleSpec",
@@ -61,16 +61,19 @@ class SpecFormatError(SpherecpInputError):
     """Bundle spec text is not well-formed (distinct from domain errors)."""
 
 
-@dataclass(frozen=True)
-class SphereBundleSpec:
-    """A bundle over S^sphere_dim; construction runs :func:`validate`."""
-
+class _SphereBundleSpecFields(NamedTuple):
     sphere_dim: int
     rank: int
-    euler_param: int = 0
+    euler_param: int
 
-    def __post_init__(self):
-        validate(self)
+
+class SphereBundleSpec(_Checked, _SphereBundleSpecFields):
+    """A bundle over S^sphere_dim; construction runs :func:`validate`."""
+
+    __slots__ = ()
+
+    def __new__(cls, sphere_dim: int, rank: int, euler_param: int = 0):
+        return validate(tuple.__new__(cls, (sphere_dim, rank, euler_param)))
 
 
 def validate(spec: SphereBundleSpec) -> SphereBundleSpec:

@@ -17,7 +17,7 @@ separates the classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import SphereBundleSpec, spec_to_dict
 from .fgab import IntMatrix, SpherecpInputError, _trusted
@@ -121,8 +121,7 @@ CAVEAT_INCONCLUSIVE = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything the calculus can say about one bundle spec."""
 
     spec: SphereBundleSpec
@@ -152,16 +151,7 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
         parity_caveat = CAVEAT_ODD_COLLAPSE
     distinguishable = kg.k0 != trivial.k0
     caveats = (CAVEAT_DELTA0, parity_caveat) + (() if distinguishable else (CAVEAT_INCONCLUSIVE,))
-    return _trusted(
-        ClassificationReport,
-        spec=spec,
-        k_class=kc,
-        k_groups=kg,
-        delta1=inv,
-        trivial_comparison=trivial,
-        k_distinguishable_from_trivial=distinguishable,
-        caveats=caveats,
-    )
+    return _trusted(ClassificationReport, spec, kc, kg, inv, trivial, distinguishable, caveats)
 
 
 def report_to_dict(report: ClassificationReport) -> dict:

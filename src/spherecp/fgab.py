@@ -50,10 +50,9 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -95,23 +94,40 @@ def _require_int(what: str, *values: object, error: type[Exception] = TypeError)
             raise error(f"{what} must be int, got {type(v).__name__}")
 
 
-def _trusted(cls, **fields):
-    """An instance of ``cls`` with these ``fields``, built without checks.
+def _trusted(cls, *fields, **attrs):
+    """An instance of ``cls``, built without checks.
 
-    The package's one unchecked constructor: it builds every value class,
-    the frozen dataclasses and :class:`~spherecp.cuntz_words.CuntzElement`
-    alike.  It writes the instance ``__dict__`` directly, so it skips
-    ``__init__``, ``__post_init__`` and any ``__setattr__`` guard.  Only
-    for values the library derives from already validated ones: the
-    caller vouches for every field, in the form the checked route stores
-    it (tuples for a dataclass; for a ``CuntzElement``, a dict of nonzero
-    int numerators and a positive common denominator that shares no
-    factor with all of them).  Every public constructor and parser keeps
-    its checks.
+    The package's one unchecked constructor.  A value class, a named
+    tuple, takes its ``fields`` in order, and ``tuple.__new__`` stores
+    them, skipping the checks of the class's ``__new__``.  A
+    :class:`~spherecp.cuntz_words.CuntzElement` takes its ``attrs`` by
+    keyword, written straight to the instance ``__dict__``, skipping
+    ``__init__`` and its ``__setattr__`` guard.  Only for values the
+    library derives from already validated ones: the caller vouches for
+    every field, in the form the checked route stores it (tuples for a
+    value class; for a ``CuntzElement``, a dict of nonzero int numerators
+    and a positive common denominator that shares no factor with all of
+    them).  Every public constructor and parser keeps its checks.
     """
-    self = object.__new__(cls)
-    self.__dict__.update(fields)
-    return self
+    if attrs:
+        self = object.__new__(cls)
+        self.__dict__.update(attrs)
+        return self
+    return tuple.__new__(cls, fields)
+
+
+class _Checked:
+    """Base of the value classes whose ``__new__`` checks their fields.
+
+    Named-tuple fields cannot be reassigned, and ``_make``, which
+    ``_replace`` calls, builds through the checked constructor too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _set_unit(rows: list[list[int]], start: int = 0) -> list[list[int]]:
@@ -141,8 +157,13 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
     return "".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _IntMatrixFields(NamedTuple):
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+
+class IntMatrix(_Checked, _IntMatrixFields):
     """Dense integer matrix, entries stored row-major as nested tuples.
 
     The constructor takes the entries as any sequence of row sequences
@@ -152,21 +173,19 @@ class IntMatrix:
     matters for kernels and cokernels of empty presentations.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
-        entries = itertools.chain.from_iterable(self.entries)
-        _require_int("matrix dimensions and entries", self.rows, self.cols, *entries)
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Iterable[Iterable[int]]):
+        entries = tuple(map(tuple, entries))
+        _require_int("matrix dimensions and entries", rows, cols, *itertools.chain.from_iterable(entries))
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged rows in matrix")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -578,8 +597,7 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     return h
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """Smith normal form D = U @ A @ V with U, V unimodular.
 
     D is diagonal with nonnegative entries forming a divisor chain
@@ -818,15 +836,15 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     d = [[0] * i + [mat[i][i]] + [0] * (n - i - 1) if i < r else [0] * n for i in range(m)]
     v = [row + w[r:] for row, w in zip(mat[r:], wt)]
     return SnfDecomposition(
-        U=_trusted(IntMatrix, rows=m, cols=m, entries=tuple(map(tuple, u))),
-        D=_trusted(IntMatrix, rows=m, cols=n, entries=tuple(map(tuple, d))),
-        V=_trusted(IntMatrix, rows=n, cols=n, entries=tuple(map(tuple, v))),
+        U=_trusted(IntMatrix, m, m, tuple(map(tuple, u))),
+        D=_trusted(IntMatrix, m, n, tuple(map(tuple, d))),
+        V=_trusted(IntMatrix, n, n, tuple(map(tuple, v))),
     )
 
 
 def _transpose(a: IntMatrix) -> IntMatrix:
     """A^T, built unchecked; a 0 x n matrix gives n empty rows."""
-    return _trusted(IntMatrix, rows=a.cols, cols=a.rows, entries=tuple(zip(*a.entries)) or ((),) * a.cols)
+    return _trusted(IntMatrix, a.cols, a.rows, tuple(zip(*a.entries)) or ((),) * a.cols)
 
 
 def _divisor_chain(orders: Iterable[int]) -> list[int]:
@@ -975,8 +993,12 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
     return tuple(chain[: len(chain) - (cols - rank)]), rank
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class _FgAbGroupFields(NamedTuple):
+    free_rank: int
+    torsion: tuple[int, ...]
+
+
+class FgAbGroup(_Checked, _FgAbGroupFields):
     """Finitely generated abelian group Z^free_rank + Z/t1 + ... + Z/tk.
 
     Canonical form is enforced at construction: every invariant factor is
@@ -989,21 +1011,20 @@ class FgAbGroup:
     'Z + Z/2 + Z/4'
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.torsion) is not tuple:
-            object.__setattr__(self, "torsion", tuple(self.torsion))
-        _require_int("free rank and invariant factors", self.free_rank, *self.torsion)
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int = 0, torsion: Iterable[int] = ()):
+        torsion = tuple(torsion)
+        _require_int("free rank and invariant factors", free_rank, *torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {t}")
-        for x, y in zip(self.torsion, self.torsion[1:]):
+        for x, y in zip(torsion, torsion[1:]):
             if y % x:
                 raise ValueError(f"invariant factors must form a divisor chain: {x} does not divide {y}")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @classmethod
     def from_factors(cls, factors: Iterable[int]) -> "FgAbGroup":
@@ -1038,7 +1059,7 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     relation contribute free rank cols - rank.
     """
     torsion, rank = _factors(a.entries, a.cols)
-    return _trusted(FgAbGroup, free_rank=a.cols - rank, torsion=torsion)
+    return _trusted(FgAbGroup, a.cols - rank, torsion)
 
 
 def kernel(a: IntMatrix) -> FgAbGroup:
@@ -1048,7 +1069,7 @@ def kernel(a: IntMatrix) -> FgAbGroup:
     its rank is cols - rank(a), and the rank alone needs no elimination
     past Bareiss.
     """
-    return _trusted(FgAbGroup, free_rank=a.cols - _bareiss(a.entries, a.cols)[0], torsion=())
+    return _trusted(FgAbGroup, a.cols - _bareiss(a.entries, a.cols)[0], ())
 
 
 def group_order(g: FgAbGroup) -> int | None:

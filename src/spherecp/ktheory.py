@@ -14,10 +14,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import SphereBundleSpec
-from .fgab import IntMatrix, _int_text, _require_int, _signed_sum, _trusted
+from .fgab import IntMatrix, _Checked, _int_text, _require_int, _signed_sum, _trusted
 
 __all__ = [
     "TruncPoly",
@@ -26,8 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncPoly:
+class _TruncPolyFields(NamedTuple):
+    z: int
+    z1: int
+
+
+class TruncPoly(_Checked, _TruncPolyFields):
     """K-class ``z + z1*λ`` in Z[λ]/(λ²), the K-ring of an even sphere.
 
     ``z`` is the rank part (the image in K-theory of a point) and ``z1``
@@ -37,11 +41,11 @@ class TruncPoly:
     '3 - λ'
     """
 
-    z: int = 0
-    z1: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int("z and z1", self.z, self.z1)
+    def __new__(cls, z: int = 0, z1: int = 0):
+        _require_int("z and z1", z, z1)
+        return tuple.__new__(cls, (z, z1))
 
     def __str__(self) -> str:
         terms = [(self.z < 0, _int_text(abs(self.z)))] if self.z else []
@@ -77,7 +81,7 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     '-2'
     """
     entries = _class_rows(sphere_dim, z, z1)
-    return _trusted(IntMatrix, rows=len(entries), cols=len(entries), entries=entries)
+    return _trusted(IntMatrix, len(entries), len(entries), entries)
 
 
 def k_class(spec: SphereBundleSpec) -> TruncPoly:
@@ -90,7 +94,7 @@ def k_class(spec: SphereBundleSpec) -> TruncPoly:
     >>> str(k_class(SphereBundleSpec(4, 3, -1)))
     '3 - λ'
     """
-    return _trusted(TruncPoly, z=spec.rank, z1=spec.euler_param)
+    return _trusted(TruncPoly, spec.rank, spec.euler_param)
 
 
 def delta1_class(spec: SphereBundleSpec) -> IntMatrix:

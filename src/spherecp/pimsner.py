@@ -20,7 +20,7 @@ and read its fields without checking them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import BundleSpecError, SphereBundleSpec
 from .fgab import FgAbGroup, IntMatrix, _factors, _trusted
@@ -42,8 +42,7 @@ class EvenSphereRequired(BundleSpecError):
 _TRIVIAL = FgAbGroup()  # K1 of every result: a frozen constant, not a cache
 
 
-@dataclass(frozen=True)
-class KGroupPair:
+class KGroupPair(NamedTuple):
     """K0 and K1 of a bundle algebra."""
 
     k0: FgAbGroup
@@ -77,7 +76,7 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     rank, so the map is injective.
     """
     free_rank, torsion = _k0(spec)
-    return _trusted(KGroupPair, k0=_trusted(FgAbGroup, free_rank=free_rank, torsion=torsion), k1=_TRIVIAL)
+    return _trusted(KGroupPair, _trusted(FgAbGroup, free_rank, torsion), _TRIVIAL)
 
 
 def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
@@ -95,5 +94,5 @@ def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
             f"closed-form trivial-bundle K-groups need an even sphere, got S^{spec.sphere_dim}"
         )
     t = spec.rank - 1
-    k0 = _trusted(FgAbGroup, free_rank=0, torsion=(t, t) if t > 1 else ())
-    return _trusted(KGroupPair, k0=k0, k1=_TRIVIAL)
+    k0 = _trusted(FgAbGroup, 0, (t, t) if t > 1 else ())
+    return _trusted(KGroupPair, k0, _TRIVIAL)

@@ -1,6 +1,5 @@
 """Tests for the classification decision procedures and reports."""
 
-import dataclasses
 import itertools
 import math
 
@@ -252,7 +251,7 @@ class TestReadsFromRows:
             for spec in self._grid(n):
                 assert k_groups(spec).k1 is trivial
         assert k_groups_trivial(SphereBundleSpec(4, 3)).k1 is trivial
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             trivial.free_rank = 1
 
 

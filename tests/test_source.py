@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +79,17 @@ def test_one_unchecked_constructor():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted"
     ]
     assert defined == ["fgab.py"]
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI call is a fresh process, which would pay for these imports;
+    # -S keeps site-packages hooks out of the count
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import spherecp.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
 
 
 def test_module_imports_form_no_cycle():

@@ -1,35 +1,37 @@
 """Values the library builds without checks pass every check of their public constructor.
 
-``fgab._trusted`` skips ``__post_init__`` (and ``CuntzElement.__init__``)
-for values derived from already validated ones.  Each such value is rebuilt
-here through the public constructors, which run every check, and must be
-accepted and compare equal.
+``fgab._trusted`` skips the checks of a value class's ``__new__`` (and
+``CuntzElement.__init__``) for values derived from already validated ones.
+Each such value is rebuilt here through the public constructors, which run
+every check, and must be accepted and compare equal.  ``_make`` and
+``_replace``, which every named tuple has, keep those checks too.
 """
 
-import dataclasses
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import expand, random_cuntz_element
 
-from spherecp.bundles import SphereBundleSpec
+from spherecp.bundles import RankTooSmall, SphereBundleSpec
 from spherecp.classify import classify_report
 from spherecp.cuntz_words import CuntzElement, parse_expression
-from spherecp.fgab import IntMatrix, cokernel, kernel, smith_normal_form
-from spherecp.ktheory import delta1_class, k_class
+from spherecp.fgab import FgAbGroup, IntMatrix, cokernel, kernel, smith_normal_form
+from spherecp.ktheory import TruncPoly, delta1_class, k_class
 from spherecp.pimsner import k_groups, k_groups_trivial, pimsner_matrix
 
 
 def rebuilt(value):
     """``value`` rebuilt field by field through the public constructors."""
-    if not dataclasses.is_dataclass(value):
+    fields = getattr(type(value), "_fields", None)
+    if fields is None:  # an int, a bool, a string or a plain tuple
         return value
-    fields = {f.name: rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return type(value)(**fields)
+    return type(value)(*[rebuilt(getattr(value, name)) for name in fields])
 
 
 def assert_valid(value):
+    assert hasattr(type(value), "_fields")  # a value class, which rebuilt() recurses into
     copy = rebuilt(value)
     assert copy == value
     assert hash(copy) == hash(value)  # fields are tuples, as the checked route stores them
@@ -108,3 +110,38 @@ def test_word_results_pass_the_checks(pair, k):
     for result in results:
         assert_valid_element(result)
     assert results[-1].is_zero  # x - normal_form(x) is 0, and refined terms are independent
+
+
+def test_replace_and_make_keep_the_checks():
+    spec = SphereBundleSpec(4, 3, 1)
+    with pytest.raises(RankTooSmall):
+        spec._replace(rank=1)
+    with pytest.raises(ValueError, match="divisor chain"):
+        FgAbGroup._make([0, (2, 3)])
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix.identity(2)._replace(entries=((1, 0), (0,)))
+    with pytest.raises(TypeError):
+        TruncPoly(3, 1)._replace(z1=True)
+    # a valid replacement builds through the same checks and normalises as they do
+    assert spec._replace(euler_param=-2) == SphereBundleSpec(4, 3, -2)
+    assert FgAbGroup._make([1, [2, 4]]) == FgAbGroup(1, (2, 4))
+
+
+VALUES = [
+    SphereBundleSpec(4, 3, 1),
+    IntMatrix.identity(2),
+    FgAbGroup(1, (2,)),
+    TruncPoly(3, -1),
+    smith_normal_form(IntMatrix.identity(2)),
+    k_groups(SphereBundleSpec(4, 3, 1)),
+    classify_report(SphereBundleSpec(4, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_immutable(value):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
