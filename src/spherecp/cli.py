@@ -14,7 +14,9 @@ sorted keys, so re-rendering a parsed report is byte-identical.
 
 Exit codes: 0 success, 1 invalid input or a domain refusal (a
 :class:`~spherecp.fgab.SpherecpInputError`), 2 anything else, an
-internal error (never expected).
+internal error (never expected).  A failed write of the result, to a
+closed pipe or a full disk, is exit 2 too, with one ``internal error:``
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -143,10 +145,18 @@ def _structured(args) -> bool:
     return args.format == "structured"
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _spec_text(spec: SphereBundleSpec) -> str:
+    """``sphere_dim=N rank=D euler=C``: the fields of :func:`spec_to_dict`, each written by ``_int_text``."""
+    return " ".join(f"{key}={_int_text(value)}" for key, value in spec_to_dict(spec).items())
+
+
 def _head(spec: SphereBundleSpec, kclass, groups) -> list[str]:
     """The report lines ``kgroups`` and ``classify`` share: the spec, its K-class and its K-groups."""
-    return [f"spec: sphere_dim={spec.sphere_dim} rank={spec.rank} euler={spec.euler_param}",
-            f"k_class: {kclass}", f"K0 = {groups.k0}", f"K1 = {groups.k1}"]
+    return [f"spec: {_spec_text(spec)}", f"k_class: {kclass}", f"K0 = {groups.k0}", f"K1 = {groups.k1}"]
 
 
 def _cmd_kgroups(args) -> list[str] | dict:
@@ -162,19 +172,19 @@ def _cmd_kgroups(args) -> list[str] | dict:
     return _head(spec, k_class(spec), pair) + [f"note: {note}"]
 
 
-def _cmd_classify_single(spec: SphereBundleSpec, structured: bool) -> list[str] | dict:
-    rep = classify_report(spec)
-    if structured:
-        return report_to_dict(rep)
-    human = _head(spec, rep.k_class, rep.k_groups) + [
-        f"delta1 matrix: {rep.delta1.to_text()} base={spec.rank}",
-        f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
-        f"distinguishable from trivial by K-theory: {'yes' if rep.k_distinguishable_from_trivial else 'no'}",
-    ]
-    return human + [f"caveat: {c}" for c in rep.caveats]
-
-
-def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec, structured: bool) -> list[str] | dict:
+def _cmd_classify(args) -> list[str] | dict:
+    """One spec: its classification report.  Two (any ``...2`` flag given): the pairwise verdicts."""
+    a = _spec_from_args(args)
+    if all(getattr(args, name) is None for name in ("sphere2", "rank2", "euler2", "spec2")):
+        rep = classify_report(a)
+        if _structured(args):
+            return report_to_dict(rep)
+        return _head(a, rep.k_class, rep.k_groups) + [
+            f"delta1 matrix: {rep.delta1.to_text()} base={a.rank}",
+            f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
+            f"distinguishable from trivial by K-theory: {_yes(rep.k_distinguishable_from_trivial)}",
+        ] + [f"caveat: {c}" for c in rep.caveats]
+    b = _spec_from_args(args, suffix="2", fallback=a)
     verdicts = {
         "delta1_equal": delta1_equal(a, b),
         "graded_stably_isomorphic": graded_stably_isomorphic(a, b),
@@ -182,28 +192,13 @@ def _cmd_classify_pair(a: SphereBundleSpec, b: SphereBundleSpec, structured: boo
     }
     note = None if verdicts["k_distinguishable"] else (
         "equal K-groups are inconclusive; the verdict comes from the delta1 invariant")
-    if structured:
+    if _structured(args):
         obj = {"specA": spec_to_dict(a), "specB": spec_to_dict(b), **verdicts}
         return obj if note is None else {**obj, "note": note}
-    human = [
-        f"bundle A: sphere_dim={a.sphere_dim} rank={a.rank} euler={a.euler_param}",
-        f"bundle B: sphere_dim={b.sphere_dim} rank={b.rank} euler={b.euler_param}",
-        f"delta1 invariants equal: {'yes' if verdicts['delta1_equal'] else 'no'}",
-        f"graded stably isomorphic: {'yes' if verdicts['graded_stably_isomorphic'] else 'no'}",
-        f"K-theory distinguishes them: {'yes' if verdicts['k_distinguishable'] else 'no'}",
-    ]
+    labels = ("delta1 invariants equal", "graded stably isomorphic", "K-theory distinguishes them")
+    human = [f"bundle A: {_spec_text(a)}", f"bundle B: {_spec_text(b)}"]
+    human += [f"{label}: {_yes(v)}" for label, v in zip(labels, verdicts.values())]
     return human if note is None else human + [f"note: {note}"]
-
-
-def _cmd_classify(args) -> list[str] | dict:
-    spec_a = _spec_from_args(args)
-    second_given = any(
-        getattr(args, name) is not None for name in ("sphere2", "rank2", "euler2", "spec2")
-    )
-    if not second_given:
-        return _cmd_classify_single(spec_a, _structured(args))
-    spec_b = _spec_from_args(args, suffix="2", fallback=spec_a)
-    return _cmd_classify_pair(spec_a, spec_b, _structured(args))
 
 
 def _table_row(spec: SphereBundleSpec) -> dict:
@@ -227,7 +222,7 @@ def _cmd_table(args) -> list[str] | dict:
         raise CliError("--c-max must be nonnegative")
     size = (args.d_max - 1) * (args.c_max + 1)
     if size > TABLE_ROWS_BUDGET:
-        raise CliError(f"the grid has {size} rows, over TABLE_ROWS_BUDGET ({TABLE_ROWS_BUDGET} rows)")
+        raise CliError(f"the grid has {_int_text(size)} rows, over TABLE_ROWS_BUDGET ({TABLE_ROWS_BUDGET} rows)")
     rows = [
         _table_row(SphereBundleSpec(args.sphere, d, c))
         for d in range(2, args.d_max + 1)
@@ -240,7 +235,7 @@ def _cmd_table(args) -> list[str] | dict:
     for r in rows:
         human.append(
             f"{r['rank']:>3} {r['euler']:>4} {r['k_class']:<12} {r['K0']:<18} "
-            f"{r['gcd']:>4}  {'yes' if r['distinguishable_from_trivial'] else 'no'}"
+            f"{r['gcd']:>4}  {_yes(r['distinguishable_from_trivial'])}"
         )
     return human
 
@@ -268,7 +263,7 @@ def _cmd_cuntz(args) -> list[str] | dict:
         canonical = str(nf)
         return {"canonical": canonical, "degree": nf.degree()} if _structured(args) else [canonical]
     verdict = x.equals(parse_expression(args.d, args.equal))
-    return {"equal": verdict} if _structured(args) else [f"equal: {'yes' if verdict else 'no'}"]
+    return {"equal": verdict} if _structured(args) else [f"equal: {_yes(verdict)}"]
 
 
 _COMMANDS = {
@@ -341,17 +336,17 @@ def _write(obj, newline: str, out: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         result = _COMMANDS[args.subcommand](args)
+        sys.stdout.write((render_structured(result) if _structured(args) else "\n".join(result)) + "\n")
+        sys.stdout.flush()
     except SpherecpInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - invariant violations only
+    except Exception as exc:  # invariant violations, or a write that failed (closed pipe, full disk)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(render_structured(result) if _structured(args) else "\n".join(result))
     return 0
 
 

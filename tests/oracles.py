@@ -12,6 +12,7 @@ import contextlib
 import re
 import signal
 import sys
+import time
 from math import gcd
 
 
@@ -507,20 +508,37 @@ def parse_expression_tokens(base: int, text: str) -> dict:
 # -- generation and timing helpers (not oracles, but shared by several suites)
 
 
+class TimeLimitExceeded(BaseException):
+    """Raised by :func:`time_limit`.
+
+    Not an ``Exception``: hypothesis would catch one as a failing example
+    and shrink it, running the hang again with no limit left, and code
+    under test that reports every ``Exception`` would turn it into a result.
+    """
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    """Raise :class:`TimeLimitExceeded` in the block once ``seconds`` of wall time pass.
+
+    Blocks nest: on exit the enclosing limit gets back its handler and
+    the time it had left, less the time this block took.  An enclosing
+    limit that ran out inside this block fires as soon as it exits.
+    """
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeLimitExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
 
 
 def random_cuntz_element(rng, base: int, max_terms: int = 4, max_len: int = 3):

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
 import contextlib
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import random_cuntz_element, time_limit
 
@@ -353,6 +358,16 @@ class TestTable:
         assert f"{TABLE_ROWS_BUDGET + 1} rows" in err and "TABLE_ROWS_BUDGET" in err
         assert run_cli(capsys, "table", "--d-max", "100000", "--c-max", "100000")[0] == 1
 
+    @pytest.mark.parametrize("flag, rows", [
+        ("--c-max", "5" + "0" * 4300),  # 5 ranks times 10**4300 euler values
+        ("--d-max", "6" + "9" * 4298 + "86"),  # (10**4300 - 2) ranks times 7
+    ], ids=["c-max", "d-max"])
+    def test_grid_past_the_int_str_limit_is_refused(self, capsys, flag, rows):
+        # the grid size has 4301 digits; written with str it exited 2
+        code, out, err = run_cli(capsys, "table", flag, "9" * 4300)
+        assert (code, out) == (1, "")
+        assert err == f"error: the grid has {rows} rows, over TABLE_ROWS_BUDGET ({TABLE_ROWS_BUDGET} rows)\n"
+
 
 class TestSnf:
     def test_worked_example(self, capsys):
@@ -622,3 +637,202 @@ class TestHarness:
         monkeypatch.setattr(IntMatrix, "to_text", lambda self: rendered.append(self) or to_text(self))
         assert run_cli(capsys, *argv)[0] == 0
         assert len(rendered) == calls
+
+
+class _FailingStdout:
+    """A stdout whose ``write`` or ``flush`` raises ``error``; it keeps every text it is asked to write."""
+
+    def __init__(self, method, error):
+        self.method, self.error, self.writes = method, error, []
+
+    def write(self, text):
+        self.writes.append(text)
+        if self.method == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+KGROUPS_ARGV = ["kgroups", "--sphere", "4", "--rank", "3", "--euler", "1"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_process(stdout):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "spherecp.cli", *KGROUPS_ARGV], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+class TestFailedWrite:
+    """A result that cannot be written is exit 2 with one ``internal error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("method, error", [
+        ("write", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+        ("flush", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+        ("write", OSError(errno.ENOSPC, "No space left on device")),
+    ], ids=["write-EPIPE", "flush-EPIPE", "write-ENOSPC"])
+    def test_in_process(self, capsys, monkeypatch, method, error):
+        stdout = _FailingStdout(method, error)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(KGROUPS_ARGV)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+        assert captured.out == ""
+        assert stdout.writes == [KGROUPS_PINNED[0][1]]  # the result, tried once; nothing else
+
+    def _assert_one_internal_error(self, done):
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: "), done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+    def test_pipe_closed_before_the_write(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _run_process(write)
+        finally:
+            os.close(write)
+        self._assert_one_internal_error(done)
+        assert "BrokenPipeError" in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk(self):
+        with open("/dev/full", "w") as full:
+            done = _run_process(full)
+        self._assert_one_internal_error(done)
+        assert f"[Errno {errno.ENOSPC}]" in done.stderr
+
+
+# -- the front door: argv from a grammar of all five subcommands ----------------
+#
+# Each part of an argv is either well formed or drawn from hostile text:
+# numbers of 4300 digits and one past, negative, float-like and in other
+# scripts' digits; ragged and bracketed matrices, within 6 x 6 so that no
+# example nears the snf budgets; expressions of every atom; and spec files
+# nested deep, with repeated keys, non-int fields or bad encodings.
+# "SPEC" and "SPEC2" in an argv stand for spec files whose bytes come with
+# it.  No token starts with -h, so argparse never prints help and exits.
+
+_DIGITS = "٠١٢٣٤٥٦٧٨٩０１２３４５６７８９"
+_numbers = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["9" * 4300, "-" + "9" * 4300, "9" * 4301, "1" + "0" * 4299, "", " 4 ", "+3", "1_0", "0x10"]),
+    st.floats().map(str),
+    st.text(_DIGITS, min_size=1, max_size=3),
+)
+_json_values = st.sampled_from(
+    ["4", "3", "2", "1", "0", "-1", "1.5", "1e3", "true", "null", '"3"', "[4]", "{}", "NaN", "9" * 4300, "9" * 4301])
+
+
+@st.composite
+def _spec_bytes(draw):
+    kind = draw(st.sampled_from(["valid", "fields", "nested", "encoding"]))
+    if kind == "valid":
+        n, d, c = draw(st.integers(1, 8)), draw(st.integers(2, 6)), draw(st.integers(0, 6))
+        return f'{{"sphere_dim": {n}, "rank": {d}, "euler": {c}}}'.encode()
+    if kind == "nested":
+        depth = draw(st.sampled_from([1, 2, 1000, 100_000]))
+        return ("[" * depth + "]" * depth).encode()
+    if kind == "encoding":
+        return draw(st.sampled_from([b"\xff\xfe{", '{"sphere_dim": 4}'.encode("utf-16"), '{"é": 4}'.encode("latin-1"), b""]))
+    keys = st.sampled_from(["sphere_dim", "rank", "euler", "extra"])
+    fields = draw(st.lists(st.tuples(keys, _json_values), max_size=5))  # keys may repeat
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}").encode()
+
+
+@st.composite
+def _spec_flags(draw, suffix=""):
+    kind = draw(st.sampled_from(["numbers", "file", "any"]))
+    if kind == "numbers":
+        values = [draw(st.integers(1, 8)), draw(st.integers(2, 6)), draw(st.integers(0, 6))]
+        return [token for name, v in zip(("sphere", "rank", "euler"), values) for token in (f"--{name}{suffix}", str(v))]
+    if kind == "file":
+        return [f"--spec{suffix}", f"SPEC{suffix}"]
+    flags = []
+    for name in draw(st.lists(st.sampled_from(["sphere", "rank", "euler", "spec"]), unique=True, max_size=4)):
+        flags += [f"--{name}{suffix}", f"SPEC{suffix}" if name == "spec" else draw(_numbers)]
+    return flags
+
+
+@st.composite
+def _matrix_texts(draw):
+    entry = st.integers(-50, 50).map(str) if draw(st.booleans()) else _numbers
+    rows = draw(st.lists(st.lists(entry, min_size=1, max_size=6), min_size=1, max_size=6))  # may be ragged
+    if draw(st.booleans()):
+        return "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    return draw(st.sampled_from([";", "; ", "],["])).join(",".join(row) for row in rows)
+
+
+_atoms = st.one_of(
+    st.integers(1, 2).map(lambda i: f"s{i}"),
+    st.integers(1, 2).map(lambda i: f"s{i}*"),
+    st.integers(0, 5).map(lambda i: f"s{i}"),
+    st.integers(0, 5).map(lambda i: f"s{i}*"),
+    st.sampled_from(["+", "-", "2/3", "1/0", "7", "s" + "9" * 4300, "s" + "9" * 4301, "s٣", "9" * 4301, "*", "x", "(", "é"]),
+    _numbers.filter(lambda t: not t.startswith("-")),
+)
+_hostile_expressions = st.lists(_atoms, max_size=8).map(" ".join)
+_terms = st.tuples(st.sampled_from(["", "2", "3/2", "10"]),
+                   st.lists(st.sampled_from(["s1", "s2", "s1*", "s2*"]), max_size=4))
+_expressions = st.lists(_terms, min_size=1, max_size=4).map(
+    lambda terms: " + ".join(" ".join([c, *word]).strip() or "1" for c, word in terms))
+
+
+@st.composite
+def front_door_cases(draw):
+    hostile = draw(st.booleans())
+
+    def value(valid, hostile_values=_numbers):
+        return draw(st.one_of(valid, hostile_values) if hostile else valid)
+
+    command = draw(st.sampled_from(["kgroups", "classify", "table", "snf", "cuntz"]))
+    argv = [command]
+    if command in ("kgroups", "classify"):
+        argv += draw(_spec_flags())
+        if command == "classify" and draw(st.booleans()):
+            argv += draw(st.one_of(st.integers(0, 6).map(lambda c: ["--euler2", str(c)]), _spec_flags("2")))
+    elif command == "table":
+        for name in draw(st.lists(st.sampled_from(["--sphere", "--d-max", "--c-max"]), unique=True)):
+            argv += [name, value(st.integers(0, 40).map(str))]
+    elif command == "snf":
+        argv.append(draw(_matrix_texts()))
+    else:
+        argv += ["--d", value(st.integers(2, 5).map(str)), value(_expressions, _hostile_expressions)]
+        if draw(st.booleans()):
+            argv += ["--equal", value(_expressions, _hostile_expressions)]
+    argv += draw(st.sampled_from([[], ["--format", "human"], ["--format", "structured"], ["--format", "xml"]]))
+    return argv, {name: draw(_spec_bytes()) for name in ("SPEC", "SPEC2") if name in argv}
+
+
+class TestFrontDoor:
+    @given(front_door_cases())
+    @example((["table", "--c-max", "9" * 4300], {}))
+    @example((["table", "--d-max", "9" * 4300, "--format", "structured"], {}))
+    @settings(max_examples=300, deadline=5000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_exit_is_zero_or_one(self, tmp_path, case):
+        argv, files = case
+        assert not any(token.startswith("-h") or token.startswith("--h") for token in argv)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = [str(tmp_path / token) if token in files else token for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), err
+        if code == 1:
+            assert out == "" and err.startswith("error: ")
+            return
+        assert err == ""
+        if "structured" in argv:
+            try:
+                again = json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            except ValueError:  # an integer past the int -> str limit, which json cannot read back
+                return
+            assert again == out
