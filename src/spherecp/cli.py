@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from math import gcd
@@ -350,5 +351,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def script() -> int:
+    """:func:`main` as a process runs it: the ``spherecp`` command and ``python -m spherecp.cli``."""
+    code = main()
+    if code == 2:  # a failed write leaves its bytes in stdout's buffer, and the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(script())

@@ -523,7 +523,9 @@ def time_limit(seconds):
 
     Blocks nest: on exit the enclosing limit gets back its handler and
     the time it had left, less the time this block took.  An enclosing
-    limit that ran out inside this block fires as soon as it exits.
+    limit that ran out inside this block fires as soon as it exits.  The
+    exit holds SIGALRM back while it restores the enclosing limit, and
+    drops this block's alarm if it came too late to fire in the block.
     """
 
     def expire(signum, frame):
@@ -535,10 +537,16 @@ def time_limit(seconds):
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-        if outer:
-            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})  # runs expire if the alarm came just now
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            if signal.SIGALRM in signal.sigpending():
+                signal.sigwait({signal.SIGALRM})
+            signal.signal(signal.SIGALRM, previous)
+            if outer:
+                signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGALRM})
 
 
 def random_cuntz_element(rng, base: int, max_terms: int = 4, max_len: int = 3):

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -657,12 +658,20 @@ class _FailingStdout:
 
 
 KGROUPS_ARGV = ["kgroups", "--sphere", "4", "--rank", "3", "--euler", "1"]
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# the console script pyproject.toml declares, run as its generated wrapper runs it
+_MODULE, _FUNC = re.search(r'^spherecp = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M).groups()
+LAUNCHERS = {
+    "python-m": ["-m", "spherecp.cli"],
+    "console-script": ["-c", f"import sys; from {_MODULE} import {_FUNC}; sys.exit({_FUNC}())"],
+}
 
 
-def _run_process(stdout):
+def _run_process(launcher, stdout):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "spherecp.cli", *KGROUPS_ARGV], stdout=stdout,
+    env.pop("PYTHONUNBUFFERED", None)  # the default, buffered stdout keeps what a failed write left
+    return subprocess.run([sys.executable, *LAUNCHERS[launcher], *KGROUPS_ARGV], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, text=True, timeout=60)
 
 
@@ -690,20 +699,22 @@ class TestFailedWrite:
         assert len(lines) == 1 and lines[0].startswith("internal error: "), done.stderr
         assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
-    def test_pipe_closed_before_the_write(self):
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    def test_pipe_closed_before_the_write(self, launcher):
         read, write = os.pipe()
         os.close(read)
         try:
-            done = _run_process(write)
+            done = _run_process(launcher, write)
         finally:
             os.close(write)
         self._assert_one_internal_error(done)
         assert "BrokenPipeError" in done.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_disk(self):
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    def test_full_disk(self, launcher):
         with open("/dev/full", "w") as full:
-            done = _run_process(full)
+            done = _run_process(launcher, full)
         self._assert_one_internal_error(done)
         assert f"[Errno {errno.ENOSPC}]" in done.stderr
 

@@ -43,3 +43,20 @@ def test_outer_limit_that_ran_out_inside_fires_on_exit():
             with time_limit(5):
                 _spin(0.3)
             _spin(2)
+
+
+def test_alarm_that_comes_as_the_block_ends_leaves_the_outer_limit_armed():
+    # SIGALRM held back in the block stands for an alarm that comes after the block's last
+    # statement, while the exit restores the enclosing handler and timer
+    with time_limit(5):
+        outer_handler = signal.getsignal(signal.SIGALRM)
+        try:
+            with time_limit(0.05):
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+                time.sleep(0.2)
+            assert signal.SIGALRM not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGALRM})
+        assert signal.getsignal(signal.SIGALRM) is outer_handler
+        remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 4 < remaining < 5
