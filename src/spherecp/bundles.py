@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .fgab import SpherecpInputError, _Checked, _literal_int, _require_int
 
@@ -61,14 +60,9 @@ class SpecFormatError(SpherecpInputError):
     """Bundle spec text is not well-formed (distinct from domain errors)."""
 
 
-class _SphereBundleSpecFields(NamedTuple):
-    sphere_dim: int
-    rank: int
-    euler_param: int
-
-
-class SphereBundleSpec(_Checked, _SphereBundleSpecFields):
-    """A bundle over S^sphere_dim; construction runs :func:`validate`."""
+class SphereBundleSpec(_Checked, namedtuple("SphereBundleSpec", "sphere_dim rank euler_param")):
+    """A bundle over S^sphere_dim of fiber rank ``rank`` and K-class
+    ``rank + euler_param·λ``, all three ints; construction runs :func:`validate`."""
 
     __slots__ = ()
 

@@ -17,12 +17,12 @@ separates the classes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bundles import SphereBundleSpec, spec_to_dict
-from .fgab import IntMatrix, SpherecpInputError, _trusted
-from .ktheory import TruncPoly, _class_rows, delta1_class, k_class
-from .pimsner import KGroupPair, _k0, k_groups, k_groups_trivial
+from .fgab import SpherecpInputError, _trusted
+from .ktheory import _class_rows, delta1_class, k_class
+from .pimsner import _k0, k_groups, k_groups_trivial
 
 __all__ = [
     "ComparisonError",
@@ -121,16 +121,20 @@ CAVEAT_INCONCLUSIVE = (
 )
 
 
-class ClassificationReport(NamedTuple):
-    """Everything the calculus can say about one bundle spec."""
+class ClassificationReport(namedtuple("ClassificationReport", "spec k_class k_groups delta1 trivial_comparison "
+                                                              "k_distinguishable_from_trivial caveats")):
+    """Everything the calculus can say about one bundle spec.
 
-    spec: SphereBundleSpec
-    k_class: TruncPoly
-    k_groups: KGroupPair
-    delta1: IntMatrix
-    trivial_comparison: KGroupPair
-    k_distinguishable_from_trivial: bool
-    caveats: tuple[str, ...]
+    The fields: the :class:`~spherecp.bundles.SphereBundleSpec` ``spec``;
+    its :class:`~spherecp.ktheory.TruncPoly` ``k_class``; its
+    :class:`~spherecp.pimsner.KGroupPair` ``k_groups``; the
+    :class:`~spherecp.fgab.IntMatrix` ``delta1``, its grade-one
+    invariant; the trivial bundle's ``KGroupPair``
+    ``trivial_comparison``; the bool ``k_distinguishable_from_trivial``;
+    and ``caveats``, a tuple of strings.
+    """
+
+    __slots__ = ()
 
 
 def classify_report(spec: SphereBundleSpec) -> ClassificationReport:

@@ -33,11 +33,11 @@ the stored form is unique; nothing here is approximate.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Union
 
 from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
 from .fgab import _int_text, _signed_sum
@@ -49,6 +49,7 @@ __all__ = [
     "ExpressionParseError",
     "generator",
     "parse_expression",
+    "EXPRESSION_TEXT_BUDGET",
     "NORMAL_FORM_TERMS_BUDGET",
     "NORMAL_FORM_LETTERS_BUDGET",
 ]
@@ -56,7 +57,12 @@ __all__ = [
 #: A path: finite sequence of generator indices, each in 1..d.
 Word = tuple[int, ...]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
+
+#: The longest expression text, in characters, that :func:`parse_expression`
+#: reads; longer text is refused before it is read.  One command-line
+#: argument cannot reach it: Linux caps an argument at 128 KiB.
+EXPRESSION_TEXT_BUDGET = 262_144
 
 #: The most terms :meth:`CuntzElement.normal_form` writes for its input's
 #: terms outside the Leavitt basis, k·(d-1) for a term ending in k shared
@@ -157,20 +163,17 @@ class CuntzElement:
     *structural* (same reduced coefficient map); use :meth:`equals` for
     equality in the algebra, which also sees the unit relation.  Results
     derived from checked elements are built by
-    :func:`~spherecp.fgab._trusted`, which skips the checks of ``__init__``.
+    :func:`~spherecp.fgab._trusted`, which skips the checks of ``__new__``.
     """
 
-    def __init__(self, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
+    def __new__(cls, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
         _check_base(base)
         terms = []
         for (mu, nu), c in (coeffs or {}).items():
             frac = _check_scalar(c)
             key = (_check_word(mu, base), _check_word(nu, base))
             terms.append((key, frac.numerator, frac.denominator))
-        reduced = _over_lcm(base, terms)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_coeffs", reduced._coeffs)
-        object.__setattr__(self, "_den", reduced._den)
+        return _over_lcm(base, terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CuntzElement is immutable")
@@ -431,8 +434,13 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     that token's error with its character position, which is the leftmost
     error.  A coefficient or generator index longer than
     :data:`~spherecp.fgab.LITERAL_DIGITS_BUDGET` digits is such an error.
+    Text longer than :data:`EXPRESSION_TEXT_BUDGET` characters is refused
+    before it is read.
     """
     _check_base(base)
+    if len(text) > EXPRESSION_TEXT_BUDGET:
+        raise ExpressionParseError(f"expression text of {len(text)} characters exceeds "
+                                   f"EXPRESSION_TEXT_BUDGET ({EXPRESSION_TEXT_BUDGET} characters)")
     terms: list[tuple[tuple[Word, Word], int, int]] = []
     num: int | None = None  # the open term's numerator; None between terms
     sign = 1

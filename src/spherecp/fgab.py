@@ -50,9 +50,10 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -102,7 +103,7 @@ def _trusted(cls, *fields, **attrs):
     them, skipping the checks of the class's ``__new__``.  A
     :class:`~spherecp.cuntz_words.CuntzElement` takes its ``attrs`` by
     keyword, written straight to the instance ``__dict__``, skipping
-    ``__init__`` and its ``__setattr__`` guard.  Only for values the
+    its ``__new__`` and its ``__setattr__`` guard.  Only for values the
     library derives from already validated ones: the caller vouches for
     every field, in the form the checked route stores it (tuples for a
     value class; for a ``CuntzElement``, a dict of nonzero int numerators
@@ -157,14 +158,9 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
     return "".join(parts) or "0"
 
 
-class _IntMatrixFields(NamedTuple):
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-class IntMatrix(_Checked, _IntMatrixFields):
-    """Dense integer matrix, entries stored row-major as nested tuples.
+class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
+    """Dense integer matrix: ``rows`` x ``cols`` ints, with ``entries``
+    stored row-major as a tuple of row tuples.
 
     The constructor takes the entries as any sequence of row sequences
     and stores them as tuples, so equal matrices compare and hash equal.
@@ -332,7 +328,7 @@ def parse_matrix(text: str) -> IntMatrix:
     _raise_matrix_text_error(text)
 
 
-def _raise_matrix_text_error(text: str) -> NoReturn:
+def _raise_matrix_text_error(text: str) -> None:
     """Raise the :class:`MatrixParseError` that names the leftmost token error in ``text``.
 
     Text whose every entry reads comes here only if a token is out of
@@ -597,16 +593,15 @@ def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
     return h
 
 
-class SnfDecomposition(NamedTuple):
+class SnfDecomposition(namedtuple("SnfDecomposition", "U D V")):
     """Smith normal form D = U @ A @ V with U, V unimodular.
 
-    D is diagonal with nonnegative entries forming a divisor chain
+    The fields ``U``, ``D`` and ``V`` are :class:`IntMatrix` values.  D
+    is diagonal with nonnegative entries forming a divisor chain
     d1 | d2 | ... ; zero entries come last.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -993,17 +988,14 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
     return tuple(chain[: len(chain) - (cols - rank)]), rank
 
 
-class _FgAbGroupFields(NamedTuple):
-    free_rank: int
-    torsion: tuple[int, ...]
-
-
-class FgAbGroup(_Checked, _FgAbGroupFields):
+class FgAbGroup(_Checked, namedtuple("FgAbGroup", "free_rank torsion")):
     """Finitely generated abelian group Z^free_rank + Z/t1 + ... + Z/tk.
 
-    Canonical form is enforced at construction: every invariant factor is
-    at least 2 and t1 | t2 | ... | tk, so ``==`` is the isomorphism test:
-    two groups are isomorphic exactly when they compare equal.
+    The fields are the int ``free_rank`` and the tuple ``torsion`` of the
+    invariant factors t1, ..., tk.  Canonical form is enforced at
+    construction: every invariant factor is at least 2 and
+    t1 | t2 | ... | tk, so ``==`` is the isomorphism test: two groups are
+    isomorphic exactly when they compare equal.
 
     >>> FgAbGroup.from_factors([2, 3])
     FgAbGroup(free_rank=0, torsion=(6,))

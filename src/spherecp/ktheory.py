@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bundles import SphereBundleSpec
 from .fgab import IntMatrix, _Checked, _int_text, _require_int, _signed_sum, _trusted
@@ -26,16 +26,12 @@ __all__ = [
 ]
 
 
-class _TruncPolyFields(NamedTuple):
-    z: int
-    z1: int
-
-
-class TruncPoly(_Checked, _TruncPolyFields):
+class TruncPoly(_Checked, namedtuple("TruncPoly", "z z1")):
     """K-class ``z + z1*λ`` in Z[λ]/(λ²), the K-ring of an even sphere.
 
     ``z`` is the rank part (the image in K-theory of a point) and ``z1``
-    the reduced part supported on the top cell; ``str`` writes it in λ.
+    the reduced part supported on the top cell, both ints; ``str`` writes
+    it in λ.
 
     >>> str(TruncPoly(3, -1))
     '3 - λ'

@@ -20,7 +20,7 @@ and read its fields without checking them again.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bundles import BundleSpecError, SphereBundleSpec
 from .fgab import FgAbGroup, IntMatrix, _factors, _trusted
@@ -42,11 +42,10 @@ class EvenSphereRequired(BundleSpecError):
 _TRIVIAL = FgAbGroup()  # K1 of every result: a frozen constant, not a cache
 
 
-class KGroupPair(NamedTuple):
-    """K0 and K1 of a bundle algebra."""
+class KGroupPair(namedtuple("KGroupPair", "k0 k1")):
+    """K0 and K1 of a bundle algebra, the :class:`~spherecp.fgab.FgAbGroup` fields ``k0`` and ``k1``."""
 
-    k0: FgAbGroup
-    k1: FgAbGroup
+    __slots__ = ()
 
 
 def pimsner_matrix(spec: SphereBundleSpec) -> IntMatrix:

@@ -59,6 +59,12 @@ class TestValidate:
             with pytest.raises(SpecFormatError):
                 SphereBundleSpec(*fields)
 
+    def test_fields_sharing_a_non_int_class_rejected(self):
+        # validate's fast path compares the fields' classes with each other and with int
+        for fields in ((4.0, 3.0, 0), (4, 3.0, 0.0), (4.0, 3, 0.0), (4.0, 3.0, 0.0), (True, True, 0)):
+            with pytest.raises(SpecFormatError):
+                SphereBundleSpec(*fields)
+
     @pytest.mark.parametrize("value", [1.5, True, "3"], ids=repr)
     @pytest.mark.parametrize("field", ["sphere_dim", "rank", "euler"])
     def test_non_int_field_named_with_its_type(self, field, value):

@@ -27,6 +27,7 @@ from oracles import (
     time_limit,
 )
 from spherecp.cuntz_words import (
+    EXPRESSION_TEXT_BUDGET,
     NORMAL_FORM_LETTERS_BUDGET,
     NORMAL_FORM_TERMS_BUDGET,
     BaseMismatchError,
@@ -733,6 +734,21 @@ class TestExpressionText:
             assert err.value.position == position
         x = parse_expression(2, "9" * 4300 + " s1")
         assert x.terms() == {((1,), ()): Fraction(int("9" * 4300))}
+
+    def test_text_past_the_budget_is_refused_before_it_is_read(self):
+        # one literal padded with spaces to one character past the budget: the
+        # same text one space shorter is read (the next test), so only its length refuses it
+        assert EXPRESSION_TEXT_BUDGET == 262_144
+        text = "7".ljust(EXPRESSION_TEXT_BUDGET + 1)
+        message = r"expression text of 262145 characters exceeds EXPRESSION_TEXT_BUDGET \(262144 characters\)"
+        with time_limit(1), pytest.raises(ExpressionParseError, match=message) as err:
+            parse_expression(2, text)
+        assert err.value.position is None
+
+    def test_text_at_the_budget_is_read(self):
+        text = "7".ljust(EXPRESSION_TEXT_BUDGET)
+        with time_limit(1):
+            assert parse_expression(2, text) == CuntzElement(2, {((), ()): 7})
 
     def test_literal_past_a_lowered_interpreter_limit(self):
         # a process may lower the int <-> str limit below the budget

@@ -50,6 +50,10 @@ class TestTruncPoly:
         with pytest.raises(TypeError):
             TruncPoly(1.5, 0)  # type: ignore[arg-type]
 
+    def test_coordinates_default_to_zero(self):
+        assert TruncPoly() == (0, 0)
+        assert TruncPoly(3) == (3, 0)
+
     @given(long_ints, long_ints)
     @settings(max_examples=100, deadline=None)
     def test_property_renders_past_a_lowered_int_str_limit(self, z, z1):

@@ -81,12 +81,12 @@ def test_one_unchecked_constructor():
     assert defined == ["fgab.py"]
 
 
-def test_cli_import_loads_no_dataclasses():
+def test_cli_import_loads_no_typing_or_dataclasses():
     # every CLI call is a fresh process, which would pay for these imports;
     # -S keeps site-packages hooks out of the count
     code = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import spherecp.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
@@ -136,9 +136,9 @@ def test_only_the_parser_is_memoised():
     assert found == [("cli.py", "build_parser")]
 
 
-def _code_lines_script():
-    path = PACKAGE.parent.parent / "scripts" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
+def _script(name):
+    path = PACKAGE.parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -170,7 +170,37 @@ class A:
 
 def test_code_lines_skip_blanks_comments_and_docstrings():
     # counted: import, class, def, the string's two non-blank lines, and return ( text )
-    assert _code_lines_script().code_lines(CODE_LINES_FIXTURE) == 8
+    assert _script("code_lines").code_lines(CODE_LINES_FIXTURE) == 8
+
+
+MUTANTS_FIXTURE = """\
+\"\"\"Docstring: a < b, a + b, 1.\"\"\"
+
+
+def f(x: int, y: list) -> int:
+    if not (x <= 2):  # a comment: x + y
+        x -= 1
+    return [i * x // 3 for i in y if i is not None and i in (x, 'λ')] + [x > -4 != f"{x + 5}"]
+"""
+
+
+def test_mutants_finds_each_site_and_changes_only_its_segment():
+    mutants = _script("mutants")
+    source = MUTANTS_FIXTURE.encode()
+    sites = mutants.mutation_sites(source)
+    # nothing in the docstring, the comment, a bool or the f-string; the non-ASCII string
+    # before the last line's operators shifts their byte offsets past their character ones
+    assert [(site.line, site.old, site.new) for site in sites] == [
+        (5, "not ", ""), (5, "<=", "<"), (5, "2", "3"), (6, "-=", "+="), (6, "1", "2"),
+        (7, "*", "//"), (7, "//", "*"), (7, "3", "4"), (7, "is not", "is"), (7, "in", "not in"),
+        (7, "+", "-"), (7, ">", ">="), (7, "4", "5"), (7, "!=", "=="),
+    ]
+    for site in sites:
+        mutant = mutants.mutate(source, site)
+        assert mutant[:site.start] == source[:site.start]
+        assert mutant[site.start + len(site.new.encode()):] == source[site.end:]
+        assert source[site.start:site.end] == site.old.encode()
+        ast.parse(mutant)  # every mutant is valid Python
 
 
 def _private_definitions(path: Path) -> list:
