@@ -17,12 +17,12 @@ stays byte-identical.  It runs in a copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` in a temporary directory, never in the checkout:
 ``pytest -x`` on the module's test file ``tests/test_<module>.py``,
 ``tests/test_acceptance.py`` and the module's doctests, under a
-wall-clock limit, past which the mutant's process group is killed.  A
-mutant is killed when those tests fail, survives when they pass, and is
-timed out when they pass the limit.  Before its mutants, each module's
-tests run once unmutated and must pass.
+wall-clock limit of ``TIMEOUT`` seconds, past which the mutant's process
+group is killed.  A mutant is killed when those tests fail, survives
+when they pass, and is timed out when they pass the limit.  Before its
+mutants, each module's tests run once unmutated and must pass.
 
-Run:  python3 scripts/mutants.py [MODULE ...] [--seed N] [--per-module N] [--timeout S]
+Run:  python3 scripts/mutants.py [MODULE ...] [--seed N] [--per-module N]
 
 MODULE is a module name such as ``fgab`` (default: every module but
 ``__init__``).  Prints, per module, its site count and the killed,
@@ -60,6 +60,7 @@ _COMPARE = {
 _ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.FloorDiv: ("//", "*"), ast.Mult: ("*", "//")}
 _COMMENT = re.compile(rb"#[^\n]*")
 _ROW = "{:<14} {:>5} {:>4} {:>6} {:>8} {:>9}"
+TIMEOUT = 180  # seconds per pytest run; the doctests have no per-test limit
 
 
 def _offsets(source: bytes) -> list[int]:
@@ -128,7 +129,7 @@ def mutate(source: bytes, site: Site) -> bytes:
     return source[:site.start] + site.new.encode() + source[site.end:]
 
 
-def _run(tree: Path, paths: list[str], timeout: float, seed: int) -> str:
+def _run(tree: Path, paths: list[str], seed: int) -> str:
     """'killed', 'survived' or 'timed out': the outcome of pytest on ``paths`` in ``tree``."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over between mutants
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
@@ -137,7 +138,7 @@ def _run(tree: Path, paths: list[str], timeout: float, seed: int) -> str:
     with subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as proc:
         try:
-            code = proc.wait(timeout)
+            code = proc.wait(TIMEOUT)
         except subprocess.TimeoutExpired:
             code = None
         finally:
@@ -158,8 +159,6 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"modules to mutate, of {', '.join(modules)} (default: all)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample and of hypothesis (default: 0)")
     parser.add_argument("--per-module", type=int, default=10, metavar="N", help="mutants per module (default: 10)")
-    parser.add_argument("--timeout", type=float, default=180, metavar="S",
-                        help="wall-clock seconds per pytest run (default: 180)")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.modules) - set(modules))
     if unknown:
@@ -177,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
             # the tests first: they run under the suite's per-test time limit, and the doctests do not
             paths = [p for p in (f"tests/test_{name}.py", "tests/test_acceptance.py") if (tree / p).exists()]
             paths.append(f"src/spherecp/{name}.py")
-            if _run(tree, paths, args.timeout, args.seed) != "survived":
-                print(f"{name}: the unmutated tests do not pass within {args.timeout:g} s", file=sys.stderr)
+            if _run(tree, paths, args.seed) != "survived":
+                print(f"{name}: the unmutated tests do not pass within {TIMEOUT} s", file=sys.stderr)
                 return 1
             sites = mutation_sites(source)
             sample = sorted(random.Random(f"{args.seed}:{name}").sample(sites, min(args.per_module, len(sites))))
@@ -186,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             for site in sample:
                 target.write_bytes(mutate(source, site))
                 try:
-                    outcome = _run(tree, paths, args.timeout, args.seed)
+                    outcome = _run(tree, paths, args.seed)
                 finally:
                     target.write_bytes(source)
                 counts[outcome] += 1

@@ -178,6 +178,10 @@ class CuntzElement:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CuntzElement is immutable")
 
+    def __reduce__(self):
+        """``copy`` and ``pickle`` rebuild the element through the checked constructor."""
+        return CuntzElement, (self._base, self.terms())
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -328,7 +328,7 @@ def parse_matrix(text: str) -> IntMatrix:
     _raise_matrix_text_error(text)
 
 
-def _raise_matrix_text_error(text: str) -> None:
+def _raise_matrix_text_error(text: str):
     """Raise the :class:`MatrixParseError` that names the leftmost token error in ``text``.
 
     Text whose every entry reads comes here only if a token is out of

@@ -6,6 +6,8 @@ verify the ring laws, grading, and the decidability contract of
 ``equals`` on small elements.
 """
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -597,6 +599,13 @@ class TestCommonDenominator:
         x, y = CuntzElement(2, {p: -2, one: 2}), CuntzElement(2, {one: -1, p: 1})
         assert list(fraction_product(x.terms(), y.terms())) == [one, p]
         assert repr(x * y) == "CuntzElement(2, {((), ()): Fraction(-2, 1), ((1,), (1,)): Fraction(2, 1)})"
+
+    def test_copies_and_pickles_rebuild_the_element(self):
+        x = CuntzElement(3, {((2, 1), (3,)): Fraction(-5, 6), ((), ()): Fraction(3, 4)})
+        for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert other == x
+            assert repr(other) == repr(x)
+            assert hash(other) == hash(x)
 
     def test_three_hundred_prime_denominators(self):
         # the common denominator of x is the product of the first 300 primes
