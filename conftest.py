@@ -1,11 +1,12 @@
-"""Fixtures and hooks shared by every test module."""
+"""Fixtures and hooks shared by every item pytest collects here: the tests
+under ``tests/`` and the module doctests under ``src/``."""
 
 import pytest
 from oracles import time_limit
 
-#: Wall-time limit of each test, and of importing each test module.  The
-#: slowest test takes about 4 s; a regression that loops fails there
-#: instead of hanging the suite.
+#: Wall-time limit of each test and doctest, and of importing each module
+#: collected.  The slowest test takes about 4 s; a regression that loops
+#: fails there instead of hanging the suite.
 TEST_SECONDS = 60
 
 

@@ -13,14 +13,16 @@ its syntax tree:
 
 A seeded sample of the sites is run, one mutant at a time.  A mutant
 replaces one segment of the module's source, so the rest of the file
-stays byte-identical.  It runs in a copy of ``src/``, ``tests/`` and
-``pyproject.toml`` in a temporary directory, never in the checkout:
-``pytest -x`` on the module's test file ``tests/test_<module>.py``,
-``tests/test_acceptance.py`` and the module's doctests, under a
-wall-clock limit of ``TIMEOUT`` seconds, past which the mutant's process
-group is killed.  A mutant is killed when those tests fail, survives
-when they pass, and is timed out when they pass the limit.  Before its
-mutants, each module's tests run once unmutated and must pass.
+stays byte-identical.  It runs in a copy of ``src/``, ``tests/``,
+``conftest.py`` and ``pyproject.toml`` in a temporary directory, never in
+the checkout: ``pytest -x`` on the module's test file
+``tests/test_<module>.py``, ``tests/test_acceptance.py`` and the module's
+doctests.  ``conftest.py`` fails each test or doctest that runs past
+``TEST_SECONDS``, and the whole run has a wall-clock limit of ``TIMEOUT``
+seconds, past which the mutant's process group is killed.  A mutant is
+killed when those tests fail, survives when they pass, and is timed out
+when the run passes ``TIMEOUT``.  Before its mutants, each module's tests
+run once unmutated and must pass.
 
 Run:  python3 scripts/mutants.py [MODULE ...] [--seed N] [--per-module N]
 
@@ -60,7 +62,7 @@ _COMPARE = {
 _ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.FloorDiv: ("//", "*"), ast.Mult: ("*", "//")}
 _COMMENT = re.compile(rb"#[^\n]*")
 _ROW = "{:<14} {:>5} {:>4} {:>6} {:>8} {:>9}"
-TIMEOUT = 180  # seconds per pytest run; the doctests have no per-test limit
+TIMEOUT = 180  # seconds per pytest run
 
 
 def _offsets(source: bytes) -> list[int]:
@@ -147,7 +149,9 @@ def _run(tree: Path, paths: list[str], seed: int) -> str:
                 proc.wait()
     if code is None:
         return "timed out"
-    if code not in (0, 1, 2):  # 1: a test failed; 2: a collection error or the run was interrupted
+    # 1: a test failed; 2: a collection error or the run was interrupted; 3: an internal
+    # error, as when the mutant makes importing a module exit the process
+    if code not in (0, 1, 2, 3):
         raise RuntimeError(f"pytest exited {code} on {' '.join(paths)}")
     return "survived" if code == 0 else "killed"
 
@@ -170,10 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
+        shutil.copy2(ROOT / "conftest.py", tree)
         for name in args.modules or modules:
             target = tree / "src" / "spherecp" / f"{name}.py"
             source = target.read_bytes()
-            # the tests first: they run under the suite's per-test time limit, and the doctests do not
             paths = [p for p in (f"tests/test_{name}.py", "tests/test_acceptance.py") if (tree / p).exists()]
             paths.append(f"src/spherecp/{name}.py")
             if _run(tree, paths, args.seed) != "survived":

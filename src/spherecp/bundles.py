@@ -24,7 +24,7 @@ import re
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .fgab import SpherecpInputError, _Checked, _literal_int, _require_int
+from .fgab import SpherecpInputError, _Checked, _int_text, _literal_int, _require_int
 
 __all__ = [
     "SphereBundleSpec",
@@ -78,13 +78,13 @@ def validate(spec: SphereBundleSpec) -> SphereBundleSpec:
         _require_int("rank", spec.rank, error=SpecFormatError)
         _require_int("euler parameter", spec.euler_param, error=SpecFormatError)
     if spec.sphere_dim < 1:
-        raise NonpositiveDimension(f"sphere dimension must be >= 1, got {spec.sphere_dim}")
+        raise NonpositiveDimension(f"sphere dimension must be >= 1, got {_int_text(spec.sphere_dim)}")
     if spec.rank < 2:
-        raise RankTooSmall(f"fiber rank must be >= 2, got {spec.rank}")
+        raise RankTooSmall(f"fiber rank must be >= 2, got {_int_text(spec.rank)}")
     if spec.sphere_dim % 2 == 1 and spec.euler_param != 0:
         raise OddSphereNonzeroClass(
-            f"S^{spec.sphere_dim} has trivial reduced K-theory, so the class of a "
-            f"bundle is its rank; euler parameter must be 0, got {spec.euler_param}"
+            f"S^{_int_text(spec.sphere_dim)} has trivial reduced K-theory, so the class of a "
+            f"bundle is its rank; euler parameter must be 0, got {_int_text(spec.euler_param)}"
         )
     return spec
 

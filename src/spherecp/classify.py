@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bundles import SphereBundleSpec, spec_to_dict
-from .fgab import SpherecpInputError, _trusted
+from .fgab import SpherecpInputError, _int_text, _trusted
 from .ktheory import _class_rows, delta1_class, k_class
 from .pimsner import _k0, k_groups, k_groups_trivial
 
@@ -57,11 +57,12 @@ class RankMismatch(ComparisonError):
 def _check_comparable(a: SphereBundleSpec, b: SphereBundleSpec) -> None:
     if a.sphere_dim != b.sphere_dim:
         raise DimensionMismatch(
-            f"cannot compare bundles over different spheres: S^{a.sphere_dim} vs S^{b.sphere_dim}"
+            f"cannot compare bundles over different spheres: "
+            f"S^{_int_text(a.sphere_dim)} vs S^{_int_text(b.sphere_dim)}"
         )
     if a.rank != b.rank:
         raise RankMismatch(
-            f"cannot compare bundles of different rank: {a.rank} vs {b.rank} "
+            f"cannot compare bundles of different rank: {_int_text(a.rank)} vs {_int_text(b.rank)} "
             "(the grade-one invariant is only calibrated within a fixed rank)"
         )
 

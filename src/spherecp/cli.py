@@ -165,7 +165,7 @@ def _cmd_kgroups(args) -> list[str] | dict:
     pair = k_groups(spec)
     parity = "even" if spec.sphere_dim % 2 == 0 else "odd"
     note = (
-        f"{parity} sphere S^{spec.sphere_dim}: K0 = coker, K1 = ker of the "
+        f"{parity} sphere S^{_int_text(spec.sphere_dim)}: K0 = coker, K1 = ker of the "
         f"presentation matrix [{pimsner_matrix(spec).to_text()}] (identity minus tensor endomorphism)"
     )
     if _structured(args):
@@ -181,7 +181,7 @@ def _cmd_classify(args) -> list[str] | dict:
         if _structured(args):
             return report_to_dict(rep)
         return _head(a, rep.k_class, rep.k_groups) + [
-            f"delta1 matrix: {rep.delta1.to_text()} base={a.rank}",
+            f"delta1 matrix: {rep.delta1.to_text()} base={_int_text(a.rank)}",
             f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
             f"distinguishable from trivial by K-theory: {_yes(rep.k_distinguishable_from_trivial)}",
         ] + [f"caveat: {c}" for c in rep.caveats]
@@ -232,11 +232,11 @@ def _cmd_table(args) -> list[str] | dict:
     if _structured(args):
         return {"sphere_dim": args.sphere, "rows": rows}
     header = f"{'d':>3} {'c':>4} {'k_class':<12} {'K0':<18} {'gcd':>4}  distinguishable"
-    human = [f"survey over S^{args.sphere}", header, "-" * len(header)]
+    human = [f"survey over S^{_int_text(args.sphere)}", header, "-" * len(header)]
     for r in rows:
         human.append(
-            f"{r['rank']:>3} {r['euler']:>4} {r['k_class']:<12} {r['K0']:<18} "
-            f"{r['gcd']:>4}  {_yes(r['distinguishable_from_trivial'])}"
+            f"{_int_text(r['rank']):>3} {_int_text(r['euler']):>4} {r['k_class']:<12} {r['K0']:<18} "
+            f"{_int_text(r['gcd']):>4}  {_yes(r['distinguishable_from_trivial'])}"
         )
     return human
 

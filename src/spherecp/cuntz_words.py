@@ -85,7 +85,8 @@ class ExpressionParseError(SpherecpInputError):
 
 def _check_base(base: object) -> None:
     if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-        raise SpherecpInputError(f"number of isometries must be an int >= 2, got {base!r}")
+        got = _int_text(base) if isinstance(base, int) else repr(base)
+        raise SpherecpInputError(f"number of isometries must be an int >= 2, got {got}")
 
 
 def _check_word(word: Iterable[int], base: int) -> Word:
@@ -93,7 +94,7 @@ def _check_word(word: Iterable[int], base: int) -> Word:
     _require_int("generator indices", *w)
     for i in w:
         if not 1 <= i <= base:
-            raise ValueError(f"generator index {i} out of range 1..{base}")
+            raise ValueError(f"generator index {_int_text(i)} out of range 1..{_int_text(base)}")
     return w
 
 
@@ -219,7 +220,7 @@ class CuntzElement:
     def _require_same_base(self, other: "CuntzElement") -> None:
         if self._base != other._base:
             raise BaseMismatchError(
-                f"cannot combine elements over {self._base} and {other._base} isometries"
+                f"cannot combine elements over {_int_text(self._base)} and {_int_text(other._base)} isometries"
             )
 
     def __add__(self, other: "CuntzElement") -> "CuntzElement":
@@ -363,20 +364,16 @@ class CuntzElement:
         lowest terms, then its word: ``sK`` for each letter of mu, then
         ``sK*`` for each letter of nu from the last.  The magnitude is left
         out when it is 1 and the word is not empty; no terms give ``0``.
-        The names ``sK`` and ``sK*`` of each letter that occurs, the names
-        of each distinct nu and the text of each distinct numerator's
-        magnitude are written once per call, in dicts local to the call:
-        nothing is cached between calls, and no table is sized by d.
-        Only when a letter is past the interpreter's int -> str limit are the
-        names written by :func:`~spherecp.fgab._int_text` instead.
+        The names ``sK`` and ``sK*`` of each letter that occurs, with K
+        written by :func:`~spherecp.fgab._int_text`, the names of each
+        distinct nu and the text of each distinct numerator's magnitude are
+        written once per call, in dicts local to the call: nothing is
+        cached between calls, and no table is sized by d.
         """
         den = self._den
         letters = set(chain.from_iterable(chain.from_iterable(self._coeffs)))
-        try:
-            names, stars = {i: f"s{i}" for i in letters}, {i: f"s{i}*" for i in letters}
-        except ValueError:  # a letter past the interpreter's int -> str limit
-            names = {i: "s" + _int_text(i) for i in letters}
-            stars = {i: name + "*" for i, name in names.items()}
+        names = {i: "s" + _int_text(i) for i in letters}
+        stars = {i: name + "*" for i, name in names.items()}
         rights: dict[Word, list[str]] = {}
         mags: dict[int, str] = {}
         terms: list[tuple[bool, str]] = []
@@ -513,4 +510,5 @@ def parse_expression(base: int, text: str) -> CuntzElement:
             _literal_int(m[group], m.start(group), ExpressionParseError)
     if m["numer"]:
         raise ExpressionParseError("zero denominator", m.start())
-    raise ExpressionParseError(f"generator index {int(m['idx'])} out of range 1..{base}", m.start())
+    raise ExpressionParseError(
+        f"generator index {_int_text(int(m['idx']))} out of range 1..{_int_text(base)}", m.start())

@@ -177,7 +177,7 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+            raise ValueError(f"expected {_int_text(rows)} rows, got {len(entries)}")
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows in matrix")
@@ -211,7 +211,8 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+            raise ValueError(f"cannot multiply {_int_text(self.rows)}x{_int_text(self.cols)} "
+                             f"by {_int_text(other.rows)}x{_int_text(other.cols)}")
         cols = tuple(zip(*other.entries)) if other.entries else ()
         data = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) if cols else (0,) * other.cols
@@ -228,10 +229,7 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
 
     def to_text(self) -> str:
         """Render in the compact text format: rows joined by ';', entries by ','."""
-        try:
-            return ";".join(",".join(map(str, row)) for row in self.entries)
-        except ValueError:  # an entry past the interpreter's int -> str limit
-            return ";".join(",".join(map(_int_text, row)) for row in self.entries)
+        return ";".join(",".join(map(_int_text, row)) for row in self.entries)
 
 
 #: The longest integer literal, in digits, that either text parser accepts.
@@ -523,7 +521,7 @@ def _echelon_mod(entries: Sequence[Sequence[int]], cols: int, modulus: int) -> l
 
 
 def _hermite_mod(entries: Sequence[Sequence[int]], modulus: int,
-                 columns: Iterable[Sequence[int]] = ()) -> list[list[int]]:
+                 columns: Iterable[Sequence[int]]) -> list[list[int]]:
     """Hermite form of the row lattice of a square matrix with |det| = ``modulus``.
 
     H is upper triangular with positive diagonal and each entry above the
@@ -710,7 +708,7 @@ def _transposed_bareiss(a: Sequence[Sequence[int]], n: int):
     non-square A's rows carry no identity; the pivots, which never look
     past column m, are the same.
     """
-    columns = list(zip(*a)) or [()] * n  # with no rows, A still has n columns
+    columns = list(zip(*a))
     rows = _set_unit([[*col] + [0] * n for col in columns], n) if len(a) == n else columns
     return _bareiss(rows, len(a), unit=len(a) == n)
 
@@ -1012,10 +1010,11 @@ class FgAbGroup(_Checked, namedtuple("FgAbGroup", "free_rank torsion")):
             raise ValueError("free rank must be nonnegative")
         for t in torsion:
             if t < 2:
-                raise ValueError(f"invariant factors must be >= 2, got {t}")
+                raise ValueError(f"invariant factors must be >= 2, got {_int_text(t)}")
         for x, y in zip(torsion, torsion[1:]):
             if y % x:
-                raise ValueError(f"invariant factors must form a divisor chain: {x} does not divide {y}")
+                raise ValueError(
+                    f"invariant factors must form a divisor chain: {_int_text(x)} does not divide {_int_text(y)}")
         return tuple.__new__(cls, (free_rank, torsion))
 
     @classmethod
@@ -1038,7 +1037,7 @@ class FgAbGroup(_Checked, namedtuple("FgAbGroup", "free_rank torsion")):
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
+            parts.append("Z^" + _int_text(self.free_rank))
         parts.extend(["Z/" + _int_text(t) for t in self.torsion])
         return " + ".join(parts) if parts else "0"
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bundles import BundleSpecError, SphereBundleSpec
-from .fgab import FgAbGroup, IntMatrix, _factors, _trusted
+from .fgab import FgAbGroup, IntMatrix, _factors, _int_text, _trusted
 from .ktheory import _class_matrix, _class_rows
 
 __all__ = [
@@ -90,7 +90,7 @@ def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
     """
     if spec.sphere_dim % 2 == 1:
         raise EvenSphereRequired(
-            f"closed-form trivial-bundle K-groups need an even sphere, got S^{spec.sphere_dim}"
+            f"closed-form trivial-bundle K-groups need an even sphere, got S^{_int_text(spec.sphere_dim)}"
         )
     t = spec.rank - 1
     k0 = _trusted(FgAbGroup, 0, (t, t) if t > 1 else ())

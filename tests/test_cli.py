@@ -359,6 +359,12 @@ class TestTable:
         assert f"{TABLE_ROWS_BUDGET + 1} rows" in err and "TABLE_ROWS_BUDGET" in err
         assert run_cli(capsys, "table", "--d-max", "100000", "--c-max", "100000")[0] == 1
 
+    def test_grid_at_the_budget_runs(self, capsys):
+        # exactly TABLE_ROWS_BUDGET rows: the title, the header and the rule, then one line per row
+        code, out, err = run_cli(capsys, "table", "--d-max", "2", "--c-max", str(TABLE_ROWS_BUDGET - 1))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3 + TABLE_ROWS_BUDGET
+
     @pytest.mark.parametrize("flag, rows", [
         ("--c-max", "5" + "0" * 4300),  # 5 ranks times 10**4300 euler values
         ("--d-max", "6" + "9" * 4298 + "86"),  # (10**4300 - 2) ranks times 7
@@ -565,6 +571,13 @@ class TestCuntz:
 
 
 class TestHarness:
+    def test_help_describes_the_program(self, capsys):
+        # the description is the first line of the module docstring
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "\n\nCommand-line front end.\n\n" in capsys.readouterr().out
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
 

@@ -35,11 +35,15 @@ from oracles import (
     snf_2x2_oracle,
     time_limit,
 )
+from spherecp.bundles import NonpositiveDimension, OddSphereNonzeroClass, RankTooSmall, SphereBundleSpec
+from spherecp.classify import DimensionMismatch, RankMismatch, delta1_equal
+from spherecp.cuntz_words import BaseMismatchError, CuntzElement, ExpressionParseError, parse_expression
 from spherecp.fgab import (
     LITERAL_DIGITS_BUDGET,
     FgAbGroup,
     IntMatrix,
     MatrixParseError,
+    SpherecpInputError,
     cokernel,
     group_order,
     invariant_factors,
@@ -47,6 +51,7 @@ from spherecp.fgab import (
     parse_matrix,
     smith_normal_form,
 )
+from spherecp.pimsner import EvenSphereRequired, k_groups_trivial
 
 
 def snf_is_valid(a, snf):
@@ -785,7 +790,7 @@ class TestBoundedTransforms:
         det = a.det()
         if det == 0:
             return
-        h = spherecp.fgab._hermite_mod(a.entries, abs(det))
+        h = spherecp.fgab._hermite_mod(a.entries, abs(det), ())
         assert prod(h[i][i] for i in range(n)) == abs(det)
         for i in range(n):
             assert all(x == 0 for x in h[i][:i])
@@ -818,7 +823,7 @@ class TestBoundedTransforms:
 
     def test_hermite_form_with_bezout_pivot(self):
         # modulo 12 neither 4 nor 6 is a unit, so column 0 takes a Bezout step
-        assert spherecp.fgab._hermite_mod([[4, 0], [6, 3]], 12) == [[2, 3], [0, 6]]
+        assert spherecp.fgab._hermite_mod([[4, 0], [6, 3]], 12, ()) == [[2, 3], [0, 6]]
         a = IntMatrix.from_rows([[4, 0], [6, 3]])
         snf = smith_normal_form(a)
         snf_is_valid(a, snf)
@@ -835,7 +840,7 @@ class TestBoundedTransforms:
         a, chain = drawn
         modulus = prod(chain)
         swept = self.sweep_count(lambda: spherecp.fgab._hermite_mod(a.entries, modulus, adjugate_columns(a)))
-        assert swept[0] == spherecp.fgab._hermite_mod(a.entries, modulus)
+        assert swept[0] == spherecp.fgab._hermite_mod(a.entries, modulus, ())
         assert swept[1] == (0 if chain[-2] == 1 else 1)
 
     @staticmethod
@@ -897,9 +902,9 @@ class TestBoundedTransforms:
 
     def test_rule_at_sizes_zero_and_one(self):
         hermite, transform = spherecp.fgab._hermite_mod, spherecp.fgab._hermite_and_transform
-        assert hermite([], 1, []) == hermite([], 1) == []
+        assert hermite([], 1, []) == hermite([], 1, ()) == []
         assert transform([], []) == []
-        assert hermite([[-6]], 6, [[1]]) == hermite([[-6]], 6) == [[6]]
+        assert hermite([[-6]], 6, [[1]]) == hermite([[-6]], 6, ()) == [[6]]
         assert hermite([[-6]], 6, [[2], [3]]) == [[6]]  # folded: 2 + 3·3 = 5 modulo 6
         assert transform([[-6]], [0]) == [[6, -1]]
 
@@ -1059,6 +1064,45 @@ class TestIntText:
         assert spherecp.fgab._int_text(10**k - 1) == "9" * k
         assert spherecp.fgab._int_text(-(10**k)) == "-1" + "0" * k
         assert spherecp.fgab._int_text(10**k + 1) == "1" + "0" * (k - 1) + "1"
+
+
+BIG = 10**5000  # past the interpreter's 4300-digit int -> str limit
+
+#: Each library refusal that quotes an integer: the call, the integer past
+#: the limit that it quotes, and the class it raises.
+REFUSALS = [
+    pytest.param(lambda: SphereBundleSpec(-BIG, 2, 0), -BIG, NonpositiveDimension, id="sphere-dim"),
+    pytest.param(lambda: SphereBundleSpec(2, -BIG, 0), -BIG, RankTooSmall, id="rank"),
+    pytest.param(lambda: SphereBundleSpec(BIG + 1, 2, 1), BIG + 1, OddSphereNonzeroClass, id="odd-sphere"),
+    pytest.param(lambda: SphereBundleSpec(1, 2, -BIG), -BIG, OddSphereNonzeroClass, id="odd-sphere-euler"),
+    pytest.param(lambda: delta1_equal(SphereBundleSpec(BIG, 2, 0), SphereBundleSpec(2, 2, 0)), BIG,
+                 DimensionMismatch, id="compare-spheres"),
+    pytest.param(lambda: delta1_equal(SphereBundleSpec(2, 2, 0), SphereBundleSpec(2, BIG, 0)), BIG,
+                 RankMismatch, id="compare-ranks"),
+    pytest.param(lambda: k_groups_trivial(SphereBundleSpec(BIG + 1, 2, 0)), BIG + 1, EvenSphereRequired,
+                 id="trivial-odd-sphere"),
+    pytest.param(lambda: CuntzElement(-BIG), -BIG, SpherecpInputError, id="isometries"),
+    pytest.param(lambda: CuntzElement(2, {((BIG,), ()): 1}), BIG, ValueError, id="generator-index"),
+    pytest.param(lambda: CuntzElement(BIG) + CuntzElement(2), BIG, BaseMismatchError, id="combine-bases"),
+    pytest.param(lambda: IntMatrix(BIG, 0, ()), BIG, ValueError, id="matrix-rows"),
+    pytest.param(lambda: FgAbGroup(torsion=(-BIG,)), -BIG, ValueError, id="invariant-factor"),
+    pytest.param(lambda: FgAbGroup(torsion=(3, BIG)), BIG, ValueError, id="divisor-chain"),
+    pytest.param(lambda: parse_expression(BIG, "s0"), BIG, ExpressionParseError, id="parsed-generator-index"),
+    pytest.param(lambda: IntMatrix(0, BIG, ()) @ IntMatrix(1, 1, [[1]]), BIG, ValueError, id="multiply-shapes"),
+]
+
+
+class TestRefusalsPastTheIntStrLimit:
+    @pytest.mark.parametrize("refused, value, error", REFUSALS)
+    def test_refusal_keeps_its_class_and_quotes_the_digits(self, refused, value, error):
+        # str() of the integer would raise the interpreter's own ValueError in place of the refusal
+        with pytest.raises(error) as caught:
+            refused()
+        assert type(caught.value) is error
+        assert spherecp.fgab._int_text(value) in str(caught.value)
+
+    def test_group_with_a_free_rank_past_the_limit_prints(self):
+        assert str(FgAbGroup(BIG)) == "Z^1" + "0" * 5000
 
 
 MATRIX_ALPHABET = list("0123456789+-,;[] \t\r\n") + ["],[", "] ,\n[", "[[[", "]]]"]

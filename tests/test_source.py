@@ -226,3 +226,29 @@ def test_every_private_helper_has_a_use():
                 read.add(node.attr)
     unread = [f"{path.name}:{name}" for path in SOURCES for name in _private_definitions(path) if name not in read]
     assert unread == []
+
+
+def _value_error_catchers(path: Path) -> list:
+    """The innermost function around each ``except`` clause that names ``ValueError``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(c, ast.Name) and c.id == "ValueError" for c in caught):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(_tree(path), None)
+    return found
+
+
+def test_only_the_integer_writer_and_readers_catch_value_error():
+    # str() of an int past the int -> str limit raises ValueError: _int_text is the one
+    # writer that works around it, and the readers catch int()'s refusal of a literal
+    # past a lower limit; any other catch is a private copy of one of them
+    catchers = sorted(name for path in SOURCES for name in _value_error_catchers(path))
+    assert catchers == ["_int_text", "_literal_int", "parse_expression", "parse_matrix"]
