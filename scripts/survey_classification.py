@@ -26,9 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from spherecp import (  # noqa: E402
     FgAbGroup,
     SphereBundleSpec,
+    classify_report,
     graded_stably_isomorphic,
     k_distinguishable,
-    k_groups,
 )
 
 
@@ -43,12 +43,12 @@ def survey(sphere: int, d_max: int, c_max: int) -> int:
     print(f"{'d':>3} {'c':>4} {'gcd':>4}  {'K0 (matrix route)':<22} {'closed form':<22} {'K-visible':>9}")
     for d in range(2, d_max + 1):
         for c in range(0, c_max + 1):
-            spec = SphereBundleSpec(sphere, d, c)
-            computed = k_groups(spec).k0
+            report = classify_report(SphereBundleSpec(sphere, d, c))
+            computed = report.k_groups.k0
             predicted = closed_form_k0(d, c)
             agree = computed == predicted
             mismatches += not agree
-            visible = k_distinguishable(spec, SphereBundleSpec(sphere, d, 0))
+            visible = report.k_distinguishable_from_trivial
             print(f"{d:>3} {c:>4} {gcd(d - 1, c):>4}  {str(computed):<22}"
                   f" {str(predicted):<22} {'yes' if visible else 'no':>9}"
                   f"{'' if agree else '   << MISMATCH'}")

@@ -24,12 +24,14 @@ from spherecp import parse_expression  # noqa: E402
 
 
 IDENTITIES = [
-    # name, left (None = built per d), right, expected verdict
+    # name, left (its text, or a function of d that writes it), right, expected verdict
     ("isometry relation", "s1* s1", "1", True),
     ("orthogonality", "s1* s2", "0", True),
     ("range projections are idempotent", "s1 s1* s1 s1*", "s1 s1*", True),
-    ("unit resolution", None, "1", True),
-    ("refined unit resolution (depth 2)", None, "1", True),
+    ("unit resolution", lambda d: " + ".join(f"s{i} s{i}*" for i in range(1, d + 1)), "1", True),
+    # the unit resolution applied twice: s_i s_j s_j* s_i* over all d^2 pairs
+    ("refined unit resolution (depth 2)",
+     lambda d: " + ".join(f"s{i} s{j} s{j}* s{i}*" for i in range(1, d + 1) for j in range(1, d + 1)), "1", True),
     ("partial sum is not the unit", "s1 s1*", "1", False),
     ("left shift absorbs a letter", "s1* s1 s2", "s2", True),
     ("orthogonal projections annihilate", "s1 s1* s2 s2*", "0", True),
@@ -38,17 +40,9 @@ IDENTITIES = [
 
 
 def build_cases(d: int):
-    unit_terms = " + ".join(f"s{i} s{i}*" for i in range(1, d + 1))
-    # the unit resolution applied twice: s_i s_j s_j* s_i* over all d^2 pairs
-    refined = " + ".join(f"s{i} s{j} s{j}* s{i}*" for i in range(1, d + 1) for j in range(1, d + 1))
     for name, left, right, expected in IDENTITIES:
-        if name == "unit resolution":
-            built = parse_expression(d, unit_terms)
-        elif name.startswith("refined unit resolution"):
-            built = parse_expression(d, refined)
-        else:
-            built = parse_expression(d, left)
-        yield name, built, parse_expression(d, right), expected
+        left = left(d) if callable(left) else left
+        yield name, parse_expression(d, left), parse_expression(d, right), expected
 
 
 def main() -> None:

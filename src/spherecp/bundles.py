@@ -33,11 +33,18 @@ __all__ = [
     "RankTooSmall",
     "OddSphereNonzeroClass",
     "SpecFormatError",
+    "SPEC_TEXT_BUDGET",
     "validate",
     "parse_spec",
     "load_spec",
     "spec_to_dict",
 ]
+
+
+#: The longest bundle spec text, in characters, that :func:`parse_spec` reads;
+#: :func:`load_spec` reads at most one character more of a file.  A spec of
+#: three integers of ``LITERAL_DIGITS_BUDGET`` digits takes about 13 KB.
+SPEC_TEXT_BUDGET = 262_144
 
 
 class BundleSpecError(SpherecpInputError):
@@ -109,8 +116,11 @@ def parse_spec(text: str) -> SphereBundleSpec:
     Building the spec validates it, so a spec that violates the domain
     restrictions raises here.  A spec is one flat object, so text with a
     second bracket outside its strings is refused before ``json.loads``
-    could exhaust the recursion limit on it.
+    could exhaust the recursion limit on it.  Text longer than
+    :data:`SPEC_TEXT_BUDGET` characters is refused before either.
     """
+    if len(text) > SPEC_TEXT_BUDGET:
+        raise SpecFormatError(f"bundle spec text exceeds SPEC_TEXT_BUDGET ({SPEC_TEXT_BUDGET} characters)")
     bare = _JSON_STRING.sub("", text)
     if bare.count("{") + bare.count("[") > 1:
         raise SpecFormatError("bundle spec nests deeper than one flat JSON object")
@@ -131,9 +141,14 @@ def parse_spec(text: str) -> SphereBundleSpec:
 
 
 def load_spec(path: str | Path) -> SphereBundleSpec:
-    """Read a JSON bundle spec from a file."""
+    """Read a JSON bundle spec from a file, decoded as ``Path.read_text`` decodes it.
+
+    At most one character past :data:`SPEC_TEXT_BUDGET` is read, so a longer
+    file, or an endless one such as ``/dev/zero``, is refused without being read whole.
+    """
     try:
-        text = Path(path).read_text()
+        with Path(path).open() as file:
+            text = file.read(SPEC_TEXT_BUDGET + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read bundle spec file: {exc}") from None
     return parse_spec(text)

@@ -74,13 +74,8 @@ def _add_spec_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
     p.add_argument(f"--spec{suffix}", metavar="FILE", help=f"JSON bundle spec file{tag}")
 
 
-def _spec_from_args(args, suffix: str = "", fallback: SphereBundleSpec | None = None) -> SphereBundleSpec:
-    """Build a bundle spec from --spec FILE or from the numeric flags.
-
-    With a ``fallback`` (the first bundle of a pair), missing numeric
-    fields inherit from it, so ``--euler2 0`` alone compares against the
-    same sphere and rank.
-    """
+def _spec_from_args(args, suffix: str = "") -> SphereBundleSpec:
+    """Build a bundle spec from --spec FILE or from the numeric flags."""
     path = getattr(args, f"spec{suffix}")
     sphere = getattr(args, f"sphere{suffix}")
     rank = getattr(args, f"rank{suffix}")
@@ -89,13 +84,8 @@ def _spec_from_args(args, suffix: str = "", fallback: SphereBundleSpec | None = 
         if sphere is not None or rank is not None or euler is not None:
             raise CliError(f"--spec{suffix} cannot be combined with numeric bundle flags")
         return load_spec(path)
-    if fallback is not None:
-        sphere = fallback.sphere_dim if sphere is None else sphere
-        rank = fallback.rank if rank is None else rank
-        euler = fallback.euler_param if euler is None else euler
     if sphere is None or rank is None:
-        which = f"--sphere{suffix} and --rank{suffix}" if suffix else "--sphere and --rank"
-        raise CliError(f"need {which} (or --spec{suffix} FILE)")
+        raise CliError(f"need --sphere{suffix} and --rank{suffix} (or --spec{suffix} FILE)")
     return SphereBundleSpec(sphere, rank, 0 if euler is None else euler)
 
 
@@ -174,9 +164,15 @@ def _cmd_kgroups(args) -> list[str] | dict:
 
 
 def _cmd_classify(args) -> list[str] | dict:
-    """One spec: its classification report.  Two (any ``...2`` flag given): the pairwise verdicts."""
+    """One spec: its classification report.  Two (any ``...2`` flag given): the pairwise verdicts.
+
+    Bundle B is ``--spec2 FILE``, or A with the fields that ``--sphere2/--rank2/--euler2``
+    give replaced, through the checked constructor.
+    """
     a = _spec_from_args(args)
-    if all(getattr(args, name) is None for name in ("sphere2", "rank2", "euler2", "spec2")):
+    flags = zip(SphereBundleSpec._fields, (args.sphere2, args.rank2, args.euler2))
+    given = {field: value for field, value in flags if value is not None}
+    if not given and args.spec2 is None:
         rep = classify_report(a)
         if _structured(args):
             return report_to_dict(rep)
@@ -185,7 +181,7 @@ def _cmd_classify(args) -> list[str] | dict:
             f"trivial comparison: K0 = {rep.trivial_comparison.k0}",
             f"distinguishable from trivial by K-theory: {_yes(rep.k_distinguishable_from_trivial)}",
         ] + [f"caveat: {c}" for c in rep.caveats]
-    b = _spec_from_args(args, suffix="2", fallback=a)
+    b = a._replace(**given) if args.spec2 is None else _spec_from_args(args, suffix="2")
     verdicts = {
         "delta1_equal": delta1_equal(a, b),
         "graded_stably_isomorphic": graded_stably_isomorphic(a, b),

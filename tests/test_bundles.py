@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecp.bundles import (
+    SPEC_TEXT_BUDGET,
     NonpositiveDimension,
     OddSphereNonzeroClass,
     RankTooSmall,
@@ -151,6 +152,15 @@ class TestSpecFiles:
         # brackets inside strings are not nesting: the unknown field is named
         with pytest.raises(SpecFormatError, match=r"unknown bundle spec fields: a\[\{"):
             parse_spec('{"sphere_dim": 4, "rank": 3, "a[{": "]\\"["}')
+
+    def test_text_past_the_budget_is_refused_before_the_nesting_check(self):
+        assert SPEC_TEXT_BUDGET == 262_144
+        text = '{"sphere_dim": 4, "rank": 3}'.ljust(SPEC_TEXT_BUDGET)
+        assert parse_spec(text) == SphereBundleSpec(4, 3)
+        message = r"^bundle spec text exceeds SPEC_TEXT_BUDGET \(262144 characters\)$"
+        for longer in (text + " ", "[" * (SPEC_TEXT_BUDGET + 1)):
+            with pytest.raises(SpecFormatError, match=message):
+                parse_spec(longer)
 
     def test_bad_json_rejected(self):
         with pytest.raises(SpecFormatError):

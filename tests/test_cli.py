@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import random_cuntz_element, time_limit
 
-from spherecp import cli
+from spherecp import SPEC_TEXT_BUDGET, cli
 from spherecp.bundles import BundleSpecError, SpecFormatError, SphereBundleSpec
 from spherecp.classify import ComparisonError, classify_report
 from spherecp.cli import TABLE_ROWS_BUDGET, _table_row, main, render_structured
@@ -157,6 +157,22 @@ class TestKGroups:
         assert code == 1 and out == ""
         assert err.startswith("error: bundle spec nests deeper than one flat JSON object")
 
+    def test_spec_file_past_the_budget_is_refused(self, capsys, tmp_path):
+        # a valid spec padded with spaces to one character past the budget was read whole and exited 0
+        assert SPEC_TEXT_BUDGET == 262_144
+        p = tmp_path / "b.json"
+        p.write_text('{"sphere_dim": 4, "rank": 3, "euler": 1}'.ljust(SPEC_TEXT_BUDGET + 1))
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: bundle spec text exceeds SPEC_TEXT_BUDGET (262144 characters)\n"
+
+    def test_spec_file_at_the_budget_is_read(self, capsys, tmp_path):
+        p = tmp_path / "b.json"
+        p.write_text('{"sphere_dim": 4, "rank": 3, "euler": 1}'.ljust(SPEC_TEXT_BUDGET))
+        code, out, err = run_cli(capsys, "kgroups", "--spec", str(p))
+        assert (code, err) == (0, "")
+        assert "K0 = Z/4" in out
+
     @pytest.mark.parametrize("value", [1.5, True, "3"], ids=repr)
     @pytest.mark.parametrize("field", ["sphere_dim", "rank", "euler"])
     def test_spec_non_int_field(self, capsys, tmp_path, field, value):
@@ -290,6 +306,28 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", "--spec", str(a), "--spec2", str(b))
         assert code == 0
         assert "graded stably isomorphic: no" in out
+
+    def test_pair_spec_file_and_euler2(self, capsys, tmp_path):
+        # bundle B is bundle A, read from the file, with the euler parameter replaced
+        a = tmp_path / "a.json"
+        a.write_text('{"sphere_dim": 4, "rank": 3, "euler": 1}')
+        assert run_cli(capsys, "classify", "--spec", str(a), "--euler2", "0") == (0, (
+            "bundle A: sphere_dim=4 rank=3 euler=1\n"
+            "bundle B: sphere_dim=4 rank=3 euler=0\n"
+            "delta1 invariants equal: no\n"
+            "graded stably isomorphic: no\n"
+            "K-theory distinguishes them: yes\n"), "")
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--rank2", "1"], "error: fiber rank must be >= 2, got 1\n"),  # RankTooSmall
+        (["--sphere2", "5"], "error: S^5 has trivial reduced K-theory, so the class of a bundle is its rank; "
+                             "euler parameter must be 0, got 1\n"),  # OddSphereNonzeroClass, from A's euler
+        (["--spec2", "a.json", "--euler2", "0"], "error: --spec2 cannot be combined with numeric bundle flags\n"),
+    ], ids=["rank2", "sphere2", "spec2-and-euler2"])
+    def test_pair_bundle_b_refusals(self, capsys, tmp_path, monkeypatch, flags, err):
+        monkeypatch.chdir(tmp_path)
+        Path("a.json").write_text('{"sphere_dim": 4, "rank": 3, "euler": 1}')
+        assert run_cli(capsys, "classify", "--sphere", "4", "--rank", "3", "--euler", "1", *flags) == (1, "", err)
 
 
 class TestTable:
@@ -838,6 +876,7 @@ class TestFrontDoor:
     @given(front_door_cases())
     @example((["table", "--c-max", "9" * 4300], {}))
     @example((["table", "--d-max", "9" * 4300, "--format", "structured"], {}))
+    @example((["kgroups", "--spec", "SPEC"], {"SPEC": b'{"sphere_dim": 4, "rank": 3}'.ljust(SPEC_TEXT_BUDGET + 1)}))
     @settings(max_examples=300, deadline=5000, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_exit_is_zero_or_one(self, tmp_path, case):
         argv, files = case
