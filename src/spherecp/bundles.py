@@ -19,8 +19,12 @@ imports nothing from those stages.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
+import os
 import re
+import stat
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -140,15 +144,44 @@ def parse_spec(text: str) -> SphereBundleSpec:
     return SphereBundleSpec(raw["sphere_dim"], raw["rank"], raw.get("euler", 0))
 
 
+def _read_text(file) -> str:
+    """At most ``SPEC_TEXT_BUDGET + 1`` characters of the text ``file``, decoded as ``Path.read_text`` decodes.
+
+    The bytes under ``file`` are decoded here, in its encoding and with
+    newlines translated, so that a decode error names its byte position
+    from the start of the file, as ``read_text``'s does, not from the
+    chunk it was found in.
+    """
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder(file.encoding)(), translate=True)
+    raw, text = b"", ""
+    while len(text) <= SPEC_TEXT_BUDGET:
+        chunk = file.buffer.read(SPEC_TEXT_BUDGET + 1)
+        raw += chunk
+        try:
+            text += decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError:
+            raw.decode(file.encoding)  # decoded at once, as read_text decodes, the bytes so far raise its error
+            raise
+        if not chunk:
+            break
+    return text[:SPEC_TEXT_BUDGET + 1]
+
+
 def load_spec(path: str | Path) -> SphereBundleSpec:
     """Read a JSON bundle spec from a file, decoded as ``Path.read_text`` decodes it.
 
     At most one character past :data:`SPEC_TEXT_BUDGET` is read, so a longer
     file, or an endless one such as ``/dev/zero``, is refused without being read whole.
+    The file opens without waiting for a writer, and its reads then wait as
+    usual: a pipe that a process writes to is read to its end, and a FIFO
+    that no process has open for writing is refused at once.
     """
     try:
-        with Path(path).open() as file:
-            text = file.read(SPEC_TEXT_BUDGET + 1)
+        with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as file:
+            os.set_blocking(file.fileno(), True)
+            text = _read_text(file)
+            if not text and stat.S_ISFIFO(os.fstat(file.fileno()).st_mode):
+                raise SpecFormatError("bundle spec file is a FIFO with no writer")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read bundle spec file: {exc}") from None
     return parse_spec(text)

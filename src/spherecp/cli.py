@@ -62,8 +62,27 @@ class CliError(SpherecpInputError):
 
 
 class _Parser(argparse.ArgumentParser):
+    #: Subcommand name -> its parser; :func:`build_parser` fills it on the top-level parser only.
+    commands: dict = {}
+
     def error(self, message):  # argparse would exit(2); we want exit 1
         raise CliError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        """``ArgumentParser.parse_args`` in one pass when ``args[0]`` names a subcommand.
+
+        For such ``args`` argparse's own pass at this level only hands ``args[1:]``
+        to the subcommand's parser, so that parser reads them here directly, into
+        a namespace whose ``subcommand`` is set.  Any other ``args`` (empty,
+        ``-h``, an unknown name, an option first) take argparse's own route.
+        """
+        args = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(args[0]) if args else None
+        if command is None:
+            return super().parse_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        namespace.subcommand = args[0]
+        return command.parse_args(args[1:], namespace)
 
 
 def _add_spec_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -123,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snf._negative_number_matcher = re.compile(r"^-\d")
     p_cz._negative_number_matcher = re.compile(r"^-[\ds]")
 
+    parser.commands = sub.choices
     return parser
 
 

@@ -176,6 +176,22 @@ class TestSpecFiles:
         p.write_text('{"sphere_dim": 6, "rank": 5, "euler": -2}')
         assert load_spec(p) == SphereBundleSpec(6, 5, -2)
 
+    @pytest.mark.parametrize("data, position", [
+        (b'{"sphere_dim": 4, "rank": 3}\xc3', 28),
+        # past the reader's first chunk: 140 000 two-byte characters, then a byte that starts none
+        ('{"sphere_dim": 4, "rank": 3, "x": "'.encode() + "é".encode() * 140_000 + b"\xff", 280_035),
+    ], ids=["end-of-data", "past-the-first-chunk"])
+    def test_decode_error_counts_its_position_from_the_start_of_the_file(self, tmp_path, data, position):
+        # the reader named the position in the chunk it decoded last: "position 0" for the first
+        p = tmp_path / "bundle.json"
+        p.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as read_text:
+            p.read_text()
+        assert f" in position {position}: " in str(read_text.value)
+        with pytest.raises(SpecFormatError) as exc:
+            load_spec(p)
+        assert str(exc.value) == f"cannot read bundle spec file: {read_text.value}"
+
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(SpecFormatError):
             load_spec(tmp_path / "nope.json")

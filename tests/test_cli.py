@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -8,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +201,42 @@ class TestKGroups:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read bundle spec file:")
 
+    def test_spec_fifo_with_no_writer_is_refused_at_once(self, capsys, tmp_path):
+        # open() waited for a writer with no time bound
+        fifo = tmp_path / "spec"
+        os.mkfifo(fifo)
+        with time_limit(5):
+            result = run_cli(capsys, "kgroups", "--spec", str(fifo))
+        assert result == (1, "", "error: bundle spec file is a FIFO with no writer\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("delay", [None, 0.2], ids=["writer-done", "writer-late"])
+    def test_spec_pipe_with_a_writer_is_read(self, capsys, delay):
+        # what --spec <(printf ...) passes: /dev/fd/N of a pipe whose writer may not have written yet
+        read, write = os.pipe()
+
+        def writer():
+            if delay is not None:
+                time.sleep(delay)
+            os.write(write, b'{"sphere_dim": 4, "rank": 3}')
+            os.close(write)
+
+        thread = threading.Thread(target=writer)
+        if delay is None:
+            writer()
+        else:
+            thread.start()
+        try:
+            with time_limit(5):
+                code, out, err = run_cli(capsys, "kgroups", "--spec", f"/dev/fd/{read}")
+        finally:
+            if delay is not None:
+                thread.join(5)
+            os.close(read)
+        assert not thread.is_alive()
+        assert (code, err) == (0, "")
+        assert "K0 = Z/2 + Z/2" in out
+
     def test_spec_file_conflicts_with_flags(self, capsys, tmp_path):
         p = tmp_path / "b.json"
         p.write_text('{"sphere_dim": 4, "rank": 3}')
@@ -282,6 +321,16 @@ class TestClassify:
         assert data["graded_stably_isomorphic"] is True
         assert data["k_distinguishable"] is False
         assert data["specB"] == {"sphere_dim": 6, "rank": 4, "euler": 2}
+
+    @pytest.mark.parametrize("euler2, distinguishable", [("2", False), ("0", True)])
+    def test_pair_structured_notes_only_equal_k_groups(self, capsys, euler2, distinguishable):
+        code, out, _ = run_cli(capsys, "classify", "--sphere", "6", "--rank", "4", "--euler", "2",
+                               "--euler2", euler2, "--format", "structured")
+        assert code == 0
+        data = json.loads(out)
+        assert data["k_distinguishable"] is distinguishable
+        note = "equal K-groups are inconclusive; the verdict comes from the delta1 invariant"
+        assert data.get("note", "absent") == ("absent" if distinguishable else note)
 
     def test_pair_rank_mismatch_is_refused(self, capsys):
         code, _, err = run_cli(
@@ -390,8 +439,15 @@ class TestTable:
         assert run_cli(capsys, "table", "--sphere", "3")[0] == 1
         assert run_cli(capsys, "table", "--jobs", "0")[0] == 1
 
+    def test_smallest_bounds_run(self, capsys):
+        # --d-max 2 and --c-max 0, each the least its refusal allows: one row, rank 2 and euler 0
+        code, out, err = run_cli(capsys, "table", "--d-max", "2", "--c-max", "0", "--format", "structured")
+        assert (code, err) == (0, "")
+        assert [(row["rank"], row["euler"]) for row in json.loads(out)["rows"]] == [(2, 0)]
+
     def test_grid_over_budget_is_refused(self, capsys):
         # budget + 1 rows; without the check this would print them all and exit 0
+        assert TABLE_ROWS_BUDGET == 10_000  # the figure the README gives
         code, out, err = run_cli(capsys, "table", "--d-max", "2", "--c-max", str(TABLE_ROWS_BUDGET))
         assert code == 1 and out == ""
         assert f"{TABLE_ROWS_BUDGET + 1} rows" in err and "TABLE_ROWS_BUDGET" in err
@@ -691,6 +747,106 @@ class TestHarness:
         assert len(rendered) == calls
 
 
+# argv for the dispatch differential: all five subcommands, -h at both levels,
+# "--", abbreviated and ambiguous options, values that begin with a minus sign,
+# unknown and missing arguments, and argv[0] that names no subcommand.
+DISPATCH_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["-h", "kgroups"],
+    ["kgroups", "-h"], ["classify", "--help"], ["table", "-h"], ["snf", "-h"], ["cuntz", "--he"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "--euler", "1"],
+    ["kgroups", "--sph", "4", "--ra", "3", "--fo", "structured"],
+    ["kgroups", "--sphere=4", "--rank=3", "--format=structured"],
+    ["kgroups", "--s", "4", "--rank", "3"],
+    ["kgroups", "--rank", "3"],
+    ["kgroups", "--sphere"],
+    ["kgroups", "--sphere", "x", "--rank", "3"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "--zap"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "extra"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "--", "extra"],
+    ["kgroups", "--", "--sphere", "4", "--rank", "3"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "--format", "xml"],
+    ["kgroups", "--spec", "no/such/spec.json"],
+    ["kgroups", "--sphere", "4", "--rank", "3", "-h"],
+    ["classify", "--sphere", "4", "--rank", "3", "--euler", "1"],
+    ["classify", "--sphere", "4", "--rank", "3", "--euler", "1", "--euler2", "0", "--format", "structured"],
+    ["classify", "--sphere", "4", "--rank", "3", "--e", "1"],
+    ["classify", "--sphere", "4", "--rank", "3", "--rank2", "4"],
+    ["classify", "--sphere", "-4", "--rank", "-3"],
+    ["table"],
+    ["table", "--d", "3", "--c-max", "2", "--format", "structured"],
+    ["table", "--sphere", "-4"],
+    ["table", "--d-max", "3", "--", "--c-max"],
+    ["snf", "-2,0;-1,-2"],
+    ["snf", "--", "-2,0;-1,-2"],
+    ["snf", "-2,0;-1,-2", "--format", "structured"],
+    ["snf"],
+    ["snf", "1,2", "3,4"],
+    ["snf", "-x"],
+    ["snf", "--", "-h"],
+    ["cuntz", "--d", "2", "s1 s2*"],
+    ["cuntz", "--d", "2", "-s1"],
+    ["cuntz", "-s1", "--d", "2"],
+    ["cuntz", "--d", "2", "s1", "--eq", "-s1"],
+    ["cuntz", "--d=2", "--", "-s1 + s1"],
+    ["cuntz", "--d", "2"],
+    ["cuntz", "s1"],
+    ["cuntz", "--d", "-2", "s1"],
+    ["frobnicate"], ["Kgroups"], ["kgroup"], [""], ["-x"], ["--"],
+    ["--", "kgroups", "--sphere", "4", "--rank", "3"],
+    ["--format", "human", "kgroups", "--sphere", "4", "--rank", "3"],
+    ["--sphere", "4", "kgroups"],
+]
+
+
+def _main_outcome(capsys, monkeypatch, argv):
+    """What ``main(argv)`` does: the namespace each subcommand body gets, its exit and its output."""
+    namespaces = []
+    for name, body in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args, body=body: namespaces.append(vars(args).copy()) or body(args))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return [list(ns.items()) for ns in namespaces], code, captured.out, captured.err
+
+
+def _both_routes(capsys, monkeypatch, argv):
+    """``_main_outcome`` with ``_Parser.parse_args``, then with argparse's own ``parse_args``, its oracle.
+
+    The oracle makes argparse's two passes, the top-level parser's and the
+    subcommand's; ``main`` must see the same namespace, print the same and
+    exit the same way with either.
+    """
+    got = _main_outcome(capsys, monkeypatch, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli._Parser, "parse_args", argparse.ArgumentParser.parse_args)
+        want = _main_outcome(capsys, m, argv)
+    return got, want
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=repr)
+    def test_matches_argparse(self, capsys, monkeypatch, argv):
+        got, want = _both_routes(capsys, monkeypatch, argv)
+        assert got == want
+        try:
+            oracle = argparse.ArgumentParser.parse_args(cli.build_parser(), list(argv))
+        except (SpherecpInputError, SystemExit):
+            assert got[0] == []
+        else:
+            assert got[0] == [list(vars(oracle).items())]
+        capsys.readouterr()
+
+    def test_subcommand_argv_skips_the_top_level_pass(self, capsys, monkeypatch):
+        def top_level_pass(*args, **kwargs):
+            raise AssertionError("the top-level parser read argv")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", top_level_pass)
+        assert run_cli(capsys, *KGROUPS_ARGV) == (0, KGROUPS_PINNED[0][1], "")
+        assert run_cli(capsys, "--help")[0] == 2  # argv[0] names no subcommand: the top-level parser reads it
+
+
 class _FailingStdout:
     """A stdout whose ``write`` or ``flush`` raises ``error``; it keeps every text it is asked to write."""
 
@@ -899,3 +1055,14 @@ class TestFrontDoor:
             except ValueError:  # an integer past the int -> str limit, which json cannot read back
                 return
             assert again == out
+
+    @given(front_door_cases())
+    @settings(max_examples=100, deadline=5000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_dispatch_matches_argparse(self, capsys, tmp_path, case):
+        argv, files = case
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = [str(tmp_path / token) if token in files else token for token in argv]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, want = _both_routes(capsys, monkeypatch, argv)
+        assert got == want
