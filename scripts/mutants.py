@@ -9,7 +9,10 @@ its syntax tree:
 * an arithmetic operator swapped: ``+`` and ``-``, ``//`` and ``*``, also
   in augmented assignments (``+=`` and ``-=``, ``//=`` and ``*=``);
 * 1 added to an int constant;
-* a ``not`` dropped.
+* a ``not`` dropped;
+* a unary minus dropped, as in ``-spec.euler_param``;
+* two neighbouring positional arguments of a call swapped, as in
+  ``_class_rows(n, z, z1)``, unless their texts are equal.
 
 A seeded sample of the sites is run, one mutant at a time.  A mutant
 replaces one segment of the module's source, so the rest of the file
@@ -24,12 +27,15 @@ killed when those tests fail, survives when they pass, and is timed out
 when the run passes ``TIMEOUT``.  Before its mutants, each module's tests
 run once unmutated and must pass.
 
-Run:  python3 scripts/mutants.py [MODULE ...] [--seed N] [--per-module N]
+Run:  python3 scripts/mutants.py [MODULE[:FUNCTION] ...] [--seed N] [--per-module N]
 
 MODULE is a module name such as ``fgab`` (default: every module but
-``__init__``).  Prints, per module, its site count and the killed,
-survived and timed-out counts, then each survivor and timed-out mutant
-with its source line.  Exits 1 when an unmutated run fails.
+``__init__``); ``fgab:_factors`` takes only the sites inside the
+definitions named ``_factors``.  ``--per-module 0`` runs every site.
+Prints, per module, its site count and the killed, survived and
+timed-out counts, then each survivor and timed-out mutant with its
+source line.  Exits 1 when an unmutated run fails or a FUNCTION is not
+found.
 """
 
 import argparse
@@ -61,7 +67,7 @@ _COMPARE = {
 }
 _ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.FloorDiv: ("//", "*"), ast.Mult: ("*", "//")}
 _COMMENT = re.compile(rb"#[^\n]*")
-_ROW = "{:<14} {:>5} {:>4} {:>6} {:>8} {:>9}"
+_ROW = "{:<18} {:>5} {:>4} {:>6} {:>8} {:>9}"
 TIMEOUT = 180  # seconds per pytest run
 
 
@@ -123,7 +129,25 @@ def mutation_sites(source: bytes) -> list[Site]:
             end = lines[node.operand.lineno - 1] + node.operand.col_offset
             # drop "not" and the blanks after it, keeping any parenthesis that opens the operand
             add(start, start + len(re.match(rb"not\s*", source[start:end]).group()), "")
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            start = lines[node.lineno - 1] + node.col_offset
+            end = lines[node.operand.lineno - 1] + node.operand.col_offset
+            add(start, start + len(re.match(rb"-\s*", source[start:end]).group()), "")
+        elif isinstance(node, ast.Call):
+            spans = [(lines[arg.lineno - 1] + arg.col_offset, lines[arg.end_lineno - 1] + arg.end_col_offset)
+                     for arg in node.args]
+            for (a, a_end), (b, b_end) in zip(spans, spans[1:]):
+                if source[a:a_end] != source[b:b_end]:
+                    add(a, b_end, (source[b:b_end] + source[a_end:b] + source[a:a_end]).decode())
     return sorted(sites, key=lambda site: (site.start, site.end))
+
+
+def function_span(source: bytes, name: str) -> list[tuple[int, int]]:
+    """The (start, end) bytes of each definition named ``name`` in ``source``."""
+    lines = _offsets(source)
+    return [(lines[node.lineno - 1], lines[node.end_lineno - 1] + node.end_col_offset)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
 
 
 def mutate(source: bytes, site: Site) -> bytes:
@@ -159,12 +183,15 @@ def _run(tree: Path, paths: list[str], seed: int) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
-    parser.add_argument("modules", nargs="*", metavar="MODULE",
-                        help=f"modules to mutate, of {', '.join(modules)} (default: all)")
+    parser.add_argument("modules", nargs="*", metavar="MODULE[:FUNCTION]",
+                        help=f"modules to mutate, of {', '.join(modules)} (default: all); "
+                             "with :FUNCTION, only the sites inside that function")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample and of hypothesis (default: 0)")
-    parser.add_argument("--per-module", type=int, default=10, metavar="N", help="mutants per module (default: 10)")
+    parser.add_argument("--per-module", type=int, default=10, metavar="N",
+                        help="mutants per module (default: 10); 0 runs every site")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.modules) - set(modules))
+    targets = [arg.partition(":")[::2] for arg in args.modules] or [(name, "") for name in modules]
+    unknown = sorted({name for name, _ in targets} - set(modules))
     if unknown:
         parser.error(f"no such module: {', '.join(unknown)}")
     rows, notes = [], []
@@ -175,16 +202,23 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
         shutil.copy2(ROOT / "conftest.py", tree)
-        for name in args.modules or modules:
+        for name, function in targets:
             target = tree / "src" / "spherecp" / f"{name}.py"
             source = target.read_bytes()
             paths = [p for p in (f"tests/test_{name}.py", "tests/test_acceptance.py") if (tree / p).exists()]
             paths.append(f"src/spherecp/{name}.py")
+            sites = mutation_sites(source)
+            if function:
+                spans = function_span(source, function)
+                if not spans:
+                    print(f"{name}: no function named {function}", file=sys.stderr)
+                    return 1
+                sites = [site for site in sites if any(lo <= site.start < hi for lo, hi in spans)]
             if _run(tree, paths, args.seed) != "survived":
                 print(f"{name}: the unmutated tests do not pass within {TIMEOUT} s", file=sys.stderr)
                 return 1
-            sites = mutation_sites(source)
-            sample = sorted(random.Random(f"{args.seed}:{name}").sample(sites, min(args.per_module, len(sites))))
+            size = len(sites) if args.per_module == 0 else min(args.per_module, len(sites))
+            sample = sorted(random.Random(f"{args.seed}:{name}").sample(sites, size))
             counts = {"killed": 0, "survived": 0, "timed out": 0}
             for site in sample:
                 target.write_bytes(mutate(source, site))
@@ -197,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
                     text = source.splitlines()[site.line - 1].decode().strip()
                     notes.append(f"{outcome:<9}  {name}.py:{site.line}  {site.old!r} -> {site.new!r}  |  {text}")
                 print(f"{name}.py:{site.line} {site.old!r} -> {site.new!r}: {outcome}", file=sys.stderr, flush=True)
-            rows.append(_ROW.format(f"{name}.py", len(sites), len(sample), *counts.values()))
+            label = f"{name}.py" + (f":{function}" if function else "")
+            rows.append(_ROW.format(label, len(sites), len(sample), *counts.values()))
     print(_ROW.format("module", "sites", "run", "killed", "survived", "timed out"))
     print(*rows, *notes, sep="\n")
     return 0

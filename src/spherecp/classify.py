@@ -156,7 +156,7 @@ def classify_report(spec: SphereBundleSpec) -> ClassificationReport:
         parity_caveat = CAVEAT_ODD_COLLAPSE
     distinguishable = kg.k0 != trivial.k0
     caveats = (CAVEAT_DELTA0, parity_caveat) + (() if distinguishable else (CAVEAT_INCONCLUSIVE,))
-    return _trusted(ClassificationReport, spec, kc, kg, inv, trivial, distinguishable, caveats)
+    return _trusted(ClassificationReport, (spec, kc, kg, inv, trivial, distinguishable, caveats))
 
 
 def report_to_dict(report: ClassificationReport) -> dict:

@@ -260,11 +260,12 @@ def _cmd_table(args) -> list[str] | dict:
 def _cmd_snf(args) -> list[str] | dict:
     a = parse_matrix(args.matrix)
     if a.rows * a.cols > SNF_ENTRIES_BUDGET:
-        raise CliError(
-            f"the matrix has {a.rows * a.cols} entries, over SNF_ENTRIES_BUDGET ({SNF_ENTRIES_BUDGET} entries)")
+        raise CliError(f"the matrix has {_int_text(a.rows * a.cols)} entries, "
+                       f"over SNF_ENTRIES_BUDGET ({SNF_ENTRIES_BUDGET} entries)")
     bits = sum(sum(map(int.bit_length, row)) for row in a.entries)
     if bits > SNF_BITS_BUDGET:
-        raise CliError(f"the matrix entries have {bits} bits in all, over SNF_BITS_BUDGET ({SNF_BITS_BUDGET} bits)")
+        raise CliError(f"the matrix entries have {_int_text(bits)} bits in all, "
+                       f"over SNF_BITS_BUDGET ({SNF_BITS_BUDGET} bits)")
     snf = smith_normal_form(a)
     u, d, v = snf.U.to_text(), snf.D.to_text(), snf.V.to_text()
     if _structured(args):

@@ -35,12 +35,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, islice
 from math import gcd, lcm
-from operator import mul
 
-from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _literal_int, _require_int, _trusted
-from .fgab import _int_text, _signed_sum
+from .fgab import LITERAL_DIGITS_BUDGET, SpherecpInputError, _int_text, _literal_int, _require_int, _signed_sum
 
 __all__ = [
     "Word",
@@ -137,21 +135,19 @@ def _reduced(base: int, coeffs: dict[tuple[Word, Word], int], den: int) -> "Cunt
     """The element ``coeffs / den`` (``den > 0``) with the common factor of
     ``den`` and every numerator divided out, which makes the form unique.
 
-    The common factor divides every integer combination of the
-    numerators, so the fold starts from ``gcd(den, c1 + 2·c2 + 3·c3 + ...)``:
-    that is mostly 1 or small, which spares a gcd of two long ints per
-    term when the denominator is long.
+    The package's one unchecked constructor of a :class:`CuntzElement`: the
+    caller vouches for ``coeffs``, a dict of nonzero int numerators, and
+    the element is written straight to the instance ``__dict__``,
+    skipping ``__new__`` and the ``__setattr__`` guard.
     """
     if den != 1:
-        g = gcd(den, sum(map(mul, coeffs.values(), count(1))))
-        for c in coeffs.values():
-            if g == 1:
-                break
-            g = gcd(g, c)
+        g = gcd(den, *coeffs.values())
         if g != 1:
             coeffs = {key: c // g for key, c in coeffs.items()}
             den //= g
-    return _trusted(CuntzElement, _base=base, _coeffs=coeffs, _den=den)
+    self = object.__new__(CuntzElement)
+    self.__dict__.update(_base=base, _coeffs=coeffs, _den=den)
+    return self
 
 
 class CuntzElement:
@@ -163,8 +159,8 @@ class CuntzElement:
     :meth:`terms` gives them back as ``Fraction``.  ``==`` is
     *structural* (same reduced coefficient map); use :meth:`equals` for
     equality in the algebra, which also sees the unit relation.  Results
-    derived from checked elements are built by
-    :func:`~spherecp.fgab._trusted`, which skips the checks of ``__new__``.
+    derived from checked elements are built by :func:`_reduced`, which
+    skips the checks of ``__new__``.
     """
 
     def __new__(cls, base: int, coeffs: Mapping[tuple[Word, Word], Scalar] | None = None):
@@ -235,8 +231,7 @@ class CuntzElement:
         return self + (-other)
 
     def __neg__(self) -> "CuntzElement":
-        coeffs = {k: -c for k, c in self._coeffs.items()}
-        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
+        return _reduced(self._base, {k: -c for k, c in self._coeffs.items()}, self._den)
 
     def __mul__(self, other: "CuntzElement") -> "CuntzElement":
         """Each pair of terms in turn, ``self``'s outer: (S_mu S_nu*)(S_alpha
@@ -259,8 +254,7 @@ class CuntzElement:
 
     def star(self) -> "CuntzElement":
         """Adjoint: swaps each mu and nu (rational coefficients are self-conjugate)."""
-        coeffs = {(nu, mu): c for (mu, nu), c in self._coeffs.items()}
-        return _trusted(CuntzElement, _base=self._base, _coeffs=coeffs, _den=self._den)
+        return _reduced(self._base, {(nu, mu): c for (mu, nu), c in self._coeffs.items()}, self._den)
 
     # -- grading -----------------------------------------------------------
 
@@ -440,7 +434,7 @@ def parse_expression(base: int, text: str) -> CuntzElement:
     """
     _check_base(base)
     if len(text) > EXPRESSION_TEXT_BUDGET:
-        raise ExpressionParseError(f"expression text of {len(text)} characters exceeds "
+        raise ExpressionParseError(f"expression text of {_int_text(len(text))} characters exceeds "
                                    f"EXPRESSION_TEXT_BUDGET ({EXPRESSION_TEXT_BUDGET} characters)")
     terms: list[tuple[tuple[Word, Word], int, int]] = []
     num: int | None = None  # the open term's numerator; None between terms

@@ -95,26 +95,14 @@ def _require_int(what: str, *values: object, error: type[Exception] = TypeError)
             raise error(f"{what} must be int, got {type(v).__name__}")
 
 
-def _trusted(cls, *fields, **attrs):
-    """An instance of ``cls``, built without checks.
-
-    The package's one unchecked constructor.  A value class, a named
-    tuple, takes its ``fields`` in order, and ``tuple.__new__`` stores
-    them, skipping the checks of the class's ``__new__``.  A
-    :class:`~spherecp.cuntz_words.CuntzElement` takes its ``attrs`` by
-    keyword, written straight to the instance ``__dict__``, skipping
-    its ``__new__`` and its ``__setattr__`` guard.  Only for values the
-    library derives from already validated ones: the caller vouches for
-    every field, in the form the checked route stores it (tuples for a
-    value class; for a ``CuntzElement``, a dict of nonzero int numerators
-    and a positive common denominator that shares no factor with all of
-    them).  Every public constructor and parser keeps its checks.
-    """
-    if attrs:
-        self = object.__new__(cls)
-        self.__dict__.update(attrs)
-        return self
-    return tuple.__new__(cls, fields)
+# The package's one unchecked constructor of the value classes:
+# _trusted(cls, fields) stores the tuple ``fields`` as a named tuple of
+# class ``cls``, skipping the checks of the class's ``__new__``.  Only for
+# values the library derives from already validated ones: the caller
+# vouches for every field, in the form the checked route stores it (tuples
+# for tuple fields).  Every public constructor and parser keeps its checks.
+# cuntz_words._reduced is the one unchecked constructor of a CuntzElement.
+_trusted = tuple.__new__
 
 
 class _Checked:
@@ -177,7 +165,7 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows:
-            raise ValueError(f"expected {_int_text(rows)} rows, got {len(entries)}")
+            raise ValueError(f"expected {_int_text(rows)} rows, got {_int_text(len(entries))}")
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows in matrix")
@@ -229,7 +217,7 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
 
     def to_text(self) -> str:
         """Render in the compact text format: rows joined by ';', entries by ','."""
-        return ";".join(",".join(map(_int_text, row)) for row in self.entries)
+        return ";".join([",".join(map(_int_text, row)) for row in self.entries])
 
 
 #: The longest integer literal, in digits, that either text parser accepts.
@@ -322,7 +310,8 @@ def parse_matrix(text: str) -> IntMatrix:
             return IntMatrix.from_rows(rows)
         for k, row in enumerate(rows, 1):  # every entry was read, so only the widths are wrong
             if len(row) != len(rows[0]):
-                raise MatrixParseError(f"row {k} has {len(row)} entries, expected {len(rows[0])}")
+                raise MatrixParseError(f"row {_int_text(k)} has {_int_text(len(row))} entries, "
+                                       f"expected {_int_text(len(rows[0]))}")
     _raise_matrix_text_error(text)
 
 
@@ -829,15 +818,15 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     d = [[0] * i + [mat[i][i]] + [0] * (n - i - 1) if i < r else [0] * n for i in range(m)]
     v = [row + w[r:] for row, w in zip(mat[r:], wt)]
     return SnfDecomposition(
-        U=_trusted(IntMatrix, m, m, tuple(map(tuple, u))),
-        D=_trusted(IntMatrix, m, n, tuple(map(tuple, d))),
-        V=_trusted(IntMatrix, n, n, tuple(map(tuple, v))),
+        U=_trusted(IntMatrix, (m, m, tuple(map(tuple, u)))),
+        D=_trusted(IntMatrix, (m, n, tuple(map(tuple, d)))),
+        V=_trusted(IntMatrix, (n, n, tuple(map(tuple, v)))),
     )
 
 
 def _transpose(a: IntMatrix) -> IntMatrix:
     """A^T, built unchecked; a 0 x n matrix gives n empty rows."""
-    return _trusted(IntMatrix, a.cols, a.rows, tuple(zip(*a.entries)) or ((),) * a.cols)
+    return _trusted(IntMatrix, (a.cols, a.rows, tuple(zip(*a.entries)) or ((),) * a.cols))
 
 
 def _divisor_chain(orders: Iterable[int]) -> list[int]:
@@ -867,9 +856,10 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
 
     Let g be the gcd of the entries and D_k the gcd of the k x k minors.
     When every minor is an entry or the determinant, as for at most one
-    row or column and for a 2 x 2, the rank r and M = D_r are read with
-    no elimination: M = |det| at rank 2, g at rank 1, and the empty
-    minor 1 at rank 0; there c_r below is M.  Any other shape runs
+    row or column and for a 2 x 2, the factors are read at once, with no
+    elimination: D_1 = g, so a nonsingular 2 x 2, where D_2 = |det|, has
+    the factors g and |det| / g, and any other such matrix has rank 1 and
+    the factor g, or rank 0 when g = 0.  Any other shape runs
     Bareiss elimination, which finds r and a nonzero r x r minor M, a
     multiple of D_r.  A tall ``a`` (more rows than columns) is eliminated
     through its transpose, which has the same factors and rank.  Row r-1
@@ -887,10 +877,9 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     * so g**r = c_r forces d_1 ... d_r = g**r, and each d_i = g.
 
     Rank 0 and c_r = 1 are cases of this exit.  A square nonsingular n x n
-    ``a`` has a second exit, by the same divisors D_k = d_1 ... d_k.
+    ``a`` (n >= 3) has a second exit, by the same divisors D_k = d_1 ... d_k.
     D_n = M, and g**(n-1) divides D_(n-1), which divides c, the gcd of M
-    and of any integer combinations of (n-1) x (n-1) minors.  At n = 2
-    the entries are all the 1 x 1 minors, so c = g.  At n >= 3 the
+    and of any integer combinations of (n-1) x (n-1) minors.  The
     Bareiss pass carries two more columns, v = (1, ..., n) and
     w = ((-1)^i); c takes the two minors that the elimination leaves in
     its row n-2, and, only if they do not decide, the entries of
@@ -901,9 +890,7 @@ def invariant_factors(a: IntMatrix) -> tuple[tuple[int, ...], int]:
     in p; w decides most of those.  One linear solve exposing a large
     divisor of the determinant is the idea of Abbott, Bronstein, Mulders
     (ISSAC 1999).  When c = g**(n-1),
-    the factors are g, n-1 times, then M / g**(n-1).  So a matrix read
-    with no elimination never reaches the sweep: at rank r <= 1, M = g**r,
-    and at rank 2, c = g divides M.
+    the factors are g, n-1 times, then M / g**(n-1).
 
     Otherwise the sweep runs.  Since every d_i divides c_r, the rows of
     ``a`` plus c_r*Z^cols span a lattice with invariant factors d_1..d_r
@@ -947,26 +934,26 @@ def _factors(entries: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ..
     n = len(entries)
     if n == cols == 2:  # the minors are the entries and the determinant
         (p, q), (s, t) = entries
-        minor = abs(p * t - q * s)
-        rank, minor = (2, minor) if minor else (1, g) if g else (0, 1)
-    elif min(n, cols) <= 1:  # the minors are the entries
-        rank, minor = (1, g) if g else (0, 1)
-    else:  # a tall matrix is eliminated through its transpose, whose row r-1 holds more minors
-        width = max(n, cols)
-        if n == cols:  # a square carries v = (1, ..., n) and w = ((-1)^i), for the adjoint solves
-            rows = [(*row, i, 1 - 2 * (i & 1)) for i, row in enumerate(entries, 1)]
-        else:
-            rows = entries if n < cols else list(zip(*entries))
-        rank, minor, eliminated, _ = _bareiss(rows, width)
-        # c_r, the gcd of M and the other r x r minors in Bareiss row r-1: D_r | c_r | M, and a
-        # nonsingular square has none, so c_n = M; at rank 0 the empty minor 1 leaves c_0 = 1
-        minor = gcd(minor, *eliminated[rank - 1][rank:width])
+        if det := abs(p * t - q * s):  # D_1 = g and D_2 = |det|
+            return ((g, det // g) if g > 1 else (det,) if det > 1 else ()), 2
+    if n == cols == 2 or min(n, cols) <= 1:  # rank at most 1, and D_1 = g
+        return ((g,) if g > 1 else ()), 1 if g else 0
+    # a tall matrix is eliminated through its transpose, whose row r-1 holds more minors
+    width = max(n, cols)
+    if n == cols:  # a square carries v = (1, ..., n) and w = ((-1)^i), for the adjoint solves
+        rows = [(*row, i, 1 - 2 * (i & 1)) for i, row in enumerate(entries, 1)]
+    else:
+        rows = entries if n < cols else list(zip(*entries))
+    rank, minor, eliminated, _ = _bareiss(rows, width)
+    # c_r, the gcd of M and the other r x r minors in Bareiss row r-1: D_r | c_r | M, and a
+    # nonsingular square has none, so c_n = M; at rank 0 the empty minor 1 leaves c_0 = 1
+    minor = gcd(minor, *eliminated[rank - 1][rank:width])
     if g**rank == minor:  # rank 0 included: the empty minor is 1
         return (g,) * rank if g > 1 else (), rank
     modulus = minor
     if rank == n == cols:  # D_(n-1) divides c, and c divides M
         floor = g ** (n - 1)
-        c = gcd(*eliminated[n - 2][n - 2:n], minor) if n > 2 else g
+        c = gcd(*eliminated[n - 2][n - 2:n], minor)
         if c != floor:  # the two (n-1)-minors in Bareiss row n-2 leave D_(n-1) open
             vw = ([minor * row[n], minor * row[n + 1]] for row in reversed(eliminated))
             for z in _back_substitute(eliminated, vw):  # rows of ±[adj(A)·v | adj(A)·w], permuted
@@ -1050,7 +1037,7 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     relation contribute free rank cols - rank.
     """
     torsion, rank = _factors(a.entries, a.cols)
-    return _trusted(FgAbGroup, a.cols - rank, torsion)
+    return _trusted(FgAbGroup, (a.cols - rank, torsion))
 
 
 def kernel(a: IntMatrix) -> FgAbGroup:
@@ -1060,7 +1047,7 @@ def kernel(a: IntMatrix) -> FgAbGroup:
     its rank is cols - rank(a), and the rank alone needs no elimination
     past Bareiss.
     """
-    return _trusted(FgAbGroup, a.cols - _bareiss(a.entries, a.cols)[0], ())
+    return _trusted(FgAbGroup, (a.cols - _bareiss(a.entries, a.cols)[0], ()))
 
 
 def group_order(g: FgAbGroup) -> int | None:

@@ -77,7 +77,7 @@ def _class_matrix(sphere_dim: int, z: int, z1: int) -> IntMatrix:
     '-2'
     """
     entries = _class_rows(sphere_dim, z, z1)
-    return _trusted(IntMatrix, len(entries), len(entries), entries)
+    return _trusted(IntMatrix, (len(entries), len(entries), entries))
 
 
 def k_class(spec: SphereBundleSpec) -> TruncPoly:
@@ -90,7 +90,7 @@ def k_class(spec: SphereBundleSpec) -> TruncPoly:
     >>> str(k_class(SphereBundleSpec(4, 3, -1)))
     '3 - λ'
     """
-    return _trusted(TruncPoly, spec.rank, spec.euler_param)
+    return _trusted(TruncPoly, (spec.rank, spec.euler_param))
 
 
 def delta1_class(spec: SphereBundleSpec) -> IntMatrix:

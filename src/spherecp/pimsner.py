@@ -75,7 +75,7 @@ def k_groups(spec: SphereBundleSpec) -> KGroupPair:
     rank, so the map is injective.
     """
     free_rank, torsion = _k0(spec)
-    return _trusted(KGroupPair, _trusted(FgAbGroup, free_rank, torsion), _TRIVIAL)
+    return _trusted(KGroupPair, (_trusted(FgAbGroup, (free_rank, torsion)), _TRIVIAL))
 
 
 def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
@@ -93,5 +93,5 @@ def k_groups_trivial(spec: SphereBundleSpec) -> KGroupPair:
             f"closed-form trivial-bundle K-groups need an even sphere, got S^{_int_text(spec.sphere_dim)}"
         )
     t = spec.rank - 1
-    k0 = _trusted(FgAbGroup, 0, (t, t) if t > 1 else ())
-    return _trusted(KGroupPair, k0, _TRIVIAL)
+    k0 = _trusted(FgAbGroup, (0, (t, t) if t > 1 else ()))
+    return _trusted(KGroupPair, (k0, _TRIVIAL))

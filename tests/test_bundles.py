@@ -1,8 +1,13 @@
 """Tests for bundle specs: validation at construction, K-classes, and the JSON file format."""
 
+import os
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import time_limit
 
 from spherecp.bundles import (
     SPEC_TEXT_BUDGET,
@@ -18,6 +23,8 @@ from spherecp.bundles import (
 )
 from spherecp.fgab import LITERAL_DIGITS_BUDGET
 from spherecp.ktheory import TruncPoly, k_class
+
+SPEC = b'{"sphere_dim": 4, "rank": 3}'  # a valid spec file, before any padding
 
 
 class TestValidate:
@@ -191,6 +198,50 @@ class TestSpecFiles:
         with pytest.raises(SpecFormatError) as exc:
             load_spec(p)
         assert str(exc.value) == f"cannot read bundle spec file: {read_text.value}"
+
+    @pytest.mark.parametrize("data, refused", [
+        (SPEC.ljust(SPEC_TEXT_BUDGET), False),
+        (SPEC.ljust(SPEC_TEXT_BUDGET + 1), True),
+        # one character past the budget is read, so the undecodable byte after it is not
+        (SPEC.ljust(SPEC_TEXT_BUDGET + 1) + b"\xff", True),
+        # "\r\n" reads as one character, so the first read's budget + 1 bytes give the
+        # budget's characters, and the bytes after them decide
+        ((SPEC + b"\r\n").ljust(SPEC_TEXT_BUDGET + 1), False),
+        ((SPEC + b"\r\n").ljust(SPEC_TEXT_BUDGET + 2), True),
+    ], ids=["at", "past", "past-then-undecodable", "at-after-a-short-read", "past-after-a-short-read"])
+    def test_file_at_the_budget_is_read_and_past_it_is_refused(self, tmp_path, data, refused):
+        p = tmp_path / "bundle.json"
+        p.write_bytes(data)
+        if refused:
+            with pytest.raises(SpecFormatError, match="exceeds SPEC_TEXT_BUDGET"):
+                load_spec(p)
+        else:
+            assert load_spec(p) == SphereBundleSpec(4, 3)
+
+    def test_fifo_with_no_writer_is_refused_at_once(self, tmp_path):
+        fifo = tmp_path / "spec"
+        os.mkfifo(fifo)
+        with time_limit(5), pytest.raises(SpecFormatError, match="^bundle spec file is a FIFO with no writer$"):
+            load_spec(fifo)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_with_a_late_writer_is_read(self):
+        # the file opens without waiting, and its reads then wait for the writer
+        read, write = os.pipe()
+
+        def writer():
+            time.sleep(0.2)
+            os.write(write, b'{"sphere_dim": 4, "rank": 3}')
+            os.close(write)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            with time_limit(5):
+                assert load_spec(f"/dev/fd/{read}") == SphereBundleSpec(4, 3)
+        finally:
+            thread.join(5)
+            os.close(read)
 
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(SpecFormatError):

@@ -40,11 +40,12 @@ class TestDelta1Equal:
         assert not delta1_equal(SphereBundleSpec(4, 3, 1), SphereBundleSpec(4, 3, 0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        # the message names the two spheres in argument order
+        with pytest.raises(DimensionMismatch, match=r"S\^2 vs S\^4$"):
             delta1_equal(SphereBundleSpec(2, 3, 1), SphereBundleSpec(4, 3, 1))
 
     def test_rank_mismatch(self):
-        with pytest.raises(RankMismatch):
+        with pytest.raises(RankMismatch, match="different rank: 3 vs 4 "):
             delta1_equal(SphereBundleSpec(4, 3, 1), SphereBundleSpec(4, 4, 1))
 
     def test_invalid_spec_propagates(self):
@@ -74,9 +75,9 @@ class TestGradedStablyIsomorphic:
         assert graded_stably_isomorphic(SphereBundleSpec(5, 4, 0), SphereBundleSpec(5, 4, 0))
 
     def test_mismatches_refused(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"S\^2 vs S\^4$"):
             graded_stably_isomorphic(SphereBundleSpec(2, 3, 0), SphereBundleSpec(4, 3, 0))
-        with pytest.raises(RankMismatch):
+        with pytest.raises(RankMismatch, match="different rank: 3 vs 5 "):
             graded_stably_isomorphic(SphereBundleSpec(4, 3, 0), SphereBundleSpec(4, 5, 0))
 
 

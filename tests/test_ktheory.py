@@ -49,6 +49,9 @@ class TestTruncPoly:
     def test_non_int_rejected(self):
         with pytest.raises(TypeError):
             TruncPoly(1.5, 0)  # type: ignore[arg-type]
+        # the first coordinate that is no int is the one named
+        with pytest.raises(TypeError, match="got float$"):
+            TruncPoly(1.5, True)  # type: ignore[arg-type]
 
     def test_coordinates_default_to_zero(self):
         assert TruncPoly() == (0, 0)

@@ -70,15 +70,53 @@ def test_matrix_text_never_meets_the_unchecked_constructor():
     assert "IntMatrix" in named and "_trusted" not in named
 
 
+def _new_references(path: Path) -> list:
+    """Each ``X.__new__`` in the source: X, the innermost class and function
+    around it, and its use: called with ``cls`` first, called, bound to a name or read."""
+    found = []
+
+    def visit(node, cls, function, parent):
+        if isinstance(node, ast.ClassDef):
+            cls, function = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "__new__":
+            if isinstance(parent, ast.Call) and parent.func is node:
+                use = "cls" if parent.args and ast.unparse(parent.args[0]) == "cls" else "called"
+            elif isinstance(parent, ast.Assign):
+                use = "= " + ", ".join(map(ast.unparse, parent.targets))
+            else:
+                use = "read"
+            found.append((ast.unparse(node.value), cls, function, use))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function, node)
+
+    visit(_tree(path), None, None, None)
+    return found
+
+
 def test_one_unchecked_constructor():
-    # every value built without checks goes through fgab._trusted
-    defined = [
+    # a value class's own __new__ checks its fields and stores them with
+    # tuple.__new__(cls, ...); the only routes past those checks are fgab._trusted,
+    # bound once to tuple.__new__, and cuntz_words._reduced, which builds every derived element
+    unchecked = [
+        (path.name, owner, cls, function, use)
+        for path in SOURCES
+        for owner, cls, function, use in _new_references(path)
+        if not (owner == "tuple" and cls is not None and function == "__new__" and use == "cls")
+    ]
+    assert unchecked == [
+        ("cuntz_words.py", "object", None, "_reduced", "called"),
+        ("fgab.py", "tuple", None, None, "= _trusted"),
+    ]
+    bound = [
         path.name
         for path in SOURCES
         for node in ast.walk(_tree(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted"
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == "_trusted")
+        or (isinstance(node, ast.Name) and node.id == "_trusted" and not isinstance(node.ctx, ast.Load))
     ]
-    assert defined == ["fgab.py"]
+    assert bound == ["fgab.py"]
 
 
 def test_cli_import_loads_no_typing_or_dataclasses():
@@ -193,7 +231,7 @@ def test_mutants_finds_each_site_and_changes_only_its_segment():
     assert [(site.line, site.old, site.new) for site in sites] == [
         (5, "not ", ""), (5, "<=", "<"), (5, "2", "3"), (6, "-=", "+="), (6, "1", "2"),
         (7, "*", "//"), (7, "//", "*"), (7, "3", "4"), (7, "is not", "is"), (7, "in", "not in"),
-        (7, "+", "-"), (7, ">", ">="), (7, "4", "5"), (7, "!=", "=="),
+        (7, "+", "-"), (7, ">", ">="), (7, "-", ""), (7, "4", "5"), (7, "!=", "=="),
     ]
     for site in sites:
         mutant = mutants.mutate(source, site)

@@ -1,7 +1,8 @@
 """Values the library builds without checks pass every check of their public constructor.
 
-``fgab._trusted`` skips the checks of a value class's ``__new__`` (and
-``CuntzElement.__new__``) for values derived from already validated ones.
+``fgab._trusted`` skips the checks of a value class's ``__new__``, and
+``cuntz_words._reduced`` those of ``CuntzElement.__new__``, for values
+derived from already validated ones.
 Each such value is rebuilt here through the public constructors, which run
 every check, and must be accepted and compare equal.  ``_make`` and
 ``_replace``, which every named tuple has, keep those checks too.
